@@ -1,7 +1,10 @@
 """Exact solver: reference enumerator vs production path, two-stage
 marginalization, component splitting, fragment validation."""
 
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,10 @@ from groundsim.program import (
     WeightedProgram,
     WeightedRule,
     logit,
+    parse_program,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def fact(i: int, s: float) -> WeightedRule:
@@ -206,3 +212,29 @@ def test_two_stage_path_matches_reference():
         for atom in ref.probs:
             assert abs(table[atom] - ref[atom]) <= 1e-9
         assert abs(table.log_z - ref.log_z) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# a real fineHard component, frozen with the marginals of the 2^20-world sweep
+
+
+def _golden_component():
+    prog = parse_program((GOLDEN / "component_fineHard.lp").read_text())
+    expected = json.loads((GOLDEN / "component_fineHard.json").read_text())
+    return prog, expected
+
+
+def _atom_text(a) -> str:
+    return f"{a.pred.name}({','.join(str(t) for t in a.args)})"
+
+
+def test_golden_fine_hard_component():
+    # 25 base + 7 derived atoms: above the reference enumerator's bound, so
+    # this frozen table is the only oracle for a component of this size
+    prog, expected = _golden_component()
+    table = solve_exact(prog)
+    got = {_atom_text(a): p for a, p in table.probs.items()}
+    assert set(got) == set(expected["marginals"])
+    for name, p in expected["marginals"].items():
+        assert abs(got[name] - p) <= 1e-9, name
+    assert abs(table.log_z - expected["log_z"]) <= 1e-9
