@@ -92,14 +92,6 @@ class LearnerState:
             raise ValueError(f"unknown learner strategy: {self.strategy}")
 
 
-@dataclass
-class EpisodeOutcome:
-    correct: bool
-    mistake: bool
-    transcript: list[str]
-    updates: list[str]
-
-
 # ---------------------------------------------------------------------------
 # teacher
 

@@ -101,9 +101,13 @@ def config_from_args(args) -> ExperimentConfig:
 def run_batch(config: ExperimentConfig) -> int:
     results = run_suite(config)
     for strategy in config.strategies:
-        finals = [r.exams[-1].map for r in results[strategy]]
-        mean, half = mean_ci95(finals)
-        print(f"{strategy:20s} final mAP {mean:.3f} +/- {half:.3f} over {len(finals)} seeds")
+        finals = [r.exams[-1].map for r in results[strategy] if r.exams]
+        if finals:
+            mean, half = mean_ci95(finals)
+            print(f"{strategy:20s} final mAP {mean:.3f} +/- {half:.3f} over {len(finals)} seeds")
+        no_exam = len(results[strategy]) - len(finals)
+        if no_exam:
+            print(f"{strategy:20s} no exam in {no_exam} seeds (episode cap reached first)")
     if config.out_dir:
         print(f"results written to {config.out_dir}")
     return 0

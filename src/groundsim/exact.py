@@ -6,9 +6,22 @@ discarded; a world's weight is the sum of the weights of the soft rules it
 satisfies, normalized into a log-linear distribution.
 
 `enumerate_worlds` is a deliberately plain pure-Python reference. `solve_exact`
-is the production path: it splits the program into connected components and,
-where the scene fragment allows, marginalizes constraint-free atoms first.
-Both are property-tested against each other.
+is the production path: it splits the program into connected components and
+solves each by one of two exact methods:
+
+- flat: enumerate all 2^n assignments of the component's base atoms;
+- two-stage, where the scene fragment allows (definite bodies free of
+  constraints, every aux atom constrained). Stage 1 marginalizes the atoms of
+  the definite bodies. They split into blocks, the connected components of
+  the bodies, which in scene programs means one block per part. Each block
+  enumerates only its own assignments into a table over aux configurations,
+  and the tables combine by an OR-fold (`_or_fold`) that adds only
+  non-negative products. Stage 2 enumerates the remaining base atoms with
+  every aux configuration.
+
+`enum_bound` caps every single enumeration: the component for the flat
+method, each block and the stage-2 table for the two-stage one. Both solvers
+are property-tested against each other.
 """
 
 from __future__ import annotations
@@ -174,7 +187,9 @@ def solve_exact_reference(program: WeightedProgram) -> MarginalTable:
 
 
 def solve_exact(program: WeightedProgram, enum_bound: int = ENUM_BOUND) -> MarginalTable:
-    """Exact marginals; splits into connected components, two-stage where possible."""
+    """Exact marginals; splits into connected components, two-stage where
+    possible. Raises EnumerationBoundError for a component neither method can
+    solve within `enum_bound`."""
     if not program.rules:
         return MarginalTable({}, log_z=0.0)
     components = _split_components(program.rules)
@@ -188,6 +203,16 @@ def solve_exact(program: WeightedProgram, enum_bound: int = ENUM_BOUND) -> Margi
 
 
 def _split_components(rules: list[WeightedRule]) -> list[list[WeightedRule]]:
+    rule_atoms = []
+    for r in rules:
+        atoms = [r.head] if r.head is not None else []
+        rule_atoms.append(atoms + list(r.pos_body) + list(r.neg_body))
+    return [[rules[i] for i in group] for group in _connected(rule_atoms)]
+
+
+def _connected(atom_lists: list[list[Atom]]) -> list[list[int]]:
+    """Indices of the (non-empty) atom lists, grouped into the connected
+    components their shared atoms form, in sort order of each group's root."""
     parent: dict[Atom, Atom] = {}
 
     def find(a):
@@ -201,19 +226,15 @@ def _split_components(rules: list[WeightedRule]) -> list[list[WeightedRule]]:
         if ra is not rb:
             parent[ra] = rb
 
-    rule_atoms = []
-    for r in rules:
-        atoms = [r.head] if r.head is not None else []
-        atoms += list(r.pos_body) + list(r.neg_body)
-        rule_atoms.append(atoms)
+    for atoms in atom_lists:
         for a in atoms:
             parent.setdefault(a, a)
         for a in atoms[1:]:
             union(atoms[0], a)
 
-    groups: dict[Atom, list[WeightedRule]] = {}
-    for r, atoms in zip(rules, rule_atoms):
-        groups.setdefault(find(atoms[0]), []).append(r)
+    groups: dict[Atom, list[int]] = {}
+    for i, atoms in enumerate(atom_lists):
+        groups.setdefault(find(atoms[0]), []).append(i)
     return [groups[k] for k in sorted(groups, key=_atom_sort_key)]
 
 
@@ -237,10 +258,17 @@ def _solve_component(rules: list[WeightedRule], enum_bound: int) -> MarginalTabl
         and len(c.derived) <= 16
     )
     if two_stage_ok:
-        s_atoms = sorted(definite_body_atoms, key=_atom_sort_key)
+        blocks = []
+        for group in _connected([list(r.pos_body) for r in c.definite]):
+            rules = [c.definite[i] for i in group]
+            atoms = sorted({b for r in rules for b in r.pos_body}, key=_atom_sort_key)
+            blocks.append((atoms, rules))
         q_atoms = [a for a in c.base if a not in definite_body_atoms]
-        if len(s_atoms) <= enum_bound and len(q_atoms) + len(c.derived) <= enum_bound:
-            return _solve_two_stage(c, s_atoms, q_atoms)
+        if (
+            max(len(atoms) for atoms, _ in blocks) <= enum_bound
+            and len(q_atoms) + len(c.derived) <= enum_bound
+        ):
+            return _solve_two_stage(c, blocks, q_atoms)
 
     if len(c.base) > enum_bound:
         raise EnumerationBoundError(
@@ -306,38 +334,65 @@ def _solve_flat(c: _Classified) -> MarginalTable:
     return MarginalTable(probs, log_z=float(m + np.log(z)))
 
 
-def _solve_two_stage(c: _Classified, s_atoms: list[Atom], q_atoms: list[Atom]) -> MarginalTable:
-    ns, nq, k = len(s_atoms), len(q_atoms), len(c.derived)
+def _solve_two_stage(
+    c: _Classified, blocks: list[tuple[list[Atom], list[WeightedRule]]], q_atoms: list[Atom]
+) -> MarginalTable:
+    """Marginalize the constraint-free stage-1 atoms (those in definite-rule
+    bodies) per aux configuration, then enumerate the remaining base atoms
+    with every aux configuration.
+
+    Stage 1 never enumerates all stage-1 atoms together. They split into
+    blocks, the connected components of the definite bodies (in scene
+    programs, one block per part: its `have` atom and its class and attribute
+    atoms). Each block enumerates only its own assignments into a table over
+    the 2^k aux configurations; the block tables combine by an OR-fold
+    (a subset convolution). Stage 2 weighs each aux configuration by its
+    folded mass and mixes P(stage-1 atom | configuration) over the
+    configuration posterior.
+    """
+    nq, k = len(q_atoms), len(c.derived)
+    size = 1 << k
     fw = _fact_weights(c)
-
-    # stage 1: marginalize the constraint-free atoms per aux configuration
-    idx = np.arange(1 << ns, dtype=np.int64)
-    sval = {a: _bit(idx, i) for i, a in enumerate(s_atoms)}
     aux_pos = {a: j for j, a in enumerate(c.derived)}
-    config = np.zeros(len(idx), dtype=np.int64)
-    aux_val = {}
-    for a in c.derived:
-        v = np.zeros(len(idx), dtype=bool)
-        for r in c.definite:
-            if r.head == a:
-                v |= np.logical_and.reduce([sval[b] for b in r.pos_body])
-        aux_val[a] = v
-        config |= v.astype(np.int64) << aux_pos[a]
 
-    logw1 = np.zeros(len(idx))
-    for a in s_atoms:
-        if a in fw:
-            logw1 += np.where(sval[a], fw[a], 0.0)
-    shift1 = logw1.max()
-    ew = np.exp(logw1 - shift1)
-    mass = np.bincount(config, weights=ew, minlength=1 << k)
-    atom_mass = {
-        a: np.bincount(config[sval[a]], weights=ew[sval[a]], minlength=1 << k)
-        for a in s_atoms
-    }
+    # stage 1, per block: row 0 is the fact mass of the block's assignments by
+    # the aux configuration they switch on; row 1+i the same over assignments
+    # with the block's atom i true
+    tables = []
+    shift1 = 0.0
+    for atoms, rules in blocks:
+        idx = np.arange(1 << len(atoms), dtype=np.int64)
+        sval = {a: _bit(idx, i) for i, a in enumerate(atoms)}
+        config = np.zeros(len(idx), dtype=np.int64)
+        for r in rules:
+            body = np.logical_and.reduce([sval[b] for b in r.pos_body])
+            config |= body.astype(np.int64) << aux_pos[r.head]
+        logw = np.zeros(len(idx))
+        for a in atoms:
+            if a in fw:
+                logw += np.where(sval[a], fw[a], 0.0)
+        shift = logw.max()
+        shift1 += shift
+        ew = np.exp(logw - shift)
+        table = np.empty((1 + len(atoms), size))
+        table[0] = np.bincount(config, weights=ew, minlength=size)
+        for i, a in enumerate(atoms, 1):
+            table[i] = np.bincount(config, weights=np.where(sval[a], ew, 0.0), minlength=size)
+        tables.append(table)
 
+    # blocks share no atom, so the joint configuration is the OR of independent
+    # block configurations: fold each block's rows with the totals of all other
+    # blocks (one block per part, so few blocks)
+    folded = []
+    for i, table in enumerate(tables):
+        others = np.zeros(size)
+        others[0] = 1.0
+        for j, other in enumerate(tables):
+            if j != i:
+                others = _or_fold(others, other[0])
+        folded.append(_or_fold(table, others))
     with np.errstate(divide="ignore"):
-        log_mass = np.log(mass)  # -inf where a config is unreachable
+        log_mass = np.log(folded[0][0])  # -inf where a config is unreachable
 
     # stage 2: enumerate remaining base atoms x aux configurations
     n2 = nq + k
@@ -345,7 +400,7 @@ def _solve_two_stage(c: _Classified, s_atoms: list[Atom], q_atoms: list[Atom]) -
     val2: dict[Atom, np.ndarray] = {}
     for i, a in enumerate(q_atoms):
         val2[a] = _bit(idx2, i)
-    aconf = (idx2 >> nq) & ((1 << k) - 1)
+    aconf = (idx2 >> nq) & (size - 1)
     for a, j in aux_pos.items():
         val2[a] = ((aconf >> j) & 1).astype(bool)
 
@@ -376,10 +431,35 @@ def _solve_two_stage(c: _Classified, s_atoms: list[Atom], q_atoms: list[Atom]) -
 
     probs = {a: float(p[val2[a]].sum() / z) for a in q_atoms + c.derived}
     # marginals of stage-1 atoms: mix P(s_i | aux config) over the config posterior
-    p_conf = np.bincount(aconf, weights=p, minlength=1 << k) / z
-    for a in s_atoms:
-        ratio = np.divide(
-            atom_mass[a], mass, out=np.zeros_like(mass), where=mass > 0
-        )
-        probs[a] = float((p_conf * ratio).sum())
+    p_conf = np.bincount(aconf, weights=p, minlength=size) / z
+    for (atoms, _), f in zip(blocks, folded):
+        for i, a in enumerate(atoms, 1):
+            ratio = np.divide(f[i], f[0], out=np.zeros(size), where=f[0] > 0)
+            probs[a] = float((p_conf * ratio).sum())
     return MarginalTable(probs, log_z=float(m2 + np.log(z) + shift1))
+
+
+_FOLD_CHUNK = 1 << 16  # products per bincount in _or_fold; bounds its memory
+
+
+def _or_fold(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[..., u | v] = sum of a[..., u] * b[v]: the table of the OR of two
+    independent aux configurations, row by row of `a`.
+
+    Only nonzero entries are paired and only non-negative products are added,
+    with no Moebius inversion: stage-2 log-weights span over 100 nats, and a
+    tiny mass found by subtraction could turn into a wrong marginal.
+    """
+    rows = np.atleast_2d(a)
+    n, size = rows.shape
+    u = np.flatnonzero(rows.any(axis=0))
+    v = np.flatnonzero(b)
+    out = np.zeros(n * size)
+    offsets = (np.arange(n) * size)[:, None]
+    step = max(1, _FOLD_CHUNK // max(1, n * len(v)))
+    for lo in range(0, len(u), step):
+        uu = u[lo : lo + step]
+        target = offsets + (uu[:, None] | v).ravel()
+        weights = (rows[:, uu, None] * b[v]).reshape(n, -1)
+        out += np.bincount(target.ravel(), weights=weights.ravel(), minlength=n * size)
+    return out.reshape(a.shape)

@@ -100,12 +100,6 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class Literal:
-    atom: Atom
-    positive: bool = True
-
-
-@dataclass(frozen=True)
 class Conjunction:
     atoms: tuple[Atom, ...] = ()
 

@@ -39,7 +39,9 @@ class NoAdmissibleWorldError(ProgramError):
 
 
 class EnumerationBoundError(ProgramError):
-    """Too many base atoms for exact enumeration; caller may fall back to BP."""
+    """A component too large to enumerate within the solver's bound: more base
+    atoms than the bound, and no two-stage split whose blocks and stage-2
+    table each fit it."""
 
 
 def logit(s: float) -> float:

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from groundsim.logic import Atom, Const, cls_pred
-from groundsim.program import HARD, WeightedProgram, WeightedRule
+from groundsim.logic import Atom, Const, attr_pred, cls_pred, rel_pred
+from groundsim.program import HARD, WeightedProgram, WeightedRule, logit
 
 
 def base_atom(i: int) -> Atom:
@@ -65,4 +65,65 @@ def random_tree_program(rng: np.random.Generator, max_atoms: int = 10) -> Weight
                 continue
             weight = HARD if rng.random() < 0.2 else float(rng.normal() * 2.0)
             prog.add(WeightedRule(weight, None, pos, neg))
+    return prog
+
+
+def have_atom(part: int) -> Atom:
+    return Atom(rel_pred("have"), (Const("o"), Const(f"o_p{part}")))
+
+
+def feature_atom(part: int, j: int) -> Atom:
+    return Atom(attr_pred(f"f{j}"), (Const(f"o_p{part}"),))
+
+
+def random_part_program(
+    rng: np.random.Generator, max_base: int = 12, attr_counts: tuple[int, ...] | None = None
+) -> WeightedProgram:
+    """The shape of a grounded scene + KB program for one object: parts with a
+    `have` atom and 2-4 attribute atoms each (`attr_counts` fixes them), aux
+    atoms that OR over the parts (`aux :- have(o,p), f_j(p), ...`), and
+    deductive and abductive constraints over class and aux atoms.
+
+    Every attribute sits in some aux body, so each part is one block of
+    1 + attributes atoms for the two-stage solver. About one base atom in
+    seven has no fact. Aux atoms with nested feature sets leave some aux
+    configurations unreachable."""
+    n_cls = int(rng.integers(1, 4))
+    if attr_counts is None:
+        attr_counts, budget = [], max_base - n_cls
+        for _ in range(int(rng.integers(1, 4))):
+            if budget < 3:
+                break
+            attr_counts.append(int(rng.integers(2, min(4, budget - 1) + 1)))
+            budget -= 1 + attr_counts[-1]
+    classes = [base_atom(i) for i in range(n_cls)]
+    prog = WeightedProgram()
+    for part, n_attr in enumerate(attr_counts):
+        for a in [have_atom(part)] + [feature_atom(part, j) for j in range(n_attr)]:
+            if rng.random() >= 0.15:
+                prog.add(WeightedRule(float(rng.normal() * 4.0), a))
+    for a in classes:
+        if rng.random() >= 0.15:
+            prog.add(WeightedRule(float(rng.normal() * 2.0), a))
+
+    n_feat = max(attr_counts)
+    n_aux = int(rng.integers(1, min(3, n_feat) + 1))
+    feats = [{int(rng.integers(0, n_feat))} for _ in range(n_aux)]
+    for j in range(n_feat):
+        if not any(j in f for f in feats):
+            feats[int(rng.integers(0, n_aux))].add(j)
+    for t, f in enumerate(feats):
+        head = aux_atom(t)
+        for part, n_attr in enumerate(attr_counts):
+            body = [feature_atom(part, j) for j in sorted(f) if j < n_attr]
+            if body:
+                prog.add(WeightedRule(HARD, head, (have_atom(part), *body), ()))
+        w = logit(float(rng.uniform(0.6, 0.99)))
+        c = classes[int(rng.integers(0, n_cls))]
+        if rng.random() < 0.7:
+            prog.add(WeightedRule(w, None, (c,), (head,)))  # deductive: c -> aux
+        else:
+            prog.add(WeightedRule(w, None, (c, head), ()))  # deductive: c -> not aux
+        explainers = tuple(a for a in classes if rng.random() < 0.6) or (c,)
+        prog.add(WeightedRule(w, None, (head,), explainers))  # abductive
     return prog

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from groundsim import harness
 from groundsim.cli import build_parser, config_from_args, interactive_loop, main
 from groundsim.harness import ExperimentConfig
 
@@ -111,6 +112,15 @@ def test_main_batch_run_writes_outputs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "minHelp" in out and "final mAP" in out
     assert os.path.exists(tmp_path / "out" / "curves.csv")
+
+
+def test_main_batch_run_reports_cells_without_exam(tmp_path, capsys, monkeypatch):
+    # a cell stopped by the episode cap before its first exam has no final mAP
+    monkeypatch.setattr(harness, "EPISODE_CAP", 1)
+    argv = ["run", "--strategy", "minHelp", "--seeds", "1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "minHelp" in out and "no exam in 1 seeds" in out and "final mAP" not in out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genprograms import aux_atom, base_atom, random_program
+from genprograms import aux_atom, base_atom, random_part_program, random_program
+from groundsim import exact
 from groundsim.exact import (
     ENUM_BOUND,
     MarginalTable,
@@ -214,6 +215,61 @@ def test_two_stage_path_matches_reference():
         assert abs(table.log_z - ref.log_z) <= 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_part_programs_match_reference(seed):
+    prog = random_part_program(np.random.default_rng(seed))
+    ref = solve_exact_reference(prog)
+    table = solve_exact(prog)
+    assert set(table.probs) == set(ref.probs)
+    for atom in ref.probs:
+        assert abs(table[atom] - ref[atom]) <= 1e-9
+    assert abs(table.log_z - ref.log_z) <= 1e-9
+
+
+def test_part_programs_cover_two_stage_edge_shapes(monkeypatch):
+    # the property test above draws from these shapes: all take the two-stage
+    # path, and together they have blocks of unequal size, base atoms with no
+    # fact, and aux configurations that no stage-1 assignment reaches
+    calls = []
+    original = exact._solve_two_stage
+
+    def spy(c, blocks, q_atoms):
+        calls.append([len(atoms) for atoms, _ in blocks])
+        return original(c, blocks, q_atoms)
+
+    monkeypatch.setattr(exact, "_solve_two_stage", spy)
+    unequal = factless = unreachable = 0
+    for seed in range(30):
+        prog = random_part_program(np.random.default_rng(seed))
+        solve_exact(prog)
+        sizes = calls[-1]
+        assert len(calls) == seed + 1
+        unequal += len(set(sizes)) > 1
+        universe = prog.atom_universe()
+        aux = {r.head for r in prog.rules if r.head is not None and r.pos_body}
+        facts = {r.head for r in prog.rules if r.is_fact()}
+        factless += bool(universe - aux - facts)
+        seen = {frozenset(w & aux) for w, _ in enumerate_worlds(prog)}
+        unreachable += len(seen) < 2 ** len(aux)
+    assert unequal and factless and unreachable
+
+
+def test_enumeration_bound_applies_per_block():
+    # two parts of 5 stage-1 atoms each: 11 base atoms in all, but no block
+    # and no stage-2 table exceeds the bound
+    prog = random_part_program(np.random.default_rng(3), attr_counts=(4, 4))
+    ref = solve_exact_reference(prog)
+    table = solve_exact(prog, enum_bound=6)
+    for atom in ref.probs:
+        assert abs(table[atom] - ref[atom]) <= 1e-9
+    assert abs(table.log_z - ref.log_z) <= 1e-9
+
+    one_big_block = random_part_program(np.random.default_rng(3), attr_counts=(6,))
+    with pytest.raises(EnumerationBoundError):
+        solve_exact(one_big_block, enum_bound=6)
+
+
 # ---------------------------------------------------------------------------
 # a real fineHard component, frozen with the marginals of the 2^20-world sweep
 
@@ -238,3 +294,17 @@ def test_golden_fine_hard_component():
     for name, p in expected["marginals"].items():
         assert abs(got[name] - p) <= 1e-9, name
     assert abs(table.log_z - expected["log_z"]) <= 1e-9
+
+
+def test_golden_component_solve_memory():
+    # the 20 stage-1 atoms are folded block by block; enumerating their 2^20
+    # joint assignments at once took 67 MiB
+    prog, _ = _golden_component()
+    solve_exact(prog)
+    tracemalloc.start()
+    try:
+        solve_exact(prog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
