@@ -13,7 +13,7 @@ run transcripts byte-stable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .logic import (
     ATTRIBUTE,
@@ -60,23 +60,6 @@ class Utterance:
     surface: str
     logical_form: Prop | Ques | str  # str for the feedback tokens
     demonstratum: str | None = None
-
-
-@dataclass
-class DialogueState:
-    history: list[Utterance] = field(default_factory=list)
-    pending_question: Ques | None = None
-    salient_pair: tuple[PredicateSym, PredicateSym] | None = None
-
-    def push(self, utt: Utterance):
-        self.history.append(utt)
-        form = utt.logical_form
-        if isinstance(form, Ques):
-            self.pending_question = form
-            if form.kind == "conceptDiff":
-                self.salient_pair = form.pair
-        elif self.pending_question is not None:
-            self.pending_question = None
 
 
 def transcript_line(utt: Utterance) -> str:

@@ -7,21 +7,24 @@ satisfies, normalized into a log-linear distribution.
 
 `enumerate_worlds` is a deliberately plain pure-Python reference. `solve_exact`
 is the production path: it splits the program into connected components and
-solves each by one of two exact methods:
+solves each by one method in two stages:
 
-- flat: enumerate all 2^n assignments of the component's base atoms;
-- two-stage, where the scene fragment allows (definite bodies free of
-  constraints, every aux atom constrained). Stage 1 marginalizes the atoms of
-  the definite bodies. They split into blocks, the connected components of
-  the bodies, which in scene programs means one block per part. Each block
-  enumerates only its own assignments into a table over aux configurations,
-  and the tables combine by an OR-fold (`_or_fold`) that adds only
-  non-negative products. Stage 2 enumerates the remaining base atoms with
-  every aux configuration.
+- stage 1 marginalizes the stage-1 atoms: base atoms in definite bodies and
+  in no constraint or hard fact. Each group of definite rules with one head
+  and the same other body atoms gets a bit, the OR over its rules of the AND
+  of their stage-1 atoms. The stage-1 atoms split into blocks, the connected
+  components of the rules' stage-1 parts, which in scene programs means one
+  block per part. Each block enumerates only its own assignments into a
+  table over bit configurations, and the tables combine by an OR-fold
+  (`_or_fold`) that adds only non-negative products;
+- stage 2 enumerates the other base atoms with every bit configuration and
+  derives the heads by forward chaining, so chained rules, bodies that mix
+  stage-1 and other atoms, and constrained or forced body atoms are all
+  covered. A component without stage-1 atoms has no blocks and no bits, and
+  stage 2 enumerates all of its base atoms.
 
-`enum_bound` caps every single enumeration: the component for the flat
-method, each block and the stage-2 table for the two-stage one. Both solvers
-are property-tested against each other.
+`enum_bound` caps every single enumeration: each block and the stage-2 table.
+The solver is property-tested against the reference.
 """
 
 from __future__ import annotations
@@ -187,9 +190,9 @@ def solve_exact_reference(program: WeightedProgram) -> MarginalTable:
 
 
 def solve_exact(program: WeightedProgram, enum_bound: int = ENUM_BOUND) -> MarginalTable:
-    """Exact marginals; splits into connected components, two-stage where
-    possible. Raises EnumerationBoundError for a component neither method can
-    solve within `enum_bound`."""
+    """Exact marginals, component by component. Raises EnumerationBoundError
+    for a component with a block or a stage-2 table of more than `enum_bound`
+    atoms."""
     if not program.rules:
         return MarginalTable({}, log_z=0.0)
     components = _split_components(program.rules)
@@ -203,16 +206,13 @@ def solve_exact(program: WeightedProgram, enum_bound: int = ENUM_BOUND) -> Margi
 
 
 def _split_components(rules: list[WeightedRule]) -> list[list[WeightedRule]]:
-    rule_atoms = []
-    for r in rules:
-        atoms = [r.head] if r.head is not None else []
-        rule_atoms.append(atoms + list(r.pos_body) + list(r.neg_body))
-    return [[rules[i] for i in group] for group in _connected(rule_atoms)]
+    return [[rules[i] for i in group] for group in _connected([r.atoms() for r in rules])]
 
 
-def _connected(atom_lists: list[list[Atom]]) -> list[list[int]]:
-    """Indices of the (non-empty) atom lists, grouped into the connected
-    components their shared atoms form, in sort order of each group's root."""
+def union_find(atom_lists: list[list[Atom]]):
+    """Join the atoms of each list into one component; returns `find`, which
+    maps an atom to its component's root and raises KeyError for an atom in
+    no list."""
     parent: dict[Atom, Atom] = {}
 
     def find(a):
@@ -221,17 +221,20 @@ def _connected(atom_lists: list[list[Atom]]) -> list[list[int]]:
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra is not rb:
-            parent[ra] = rb
-
     for atoms in atom_lists:
         for a in atoms:
             parent.setdefault(a, a)
         for a in atoms[1:]:
-            union(atoms[0], a)
+            ra, rb = find(atoms[0]), find(a)
+            if ra is not rb:
+                parent[ra] = rb
+    return find
 
+
+def _connected(atom_lists: list[list[Atom]]) -> list[list[int]]:
+    """Indices of the (non-empty) atom lists, grouped into the connected
+    components their shared atoms form, in sort order of each group's root."""
+    find = union_find(atom_lists)
     groups: dict[Atom, list[int]] = {}
     for i, atoms in enumerate(atom_lists):
         groups.setdefault(find(atoms[0]), []).append(i)
@@ -239,42 +242,50 @@ def _connected(atom_lists: list[list[Atom]]) -> list[list[int]]:
 
 
 def _solve_component(rules: list[WeightedRule], enum_bound: int) -> MarginalTable:
+    """Split one component into stage-1 blocks and a stage-2 table, then
+    solve it.
+
+    Stage-1 atoms are the base atoms in definite bodies and in no constraint
+    or hard fact. The definite rules with the same head and the same other
+    body atoms form a group with one bit: the OR over the group's rules of
+    the AND of their stage-1 atoms. Bits go in the order of their heads, so a
+    scene program's bit j is its derived atom j. Blocks are the connected
+    components of the stage-1 parts of the rules.
+    """
     c = _classify(rules)
-    in_constraint: set[Atom] = set()
+    outside = {r.head for r in c.hard_facts}
     for r in c.constraints:
-        in_constraint.update(r.pos_body)
-        in_constraint.update(r.neg_body)
+        outside.update(r.pos_body)
+        outside.update(r.neg_body)
+    heads = set(c.derived)
+    stage1 = {b for r in c.definite for b in r.pos_body if b not in heads and b not in outside}
 
-    base_set = set(c.base)
-    definite_body_atoms = {b for r in c.definite for b in r.pos_body}
-    forced = {r.head for r in c.hard_facts}
+    staged = []  # (stage-1 part, group) per definite rule with a stage-1 atom
+    plain = []  # the definite rules without one, as they are
+    for r in c.definite:
+        part = [b for b in r.pos_body if b in stage1]
+        rest = tuple(b for b in r.pos_body if b not in stage1)
+        if part:
+            staged.append((part, (r.head, rest)))
+        else:
+            plain.append((r.head, r.pos_body))
+    rank = {a: j for j, a in enumerate(c.derived)}
+    # sorted() is stable: groups of one head keep the order of their first rule
+    order = sorted(dict.fromkeys(g for _, g in staged), key=lambda g: rank[g[0]])
+    bit = {g: j for j, g in enumerate(order)}
+    rules2 = [(head, (j, *rest)) for j, (head, rest) in enumerate(order)] + plain
 
-    two_stage_ok = (
-        c.definite
-        and definite_body_atoms <= base_set
-        and not (definite_body_atoms & in_constraint)
-        and all(h in in_constraint for h in c.derived)
-        and not (forced & definite_body_atoms)
-        and len(c.derived) <= 16
-    )
-    if two_stage_ok:
-        blocks = []
-        for group in _connected([list(r.pos_body) for r in c.definite]):
-            rules = [c.definite[i] for i in group]
-            atoms = sorted({b for r in rules for b in r.pos_body}, key=_atom_sort_key)
-            blocks.append((atoms, rules))
-        q_atoms = [a for a in c.base if a not in definite_body_atoms]
-        if (
-            max(len(atoms) for atoms, _ in blocks) <= enum_bound
-            and len(q_atoms) + len(c.derived) <= enum_bound
-        ):
-            return _solve_two_stage(c, blocks, q_atoms)
-
-    if len(c.base) > enum_bound:
+    blocks = []
+    for group in _connected([part for part, _ in staged]):
+        atoms = sorted({b for i in group for b in staged[i][0]}, key=_atom_sort_key)
+        blocks.append((atoms, [(staged[i][0], bit[staged[i][1]]) for i in group]))
+    q_atoms = [a for a in c.base if a not in stage1]
+    widest = max([len(q_atoms) + len(order)] + [len(atoms) for atoms, _ in blocks])
+    if widest > enum_bound:
         raise EnumerationBoundError(
-            f"{len(c.base)} base atoms exceeds enumeration bound {enum_bound}"
+            f"an enumeration of {widest} atoms exceeds enumeration bound {enum_bound}"
         )
-    return _solve_flat(c)
+    return _solve_staged(c, blocks, q_atoms, rules2, len(order))
 
 
 def _bit(idx: np.ndarray, i: int) -> np.ndarray:
@@ -288,75 +299,30 @@ def _fact_weights(c: _Classified) -> dict[Atom, float]:
     return fw
 
 
-def _solve_flat(c: _Classified) -> MarginalTable:
-    n = len(c.base)
-    idx = np.arange(1 << n, dtype=np.int64)
-    pos = {a: i for i, a in enumerate(c.base)}
-    val: dict[Atom, np.ndarray] = {a: _bit(idx, i) for a, i in pos.items()}
-
-    # closure over definite rules (supports chaining)
-    for a in c.derived:
-        val[a] = np.zeros(len(idx), dtype=bool)
-    changed = True
-    while changed:
-        changed = False
-        for r in c.definite:
-            body = np.logical_and.reduce([val[b] for b in r.pos_body])
-            new = val[r.head] | body
-            if not np.array_equal(new, val[r.head]):
-                val[r.head] = new
-                changed = True
-
-    logw = np.zeros(len(idx))
-    mask = np.ones(len(idx), dtype=bool)
-    for a, w in _fact_weights(c).items():
-        logw += np.where(val[a], w, 0.0)
-    for r in c.hard_facts:
-        mask &= val[r.head]
-    for r in c.constraints:
-        body = np.ones(len(idx), dtype=bool)
-        for b in r.pos_body:
-            body &= val[b]
-        for b in r.neg_body:
-            body &= ~val[b]
-        if r.weight is HARD:
-            mask &= ~body
-        else:
-            logw += np.where(body, 0.0, r.weight)
-
-    if not mask.any():
-        raise NoAdmissibleWorldError("hard core admits no world")
-    logw = np.where(mask, logw, -np.inf)
-    m = logw.max()
-    p = np.exp(logw - m)
-    z = p.sum()
-    probs = {a: float(p[val[a]].sum() / z) for a in c.base + c.derived}
-    return MarginalTable(probs, log_z=float(m + np.log(z)))
-
-
-def _solve_two_stage(
-    c: _Classified, blocks: list[tuple[list[Atom], list[WeightedRule]]], q_atoms: list[Atom]
+def _solve_staged(
+    c: _Classified,
+    blocks: list[tuple[list[Atom], list[tuple[list[Atom], int]]]],
+    q_atoms: list[Atom],
+    rules2: list[tuple[Atom, tuple[Atom | int, ...]]],
+    k: int,
 ) -> MarginalTable:
-    """Marginalize the constraint-free stage-1 atoms (those in definite-rule
-    bodies) per aux configuration, then enumerate the remaining base atoms
-    with every aux configuration.
+    """Marginalize the stage-1 atoms per configuration of the k bits, then
+    enumerate the other base atoms with every bit configuration.
 
-    Stage 1 never enumerates all stage-1 atoms together. They split into
-    blocks, the connected components of the definite bodies (in scene
-    programs, one block per part: its `have` atom and its class and attribute
-    atoms). Each block enumerates only its own assignments into a table over
-    the 2^k aux configurations; the block tables combine by an OR-fold
-    (a subset convolution). Stage 2 weighs each aux configuration by its
-    folded mass and mixes P(stage-1 atom | configuration) over the
-    configuration posterior.
+    Stage 1 enumerates each block on its own (in scene programs, one part:
+    its `have` atom and its class and attribute atoms) into a table over the
+    2^k bit configurations; the block tables combine by an OR-fold (a subset
+    convolution). Stage 2 weighs each configuration by its folded mass,
+    derives the heads by forward chaining over `rules2` (head and body, where
+    an int j in a body stands for bit j), and mixes P(stage-1 atom |
+    configuration) over the configuration posterior. With no stage-1 atoms,
+    k = 0 and stage 2 is a plain enumeration of the component's base atoms.
     """
-    nq, k = len(q_atoms), len(c.derived)
-    size = 1 << k
+    nq, size = len(q_atoms), 1 << k
     fw = _fact_weights(c)
-    aux_pos = {a: j for j, a in enumerate(c.derived)}
 
     # stage 1, per block: row 0 is the fact mass of the block's assignments by
-    # the aux configuration they switch on; row 1+i the same over assignments
+    # the bit configuration they switch on; row 1+i the same over assignments
     # with the block's atom i true
     tables = []
     shift1 = 0.0
@@ -364,9 +330,9 @@ def _solve_two_stage(
         idx = np.arange(1 << len(atoms), dtype=np.int64)
         sval = {a: _bit(idx, i) for i, a in enumerate(atoms)}
         config = np.zeros(len(idx), dtype=np.int64)
-        for r in rules:
-            body = np.logical_and.reduce([sval[b] for b in r.pos_body])
-            config |= body.astype(np.int64) << aux_pos[r.head]
+        for part, j in rules:
+            body = np.logical_and.reduce([sval[b] for b in part])
+            config |= body.astype(np.int64) << j
         logw = np.zeros(len(idx))
         for a in atoms:
             if a in fw:
@@ -391,20 +357,29 @@ def _solve_two_stage(
             if j != i:
                 others = _or_fold(others, other[0])
         folded.append(_or_fold(table, others))
-    with np.errstate(divide="ignore"):
-        log_mass = np.log(folded[0][0])  # -inf where a config is unreachable
 
-    # stage 2: enumerate remaining base atoms x aux configurations
-    n2 = nq + k
-    idx2 = np.arange(1 << n2, dtype=np.int64)
-    val2: dict[Atom, np.ndarray] = {}
+    # stage 2: enumerate the other base atoms x bit configurations
+    idx2 = np.arange(1 << (nq + k), dtype=np.int64)
+    aconf = idx2 >> nq
+    val2: dict[Atom | int, np.ndarray] = {j: _bit(aconf, j) for j in range(k)}
     for i, a in enumerate(q_atoms):
         val2[a] = _bit(idx2, i)
-    aconf = (idx2 >> nq) & (size - 1)
-    for a, j in aux_pos.items():
-        val2[a] = ((aconf >> j) & 1).astype(bool)
+    for a in c.derived:
+        val2[a] = np.zeros(len(idx2), dtype=bool)
+    changed = True
+    while changed:  # forward chaining closure (supports chained rules)
+        changed = False
+        for head, body_keys in rules2:
+            body = np.logical_and.reduce([val2[b] for b in body_keys])
+            new = val2[head] | body
+            if not np.array_equal(new, val2[head]):
+                val2[head] = new
+                changed = True
 
-    logw2 = log_mass[aconf].copy()
+    logw2 = np.zeros(len(idx2))
+    if folded:
+        with np.errstate(divide="ignore"):
+            logw2 += np.log(folded[0][0])[aconf]  # -inf where a config is unreachable
     mask = np.ones(len(idx2), dtype=bool)
     for a in q_atoms:
         if a in fw:
@@ -423,14 +398,14 @@ def _solve_two_stage(
             logw2 += np.where(body, 0.0, r.weight)
 
     logw2 = np.where(mask, logw2, -np.inf)
-    if not np.isfinite(logw2).any():
-        raise NoAdmissibleWorldError("hard core admits no world")
     m2 = logw2.max()
+    if m2 == -np.inf:
+        raise NoAdmissibleWorldError("hard core admits no world")
     p = np.exp(logw2 - m2)
     z = p.sum()
 
     probs = {a: float(p[val2[a]].sum() / z) for a in q_atoms + c.derived}
-    # marginals of stage-1 atoms: mix P(s_i | aux config) over the config posterior
+    # marginals of stage-1 atoms: mix P(s_i | bit config) over the config posterior
     p_conf = np.bincount(aconf, weights=p, minlength=size) / z
     for (atoms, _), f in zip(blocks, folded):
         for i, a in enumerate(atoms, 1):

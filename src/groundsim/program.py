@@ -39,9 +39,9 @@ class NoAdmissibleWorldError(ProgramError):
 
 
 class EnumerationBoundError(ProgramError):
-    """A component too large to enumerate within the solver's bound: more base
-    atoms than the bound, and no two-stage split whose blocks and stage-2
-    table each fit it."""
+    """A component too large to enumerate within the solver's bound: one of
+    its stage-1 blocks, or its stage-2 table (the base atoms outside stage 1
+    plus one bit per rule group), has more atoms than the bound."""
 
 
 def logit(s: float) -> float:
@@ -100,6 +100,10 @@ class WeightedRule:
 
     def is_definite(self) -> bool:
         return self.head is not None and (self.pos_body or self.neg_body)
+
+    def atoms(self) -> list[BodyItem]:
+        """The head, if any, then the body items."""
+        return ([self.head] if self.head is not None else []) + [*self.pos_body, *self.neg_body]
 
 
 @dataclass

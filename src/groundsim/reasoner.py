@@ -19,7 +19,7 @@ from .logic import (
     rel_pred,
 )
 from .memory import KBEntry
-from .perception import SceneGraph, concept_diff  # re-exported  # noqa: F401
+from .perception import SceneGraph
 from .program import (
     BodyGroup,
     WeightedProgram,
@@ -27,7 +27,7 @@ from .program import (
     ground,
     logit,
 )
-from .exact import MarginalTable, solve_exact
+from .exact import MarginalTable, solve_exact, union_find
 
 THETA_SURE = 0.5
 
@@ -133,34 +133,17 @@ def build_program(sg: SceneGraph, kb, u: ReliabilityParams = ReliabilityParams()
 
 def _restrict(prog: WeightedProgram, queries: list[Atom]) -> WeightedProgram:
     """Keep only rules in the connected components of the query atoms."""
-    parent: dict[Atom, Atom] = {}
-
-    def find(a):
-        while parent[a] is not a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    rule_atoms = []
-    for r in prog:
-        atoms = ([r.head] if r.head is not None else []) + list(r.pos_body) + list(r.neg_body)
-        rule_atoms.append(atoms)
-        for a in atoms:
-            parent.setdefault(a, a)
-        for a in atoms[1:]:
-            ra, rb = find(atoms[0]), find(a)
-            if ra is not rb:
-                parent[ra] = rb
-
-    missing = [q for q in queries if q not in parent]
+    rule_atoms = [r.atoms() for r in prog]
+    find = union_find(rule_atoms)
+    roots, missing = set(), []
+    for q in queries:
+        try:
+            roots.add(find(q))
+        except KeyError:
+            missing.append(q)
     if missing:
         raise UnknownPredicateError(f"atoms unknown to the program: {missing}")
-    roots = {find(q) for q in queries}
-    out = WeightedProgram()
-    for r, atoms in zip(prog, rule_atoms):
-        if find(atoms[0]) in roots:
-            out.add(r)
-    return out
+    return WeightedProgram([r for r, atoms in zip(prog, rule_atoms) if find(atoms[0]) in roots])
 
 
 def marginals_for(

@@ -127,3 +127,44 @@ def random_part_program(
         explainers = tuple(a for a in classes if rng.random() < 0.6) or (c,)
         prog.add(WeightedRule(w, None, (head,), explainers))  # abductive
     return prog
+
+
+def random_chained_program(rng: np.random.Generator, max_base: int = 6) -> WeightedProgram:
+    """Programs off the scene shape: aux bodies that chain through an earlier
+    aux atom, definite-body atoms that constraints also mention, and hard facts
+    on body atoms. One draw in four is wide instead: 17 aux atoms with one rule
+    each over a few base atoms, where constraints and the hard fact touch only
+    aux atoms and `a0`."""
+    wide = rng.random() < 0.25
+    n = int(rng.integers(2, max_base + 1))
+    atoms = [base_atom(i) for i in range(n)]
+    prog = WeightedProgram()
+    for a in atoms:
+        if rng.random() < 0.85:
+            prog.add(WeightedRule(float(rng.normal() * 2.0), a))
+
+    aux = [aux_atom(j) for j in range(17 if wide else int(rng.integers(1, 5)))]
+    bodies = []
+    for j, head in enumerate(aux):
+        for _ in range(1 if wide else int(rng.integers(1, 3))):
+            body = [atoms[k] for k in rng.choice(n, size=int(rng.integers(1, 3)), replace=True)]
+            if wide:
+                body[0] = atoms[j % n]  # every base atom sits in some body
+            elif j and rng.random() < 0.5:
+                body.append(aux[int(rng.integers(0, j))])
+            bodies.append(tuple(dict.fromkeys(body)))
+            prog.add(WeightedRule(HARD, head, bodies[-1], ()))
+
+    pool = aux + atoms[:1] if wide else aux + atoms
+    for _ in range(int(rng.integers(1, 5))):
+        size = int(rng.integers(1, min(3, len(pool)) + 1))
+        picked = [pool[k] for k in rng.choice(len(pool), size=size, replace=False)]
+        pos = tuple(a for a in picked if rng.random() < 0.5)
+        neg = tuple(a for a in picked if a not in pos)
+        weight = HARD if rng.random() < 0.1 else float(rng.normal() * 2.0)
+        prog.add(WeightedRule(weight, None, pos, neg))
+    if rng.random() < 0.4:
+        in_bodies = [a for body in bodies for a in body if a in atoms]
+        forced = atoms[0] if wide else in_bodies[int(rng.integers(0, len(in_bodies)))]
+        prog.add(WeightedRule(HARD, forced))
+    return prog

@@ -8,7 +8,6 @@ from groundsim.dialogue import (
     CORRECT,
     NOT_SURE,
     SEP,
-    DialogueState,
     ParseError,
     RealizeError,
     Utterance,
@@ -199,7 +198,7 @@ def test_surface_round_trip(lexicon, sentence):
 
 
 # ---------------------------------------------------------------------------
-# transcripts and dialogue state
+# transcripts
 
 
 def test_transcript_line_fields(lexicon):
@@ -210,15 +209,3 @@ def test_transcript_line_fields(lexicon):
     assert speaker == "teacher"
     assert surface == "This is a brandy glass."
     assert logical == "brandyGlass(o1)"
-
-
-def test_dialogue_state_tracks_pending_question(lexicon):
-    state = DialogueState()
-    ques = parse("How are brandy glasses and burgundy glasses different?", lexicon)
-    state.push(Utterance("learner", "...", ques))
-    assert state.pending_question is ques
-    assert state.salient_pair == ques.pair
-    answer = parse("Brandy glasses have short stems.", lexicon)
-    state.push(Utterance("teacher", "...", answer))
-    assert state.pending_question is None
-    assert state.salient_pair == ques.pair

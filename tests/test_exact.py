@@ -1,4 +1,4 @@
-"""Exact solver: reference enumerator vs production path, two-stage
+"""Exact solver: reference enumerator vs production path, staged
 marginalization, component splitting, fragment validation."""
 
 import json
@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genprograms import aux_atom, base_atom, random_part_program, random_program
+from genprograms import (
+    aux_atom,
+    base_atom,
+    random_chained_program,
+    random_part_program,
+    random_program,
+)
 from groundsim import exact
 from groundsim.exact import (
     ENUM_BOUND,
@@ -228,23 +234,27 @@ def test_part_programs_match_reference(seed):
 
 
 def test_part_programs_cover_two_stage_edge_shapes(monkeypatch):
-    # the property test above draws from these shapes: all take the two-stage
-    # path, and together they have blocks of unequal size, base atoms with no
-    # fact, and aux configurations that no stage-1 assignment reaches
+    # the property test above draws from these shapes: the parts of each go
+    # through the one staged solve as stage-1 blocks (class atoms in no
+    # constraint form components of their own, with no blocks), and together
+    # they have blocks of unequal size, base atoms with no fact, and aux
+    # configurations that no stage-1 assignment reaches
     calls = []
-    original = exact._solve_two_stage
+    original = exact._solve_staged
 
-    def spy(c, blocks, q_atoms):
+    def spy(c, blocks, *rest):
         calls.append([len(atoms) for atoms, _ in blocks])
-        return original(c, blocks, q_atoms)
+        return original(c, blocks, *rest)
 
-    monkeypatch.setattr(exact, "_solve_two_stage", spy)
+    monkeypatch.setattr(exact, "_solve_staged", spy)
     unequal = factless = unreachable = 0
     for seed in range(30):
         prog = random_part_program(np.random.default_rng(seed))
+        before = len(calls)
         solve_exact(prog)
-        sizes = calls[-1]
-        assert len(calls) == seed + 1
+        staged = [sizes for sizes in calls[before:] if sizes]
+        assert len(staged) == 1
+        sizes = staged[0]
         unequal += len(set(sizes)) > 1
         universe = prog.atom_universe()
         aux = {r.head for r in prog.rules if r.head is not None and r.pos_body}
@@ -253,6 +263,48 @@ def test_part_programs_cover_two_stage_edge_shapes(monkeypatch):
         seen = {frozenset(w & aux) for w, _ in enumerate_worlds(prog)}
         unreachable += len(seen) < 2 ** len(aux)
     assert unequal and factless and unreachable
+
+    # a one-atom component of facts alone takes the same solve, with no blocks
+    before = len(calls)
+    solve_exact(WeightedProgram([fact(0, 0.3), fact(0, 0.6)]))
+    assert calls[before:] == [[]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_chained_programs_match_reference(seed):
+    prog = random_chained_program(np.random.default_rng(seed))
+    try:
+        ref = solve_exact_reference(prog)
+    except NoAdmissibleWorldError:
+        with pytest.raises(NoAdmissibleWorldError):
+            solve_exact(prog)
+        return
+    table = solve_exact(prog)
+    assert set(table.probs) == set(ref.probs)
+    for atom in ref.probs:
+        assert abs(table[atom] - ref[atom]) <= 1e-9
+    assert abs(table.log_z - ref.log_z) <= 1e-9
+
+
+def test_chained_programs_cover_general_shapes():
+    # the property test above draws from these shapes, none of which the
+    # scene programs have
+    chained = constrained = forced = wide = 0
+    for seed in range(40):
+        prog = random_chained_program(np.random.default_rng(seed))
+        aux = {r.head for r in prog.rules if r.head is not None and r.pos_body}
+        in_constraint = {
+            a for r in prog.rules if r.is_constraint() for a in (*r.pos_body, *r.neg_body)
+        }
+        hard_facts = {r.head for r in prog.rules if r.is_fact() and r.weight is HARD}
+        bodies = [set(r.pos_body) for r in prog.rules if r.head in aux]
+        outside = aux | in_constraint | hard_facts
+        chained += any(b & aux and b - outside for b in bodies)
+        constrained += any((b - aux) & in_constraint for b in bodies)
+        forced += any(b & hard_facts for b in bodies)
+        wide += len(aux) > 16
+    assert chained and constrained and forced and wide
 
 
 def test_enumeration_bound_applies_per_block():
