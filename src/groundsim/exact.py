@@ -21,7 +21,8 @@ solves each by one method in two stages:
   derives the heads by forward chaining, so chained rules, bodies that mix
   stage-1 and other atoms, and constrained or forced body atoms are all
   covered. A component without stage-1 atoms has no blocks and no bits, and
-  stage 2 enumerates all of its base atoms.
+  stage 2 enumerates all of its base atoms. So does a component whose groups
+  outnumber its stage-1 atoms, for which staging would widen stage 2.
 
 `enum_bound` caps every single enumeration: each block and the stage-2 table.
 The solver is property-tested against the reference.
@@ -250,7 +251,9 @@ def _solve_component(rules: list[WeightedRule], enum_bound: int) -> MarginalTabl
     body atoms form a group with one bit: the OR over the group's rules of
     the AND of their stage-1 atoms. Bits go in the order of their heads, so a
     scene program's bit j is its derived atom j. Blocks are the connected
-    components of the stage-1 parts of the rules.
+    components of the stage-1 parts of the rules. When the groups outnumber
+    the stage-1 atoms, nothing is staged, so stage 2 never enumerates more
+    atoms than the component's base atoms.
     """
     c = _classify(rules)
     outside = {r.head for r in c.hard_facts}
@@ -259,6 +262,15 @@ def _solve_component(rules: list[WeightedRule], enum_bound: int) -> MarginalTabl
         outside.update(r.neg_body)
     heads = set(c.derived)
     stage1 = {b for r in c.definite for b in r.pos_body if b not in heads and b not in outside}
+    groups = {
+        (r.head, tuple(b for b in r.pos_body if b not in stage1))
+        for r in c.definite
+        if any(b in stage1 for b in r.pos_body)
+    }
+    if len(groups) > len(stage1):
+        # more bits than stage-1 atoms would widen stage 2 beyond the base
+        # atoms: enumerate those atoms in stage 2 instead
+        stage1 = set()
 
     staged = []  # (stage-1 part, group) per definite rule with a stage-1 atom
     plain = []  # the definite rules without one, as they are

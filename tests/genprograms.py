@@ -132,9 +132,9 @@ def random_part_program(
 def random_chained_program(rng: np.random.Generator, max_base: int = 6) -> WeightedProgram:
     """Programs off the scene shape: aux bodies that chain through an earlier
     aux atom, definite-body atoms that constraints also mention, and hard facts
-    on body atoms. One draw in four is wide instead: 17 aux atoms with one rule
-    each over a few base atoms, where constraints and the hard fact touch only
-    aux atoms and `a0`."""
+    on body atoms. One draw in four is wide instead: 23-26 aux atoms, more than
+    `ENUM_BOUND`, with one rule each over a few base atoms, where constraints
+    and the hard fact touch only aux atoms and `a0`."""
     wide = rng.random() < 0.25
     n = int(rng.integers(2, max_base + 1))
     atoms = [base_atom(i) for i in range(n)]
@@ -143,7 +143,7 @@ def random_chained_program(rng: np.random.Generator, max_base: int = 6) -> Weigh
         if rng.random() < 0.85:
             prog.add(WeightedRule(float(rng.normal() * 2.0), a))
 
-    aux = [aux_atom(j) for j in range(17 if wide else int(rng.integers(1, 5)))]
+    aux = [aux_atom(j) for j in range(int(rng.integers(23, 27) if wide else rng.integers(1, 5)))]
     bodies = []
     for j, head in enumerate(aux):
         for _ in range(1 if wide else int(rng.integers(1, 3))):

@@ -287,12 +287,26 @@ def test_chained_programs_match_reference(seed):
     assert abs(table.log_z - ref.log_z) <= 1e-9
 
 
-def test_chained_programs_cover_general_shapes():
+def test_chained_programs_cover_general_shapes(monkeypatch):
     # the property test above draws from these shapes, none of which the
-    # scene programs have
+    # scene programs have; the wide draws have more aux atoms than the
+    # enumeration bound over a few base atoms, and no solve enumerates more
+    # atoms in stage 2 than the component has base atoms
+    widths = []
+    original = exact._solve_staged
+
+    def spy(c, blocks, q_atoms, rules2, k):
+        widths.append((len(q_atoms) + k, len(c.base)))
+        return original(c, blocks, q_atoms, rules2, k)
+
+    monkeypatch.setattr(exact, "_solve_staged", spy)
     chained = constrained = forced = wide = 0
     for seed in range(40):
         prog = random_chained_program(np.random.default_rng(seed))
+        try:
+            solve_exact(prog)
+        except NoAdmissibleWorldError:
+            pass
         aux = {r.head for r in prog.rules if r.head is not None and r.pos_body}
         in_constraint = {
             a for r in prog.rules if r.is_constraint() for a in (*r.pos_body, *r.neg_body)
@@ -303,8 +317,9 @@ def test_chained_programs_cover_general_shapes():
         chained += any(b & aux and b - outside for b in bodies)
         constrained += any((b - aux) & in_constraint for b in bodies)
         forced += any(b & hard_facts for b in bodies)
-        wide += len(aux) > 16
+        wide += len(aux) > ENUM_BOUND
     assert chained and constrained and forced and wide
+    assert all(stage2 <= n_base for stage2, n_base in widths)
 
 
 def test_enumeration_bound_applies_per_block():
