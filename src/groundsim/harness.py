@@ -36,7 +36,7 @@ from .perception import (
     init_priors,
 )
 from .program import program_to_text
-from .reasoner import build_program, classify, marginals_for
+from .reasoner import best_class, build_program, marginals_for
 
 DIFFICULTIES = {
     "fineEasy": {
@@ -289,14 +289,21 @@ def run_exam(learner: LearnerState, test_set, config, domain, mistakes: int) -> 
     return ExamResult(mistakes=mistakes, ranked=ranked, ap=ap, map=sum(scores) / len(scores))
 
 
-def exam_confusion(learner: LearnerState, test_set, config, domain) -> dict:
-    """Row-normalized multiple-choice confusion rates, not-sure as a column."""
+def confusion_from_exam(exam: ExamResult, test_set, config) -> dict:
+    """Row-normalized multiple-choice confusion rates, not-sure as a column:
+    `classify`'s argmax over the marginals `exam` ranked."""
+    preds = [
+        best_class({c: exam.ranked[c][i][0] for c in config.classes})
+        for i in range(len(test_set))
+    ]
+    return _confusion_rates(test_set, preds, config)
+
+
+def _confusion_rates(test_set, preds: list[str | None], config) -> dict:
     counts = {
         t: {c: 0 for c in config.classes} | {NOT_SURE_LABEL: 0} for t in config.classes
     }
-    for obj in test_set:
-        sg = _perceive(learner, [obj], config, domain)
-        pred = classify(sg, learner.kb, learner.u, list(config.classes), obj.eid)
+    for obj, pred in zip(test_set, preds):
         counts[obj.cls][pred if pred is not None else NOT_SURE_LABEL] += 1
     out = {}
     for t, row in counts.items():
@@ -338,6 +345,7 @@ def run_sequence(config: ExperimentConfig, strategy: str, seed: int) -> Sequence
     mistakes = 0
     episode = 0
     queue = []
+    exam_episode = None  # episode after which the last exam ran
     while mistakes < config.n_total and episode < EPISODE_CAP:
         if not queue:
             order = rng.permutation(len(config.classes))
@@ -351,8 +359,14 @@ def run_sequence(config: ExperimentConfig, strategy: str, seed: int) -> Sequence
             mistakes += 1
             if mistakes % config.n_exam == 0:
                 exams.append(run_exam(learner, test_set, config, domain, mistakes))
+                exam_episode = episode
 
-    confusion = exam_confusion(learner, test_set, config, domain)
+    # the final exam, unless the run ended between exams
+    if exam_episode == episode:
+        final = exams[-1]
+    else:
+        final = run_exam(learner, test_set, config, domain, mistakes)
+    confusion = confusion_from_exam(final, test_set, config)
     dumps = dump_exam_programs(learner, test_set, config, domain) if config.dump_programs else None
     return SequenceResult(
         strategy=strategy,

@@ -9,7 +9,7 @@ cls(O) => have(O, f(O)), short(f(O)), stem(f(O)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 CLASS = "class"
 ATTRIBUTE = "attribute"
@@ -86,14 +86,27 @@ Term = Const | Var | SkolemApp
 
 @dataclass(frozen=True)
 class Atom:
+    """`pred(args)`. The hash is computed once, at construction: it is the
+    value a frozen dataclass would compute, `hash((pred, args))`, so set and
+    dict orders are unchanged. It is not pickled, since string hashes differ
+    between interpreters; unpickling rebuilds the atom and its hash."""
+
     pred: PredicateSym
     args: tuple[Term, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.args) != self.pred.arity:
             raise ValueError(
                 f"{self.pred.name}/{self.pred.arity} applied to {len(self.args)} args"
             )
+        object.__setattr__(self, "_hash", hash((self.pred, self.args)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Atom, (self.pred, self.args)
 
     def is_ground(self) -> bool:
         return all(_term_ground(t) for t in self.args)

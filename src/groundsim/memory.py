@@ -33,11 +33,17 @@ class KBEntry:
 
 
 class KnowledgeBase:
-    """Generic props deduplicated by structural equality, with source tags."""
+    """Generic props deduplicated by structural equality, with source tags.
+
+    `revision` goes up whenever the props change: an `add` that creates an
+    entry, and every `remove`. An `add` that only extends an entry's
+    provenance leaves it as it is."""
 
     def __init__(self):
         self.entries: list[KBEntry] = []
         self._index: dict = {}
+        self.revision = 0
+        self._memo = None  # ((revision, key), value)
 
     def __iter__(self):
         return iter(self.entries)
@@ -54,6 +60,7 @@ class KnowledgeBase:
             entry = KBEntry(prop, {source}, [episode])
             self.entries.append(entry)
             self._index[key] = entry
+            self.revision += 1
         else:
             entry.provenance.add(source)
             if episode not in entry.origin_episodes:
@@ -66,6 +73,15 @@ class KnowledgeBase:
     def remove(self, entry: KBEntry):
         self.entries.remove(entry)
         del self._index[prop_key(entry.prop)]
+        self.revision += 1
+
+    def memo(self, key, build):
+        """`build()`, computed once and reused until the revision or `key`
+        changes. One value is kept: a new key replaces the old one."""
+        stamp = (self.revision, key)
+        if self._memo is None or self._memo[0] != stamp:
+            self._memo = (stamp, build())
+        return self._memo[1]
 
 
 @dataclass

@@ -18,7 +18,7 @@ from .logic import (
     cons_key,
     rel_pred,
 )
-from .memory import KBEntry
+from .memory import KBEntry, KnowledgeBase
 from .perception import SceneGraph
 from .program import (
     BodyGroup,
@@ -95,7 +95,17 @@ def kb_to_program(kb, u: ReliabilityParams = ReliabilityParams()) -> WeightedPro
     - each group of entries sharing an identical positive consequent: one
       abductive constraint logit(U_a): :- Cons, not Ante_1, ..., not Ante_n.
       Negated consequents generate no abductive constraint.
+
+    A `KnowledgeBase` is translated once per revision and `u`; each call
+    gets its own copy of the rule list. Any other iterable of entries or
+    props is translated on every call.
     """
+    if isinstance(kb, KnowledgeBase):
+        return WeightedProgram(list(kb.memo(u, lambda: _translate_kb(kb, u)).rules))
+    return _translate_kb(kb, u)
+
+
+def _translate_kb(kb, u: ReliabilityParams) -> WeightedProgram:
     props = []
     for entry in kb:
         prop = entry.prop if isinstance(entry, KBEntry) else entry
@@ -126,7 +136,8 @@ def kb_to_program(kb, u: ReliabilityParams = ReliabilityParams()) -> WeightedPro
 
 
 def build_program(sg: SceneGraph, kb, u: ReliabilityParams = ReliabilityParams()) -> WeightedProgram:
-    """Ground Pi_O union Pi_K for the given scene."""
+    """Ground Pi_O union Pi_K for the whole scene, as `--dump-program` writes
+    it. Queries ground only their own objects (see `marginals_for`)."""
     objects = sorted(sg.object_parts)
     return scene_to_program(sg) + ground(kb_to_program(kb, u), objects, sg.object_parts)
 
@@ -149,8 +160,27 @@ def _restrict(prog: WeightedProgram, queries: list[Atom]) -> WeightedProgram:
 def marginals_for(
     sg: SceneGraph, kb, u: ReliabilityParams, queries: list[Atom]
 ) -> MarginalTable:
-    prog = build_program(sg, kb, u)
-    return solve_exact(_restrict(prog, queries))
+    """Exact marginals of the query atoms' components.
+
+    `build_program` runs on the scene cut down to the objects the queries
+    mention, their parts and the edges out of them: an atom on a part
+    belongs to the part's whole. Each lifted rule has one free variable and
+    `have` edges link an object only to its own parts, so no component spans
+    two objects, and the rules solved are those of
+    `_restrict(build_program(sg, kb, u), queries)`, in the same order.
+    Raises UnknownPredicateError for a query atom the program lacks,
+    including one on an entity outside the scene.
+    """
+    whole = {p: o for o, parts in sg.object_parts.items() for p in parts}
+    owners = {whole.get(t.ident, t.ident) for q in queries for t in q.args if isinstance(t, Const)}
+    object_parts = {o: parts for o, parts in sg.object_parts.items() if o in owners}
+    keep = owners.union(*object_parts.values())
+    scene = SceneGraph(
+        {e: n for e, n in sg.nodes.items() if e in keep},
+        {k: v for k, v in sg.edges.items() if k[0] in keep},
+        object_parts,
+    )
+    return solve_exact(_restrict(build_program(scene, kb, u), queries))
 
 
 def answer_polar(sg: SceneGraph, kb, u: ReliabilityParams, ques: Ques) -> float:
@@ -180,11 +210,16 @@ def classify(
         raise ValueError("candidates must be non-empty")
     atoms = {c: Atom(cls_pred(c), (Const(obj),)) for c in sorted(candidates)}
     table = marginals_for(sg, kb, u, list(atoms.values()))
+    return best_class({c: table[a] for c, a in atoms.items()}, theta_sure)
+
+
+def best_class(scores: dict[str, float], theta_sure: float = THETA_SURE) -> str | None:
+    """The class with the highest score above theta, or None (not sure) when
+    none clears it. Ties break lexicographically."""
     best, best_p = None, theta_sure
-    for name in sorted(atoms):
-        p = table[atoms[name]]
-        if p > best_p:
-            best, best_p = name, p
+    for name in sorted(scores):
+        if scores[name] > best_p:
+            best, best_p = name, scores[name]
     return best
 
 

@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+from groundsim import harness
 from groundsim.harness import (
     DIFFICULTIES,
     STRATEGY_COMBOS,
@@ -23,6 +24,7 @@ from groundsim.harness import (
 )
 from groundsim.perception import DomainSpec, FeatureModel
 from groundsim.program import parse_program
+from groundsim.reasoner import classify
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +163,69 @@ def test_transcript_structure(minhelp_result):
     # every episode opens with the probe
     probes = [ln for ln in res.transcript if "What is this?" in ln]
     assert len(probes) == res.episodes
+
+
+def _run_spied(monkeypatch, config):
+    """run_sequence(config, "minHelp", 0), recording the arguments of every
+    `run_exam` call."""
+    exams = []
+    real_exam = harness.run_exam
+
+    def spy_exam(*args):
+        exams.append(args)
+        return real_exam(*args)
+
+    monkeypatch.setattr(harness, "run_exam", spy_exam)
+    return run_sequence(config, "minHelp", 0), exams
+
+
+def _classified_confusion(learner, test_set, config, domain):
+    """The confusion rates of `classify` run afresh on every test object."""
+    preds = [
+        classify(
+            harness._perceive(learner, [obj], config, domain),
+            learner.kb, learner.u, list(config.classes), obj.eid,
+        )
+        for obj in test_set
+    ]
+    return harness._confusion_rates(test_set, preds, config)
+
+
+def _small_config():
+    return ExperimentConfig(
+        difficulty="fineEasy", strategies=("minHelp",), seeds=(0,), test_set_size=5
+    )
+
+
+def test_confusion_comes_from_an_exam_right_after_the_final_episode(monkeypatch):
+    config = _small_config()
+    res, exams = _run_spied(monkeypatch, config)
+    assert config.n_total % config.n_exam == 0 and len(exams) == len(res.exams) > 0
+    # the learner is unchanged since the last exam, so classifying again agrees
+    learner, test_set, _, domain, _ = exams[-1]
+    assert res.confusion == _classified_confusion(learner, test_set, config, domain)
+
+
+@pytest.mark.parametrize("cap, exam_mistakes", [(3, []), (8, [5])])
+def test_capped_run_takes_the_confusion_from_one_more_exam(monkeypatch, cap, exam_mistakes):
+    monkeypatch.setattr(harness, "EPISODE_CAP", cap)
+    config = _small_config()
+    res, exams = _run_spied(monkeypatch, config)
+    assert res.episodes == cap
+    assert [e.mistakes for e in res.exams] == exam_mistakes  # none at the final episode
+    assert len(exams) == len(res.exams) + 1
+    learner, test_set, _, domain, _ = exams[-1]
+    assert res.confusion == _classified_confusion(learner, test_set, config, domain)
+
+
+def test_mistake_budget_off_the_exam_interval_takes_one_more_exam(monkeypatch):
+    spec = {**DIFFICULTIES["fineEasy"], "n_total": 7}
+    monkeypatch.setitem(harness.DIFFICULTIES, "fineEasy", spec)
+    config = _small_config()
+    res, exams = _run_spied(monkeypatch, config)
+    assert [e.mistakes for e in res.exams] == [5] and len(exams) == 2
+    learner, test_set, _, domain, _ = exams[-1]
+    assert res.confusion == _classified_confusion(learner, test_set, config, domain)
 
 
 def test_average_confusion():

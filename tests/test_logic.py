@@ -1,8 +1,13 @@
 """Logical-form layer: construction invariants, substitution, predicate
 swapping, implicature derivation, structural keys, text rendering."""
 
-import pytest
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
+
+import pytest
 from hypothesis import given, strategies as st
 
 from groundsim.logic import (
@@ -315,3 +320,44 @@ def test_swap_involution_property(a, c, p, q):
 def test_prop_key_stable_under_canonicalization(a, c, var):
     prop = generic_prop(a, c, var=var)
     assert prop_key(prop) == prop_key(canonicalize(prop))
+
+
+# ---------------------------------------------------------------------------
+# atom hashing
+
+
+def test_atom_hash_is_the_dataclass_value():
+    for atom in (
+        Atom(BRANDY, (Const("o1"),)),
+        Atom(HAVE, (Const("o1"), Const("o1_stem"))),
+        Atom(SHORT, (SkolemApp(SkolemFn("brandyGlass", "stem"), Var("O")),)),
+    ):
+        assert atom._hash == hash((atom.pred, atom.args)) == hash(atom)
+
+
+_PICKLE_ATOMS = """
+import pickle
+from groundsim.logic import HAVE, Atom, Const, attr_pred, cls_pred
+atoms = [Atom(cls_pred("brandyGlass"), (Const("o1"),)), Atom(attr_pred("short"), (Const("o1_stem"),)),
+         Atom(HAVE, (Const("o1"), Const("o1_stem")))]
+"""
+
+
+def test_unpickled_atom_hashes_in_the_loading_interpreter(tmp_path):
+    """String hashes differ between interpreters, so the stored hash must be
+    computed again on load, not carried in the pickle."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = tmp_path / "atoms.pkl"
+    dump = _PICKLE_ATOMS + f"pickle.dump(atoms, open({str(path)!r}, 'wb'))\n"
+    load = _PICKLE_ATOMS + (
+        f"loaded = pickle.load(open({str(path)!r}, 'rb'))\n"
+        "index = {a: i for i, a in enumerate(atoms)}\n"
+        "assert [index.get(a) for a in loaded] == [0, 1, 2], [index.get(a) for a in loaded]\n"
+        "assert all(a._hash == hash((a.pred, a.args)) for a in loaded)\n"
+    )
+    for seed, code in (("1", dump), ("2", load)):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr

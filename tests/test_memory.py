@@ -183,3 +183,32 @@ def test_lexicon_class_predicates_sorted():
     lex.add("bowl", "noun", cls_pred("bowl"))
     lex.add("short", "adj", attr_pred("short"))
     assert [p.name for p in lex.class_predicates()] == ["bowl", "stem"]
+
+
+def test_kb_revision_counts_changes_to_the_props():
+    kb = KnowledgeBase()
+    assert kb.revision == 0
+    entry = kb.add(part_prop(), EXPLICIT, 1)
+    assert kb.revision == 1
+    kb.add(part_prop(), NEG_IMPLICATURE, 2)  # provenance only
+    assert kb.revision == 1
+    kb.remove(entry)
+    assert kb.revision == 2
+    kb.add(part_prop(), EXPLICIT, 3)
+    assert kb.revision == 3
+
+
+def test_kb_memo_rebuilds_on_a_new_revision_or_key():
+    kb = KnowledgeBase()
+    builds = []
+
+    def build():
+        builds.append(kb.revision)
+        return len(builds)
+
+    assert kb.memo("a", build) == kb.memo("a", build) == 1
+    kb.add(part_prop(), EXPLICIT, 1)
+    assert kb.memo("a", build) == 2
+    assert kb.memo("b", build) == 3
+    assert kb.memo("a", build) == 4  # one value is kept
+    assert builds == [0, 1, 1, 1]
