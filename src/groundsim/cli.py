@@ -108,6 +108,9 @@ def run_batch(config: ExperimentConfig) -> int:
         no_exam = len(results[strategy]) - len(finals)
         if no_exam:
             print(f"{strategy:20s} no exam in {no_exam} seeds (episode cap reached first)")
+        capped = [str(r.seed) for r in results[strategy] if r.capped]
+        if capped:
+            print(f"{strategy:20s} episode cap reached in seeds {', '.join(capped)}")
     if config.out_dir:
         print(f"results written to {config.out_dir}")
     return 0
@@ -172,7 +175,7 @@ def interactive_loop(config: ExperimentConfig, strategy: str, seed: int) -> int:
         target = queue.pop(0)
         episode += 1
         scene = generate_scene(model, target, rng, config.n_distractors)
-        sg = _perceive(learner, scene, config, domain)
+        sg = _perceive(learner, scene[:1], config, domain)
         eid = scene[0].eid
         print(f"\n# episode {episode}")
         _print_scene(scene, domain)

@@ -121,6 +121,7 @@ class SequenceResult:
     confusion: dict  # true class -> {predicted or not-sure: rate}
     transcript: list[str]
     episodes: int
+    capped: bool  # stopped at EPISODE_CAP before the mistake budget ran out
     program_dumps: list[str] | None = None  # final-exam query programs, text format
 
 
@@ -196,7 +197,8 @@ def run_episode(
     """One probe-answer-feedback episode. Returns (mistake, transcript)."""
     domain = teacher.domain
     scene = generate_scene(model, target, rng, config.n_distractors)
-    sg = _perceive(learner, scene, config, domain)
+    # only the demonstratum is ever queried; the distractors keep the rng stream
+    sg = _perceive(learner, scene[:1], config, domain)
     eid = scene[0].eid
 
     transcript = []
@@ -273,10 +275,15 @@ def make_test_set(model: FeatureModel, config: ExperimentConfig, seed: int):
 
 
 def run_exam(learner: LearnerState, test_set, config, domain, mistakes: int) -> ExamResult:
-    """Polar-mode confidences for every (test object, concept); read-only."""
+    """Polar-mode confidences for every (test object, concept); read-only.
+
+    The whole test set is perceived as one scene, then each object's class
+    atoms are solved on their own: scores depend only on the entity and the
+    exemplar base, and `marginals_for` grounds only the queried object, so
+    every table equals that of the object's own one-object scene."""
     ranked = {c: [] for c in config.classes}
+    sg = _perceive(learner, test_set, config, domain)
     for obj in test_set:
-        sg = _perceive(learner, [obj], config, domain)
         atoms = {c: Atom(cls_pred(c), (Const(obj.eid),)) for c in config.classes}
         table = marginals_for(sg, learner.kb, learner.u, list(atoms.values()))
         for c in config.classes:
@@ -375,6 +382,7 @@ def run_sequence(config: ExperimentConfig, strategy: str, seed: int) -> Sequence
         confusion=confusion,
         transcript=transcript,
         episodes=episode,
+        capped=mistakes < config.n_total,
         program_dumps=dumps,
     )
 

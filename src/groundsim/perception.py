@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -300,6 +301,43 @@ def _bandwidth(exemplars: list[np.ndarray]) -> float:
     return max(float(np.median(dists)), BANDWIDTH_FLOOR)
 
 
+def score_fewshot(
+    xb: ExemplarBase,
+    concept: str,
+    features: np.ndarray,
+    gain: float = KERNEL_GAIN,
+    bias: float = 0.0,
+) -> np.ndarray:
+    """Calibrated kernel-mean discriminant between chi+ and chi-, one score
+    per row of an (n, d) feature matrix.
+
+    Each row's margin is the mean Gaussian kernel value to the positives
+    minus that to the negatives; the score is sigmoid(gain * margin - bias).
+    A positive bias makes the detector conservative: confident denials stay
+    confident while weak detections drop toward the 0.5 prior. Concepts
+    with no exemplars score 0.5 and one-sided ones ONE_SIDED_SCORE (or its
+    complement) before the feature dimension is checked."""
+    features = np.asarray(features, dtype=float)
+    pos = xb.positive.get(concept, [])
+    neg = xb.negative.get(concept, [])
+    if not pos and not neg:
+        return np.full(len(features), 0.5)
+    if pos and not neg:
+        return np.full(len(features), ONE_SIDED_SCORE)
+    if neg and not pos:
+        return np.full(len(features), 1.0 - ONE_SIDED_SCORE)
+    if features.shape[1:] != pos[0].shape:
+        raise ValueError("feature dimension mismatch")
+    h, pos_mat, neg_mat = xb.classifier_state(concept)
+
+    def kmean(x):
+        d2 = np.sum((x - features[:, None, :]) ** 2, axis=-1)
+        return np.mean(np.exp(-d2 / (2 * h * h)), axis=1)
+
+    margin = kmean(pos_mat) - kmean(neg_mat)
+    return 1.0 / (1.0 + np.exp(-(gain * margin - bias)))
+
+
 def classify_fewshot(
     xb: ExemplarBase,
     concept: str,
@@ -307,29 +345,8 @@ def classify_fewshot(
     gain: float = KERNEL_GAIN,
     bias: float = 0.0,
 ) -> float:
-    """Calibrated kernel-mean discriminant between chi+ and chi-.
-
-    A positive bias makes the detector conservative: confident denials stay
-    confident while weak detections drop toward the 0.5 prior."""
-    pos = xb.positive.get(concept, [])
-    neg = xb.negative.get(concept, [])
-    if not pos and not neg:
-        return 0.5
-    if pos and not neg:
-        return ONE_SIDED_SCORE
-    if neg and not pos:
-        return 1.0 - ONE_SIDED_SCORE
-    feature = np.asarray(feature, dtype=float)
-    if feature.shape != pos[0].shape:
-        raise ValueError("feature dimension mismatch")
-    h, pos_mat, neg_mat = xb.classifier_state(concept)
-
-    def kmean(x):
-        d2 = np.sum((x - feature) ** 2, axis=-1)
-        return float(np.mean(np.exp(-d2 / (2 * h * h))))
-
-    margin = kmean(pos_mat) - kmean(neg_mat)
-    return float(1.0 / (1.0 + np.exp(-(gain * margin - bias))))
+    """`score_fewshot` of a single feature vector."""
+    return float(score_fewshot(xb, concept, np.asarray(feature, dtype=float)[None], gain, bias)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +366,11 @@ class SceneGraph:
     edges: dict  # (whole eid, part eid) -> {"have": score}
     object_parts: dict  # object eid -> [part eids]
 
+    @cached_property
+    def whole_of(self) -> dict:
+        """part eid -> its object's eid, built on first use."""
+        return {p: o for o, parts in self.object_parts.items() for p in parts}
+
 
 def build_scene_graph(
     scene: list[SceneObject],
@@ -357,36 +379,47 @@ def build_scene_graph(
     attr_concepts: list[str],
 ) -> SceneGraph:
     """Score every entity against the known concepts; unknown concepts sit at
-    the 0.5 prior; 'have' edges are bbox area ratios."""
+    the 0.5 prior; 'have' edges are bbox area ratios.
+
+    Each (concept, role) is scored over the whole scene in one
+    `score_fewshot` call: class concepts over the objects' class features
+    and over the parts' class features, attribute concepts over the parts'
+    attribute features. An entity's scores depend only on its own features
+    and the exemplar base, so each object's nodes and edges are those of
+    its own one-object scene."""
+    parts = [part for obj in scene for part in obj.parts]
+    obj_scores = _score_rows(xb, class_concepts, [o.class_feature for o in scene], KERNEL_GAIN)
+    part_scores = _score_rows(xb, class_concepts, [p.class_feature for p in parts], PART_GAIN)
+    attr_scores = _score_rows(
+        xb, attr_concepts, [p.attr_feature for p in parts], ATTR_GAIN, ATTR_BIAS
+    )
     nodes: dict[str, SceneNode] = {}
     edges = {}
     object_parts = {}
-    for obj in scene:
+    k = 0  # row of the next part
+    for i, obj in enumerate(scene):
         nodes[obj.eid] = SceneNode(
-            bbox=obj.bbox,
-            class_scores={
-                c: classify_fewshot(xb, c, obj.class_feature, gain=KERNEL_GAIN)
-                for c in class_concepts
-            },
+            bbox=obj.bbox, class_scores={c: obj_scores[c][i] for c in class_concepts}
         )
         object_parts[obj.eid] = []
         for part in obj.parts:
             nodes[part.eid] = SceneNode(
                 bbox=part.bbox,
-                class_scores={
-                    c: classify_fewshot(xb, c, part.class_feature, gain=PART_GAIN)
-                    for c in class_concepts
-                },
-                attr_scores={
-                    a: classify_fewshot(
-                        xb, a, part.attr_feature, gain=ATTR_GAIN, bias=ATTR_BIAS
-                    )
-                    for a in attr_concepts
-                },
+                class_scores={c: part_scores[c][k] for c in class_concepts},
+                attr_scores={a: attr_scores[a][k] for a in attr_concepts},
             )
             edges[(obj.eid, part.eid)] = {"have": relation_score(obj.bbox, part.bbox)}
             object_parts[obj.eid].append(part.eid)
+            k += 1
     return SceneGraph(nodes=nodes, edges=edges, object_parts=object_parts)
+
+
+def _score_rows(xb, concepts, rows, gain, bias=0.0) -> dict[str, list[float]]:
+    """concept -> `score_fewshot` of each feature in rows, as floats."""
+    if not rows:
+        return {c: [] for c in concepts}
+    features = np.stack(rows)
+    return {c: score_fewshot(xb, c, features, gain, bias).tolist() for c in concepts}
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +453,21 @@ def heldout_accuracy(
     freshly generated instances."""
     domain = model.domain
     classes = sorted(domain.classes)
-    part_hits, part_total = 0, 0
-    attr_hits, attr_total = 0, 0
-    for i in range(n_samples):
-        cls = classes[i % len(classes)]
-        obj = model.sample_object(cls, "test", rng)
-        for part in obj.parts:
-            for kind in domain.parts:
-                score = classify_fewshot(xb, kind, part.class_feature)
-                part_hits += int((score > 0.5) == (kind == part.kind))
-                part_total += 1
-            for attr in domain.attributes:
-                score = classify_fewshot(xb, attr, part.attr_feature)
-                attr_hits += int((score > 0.5) == (attr in part.attrs))
-                attr_total += 1
-    return part_hits / part_total, attr_hits / attr_total
+    objs = [model.sample_object(classes[i % len(classes)], "test", rng) for i in range(n_samples)]
+    parts = [part for obj in objs for part in obj.parts]
+    part_scores = _score_rows(xb, domain.parts, [p.class_feature for p in parts], KERNEL_GAIN)
+    attr_scores = _score_rows(xb, domain.attributes, [p.attr_feature for p in parts], KERNEL_GAIN)
+    part_hits = sum(
+        (score > 0.5) == (kind == part.kind)
+        for kind in domain.parts
+        for score, part in zip(part_scores[kind], parts)
+    )
+    attr_hits = sum(
+        (score > 0.5) == (attr in part.attrs)
+        for attr in domain.attributes
+        for score, part in zip(attr_scores[attr], parts)
+    )
+    return (
+        part_hits / (len(parts) * len(domain.parts)),
+        attr_hits / (len(parts) * len(domain.attributes)),
+    )

@@ -164,23 +164,26 @@ def marginals_for(
 
     `build_program` runs on the scene cut down to the objects the queries
     mention, their parts and the edges out of them: an atom on a part
-    belongs to the part's whole. Each lifted rule has one free variable and
-    `have` edges link an object only to its own parts, so no component spans
-    two objects, and the rules solved are those of
-    `_restrict(build_program(sg, kb, u), queries)`, in the same order.
-    Raises UnknownPredicateError for a query atom the program lacks,
+    belongs to the part's whole. The cut is built by direct lookups, so its
+    cost grows with the queried objects, not with the scene. Each lifted
+    rule has one free variable and `have` edges link an object only to its
+    own parts, so no component spans two objects, and the rules solved are
+    those of `_restrict(build_program(sg, kb, u), queries)`, in the same
+    order. Raises UnknownPredicateError for a query atom the program lacks,
     including one on an entity outside the scene.
     """
-    whole = {p: o for o, parts in sg.object_parts.items() for p in parts}
-    owners = {whole.get(t.ident, t.ident) for q in queries for t in q.args if isinstance(t, Const)}
-    object_parts = {o: parts for o, parts in sg.object_parts.items() if o in owners}
-    keep = owners.union(*object_parts.values())
-    scene = SceneGraph(
-        {e: n for e, n in sg.nodes.items() if e in keep},
-        {k: v for k, v in sg.edges.items() if k[0] in keep},
-        object_parts,
-    )
-    return solve_exact(_restrict(build_program(scene, kb, u), queries))
+    owners = {
+        sg.whole_of.get(t.ident, t.ident) for q in queries for t in q.args if isinstance(t, Const)
+    }
+    object_parts = {o: sg.object_parts[o] for o in sorted(owners) if o in sg.object_parts}
+    nodes, edges = {}, {}
+    for o, parts in object_parts.items():
+        nodes[o] = sg.nodes[o]
+        for p in parts:
+            nodes[p] = sg.nodes[p]
+            edges[(o, p)] = sg.edges[(o, p)]
+    prog = build_program(SceneGraph(nodes, edges, object_parts), kb, u)
+    return solve_exact(_restrict(prog, queries))
 
 
 def answer_polar(sg: SceneGraph, kb, u: ReliabilityParams, ques: Ques) -> float:

@@ -121,6 +121,17 @@ def test_main_batch_run_reports_cells_without_exam(tmp_path, capsys, monkeypatch
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "minHelp" in out and "no exam in 1 seeds" in out and "final mAP" not in out
+    assert "minHelp              episode cap reached in seeds 0" in out
+
+
+def test_main_batch_run_reports_capped_cells_by_seed(tmp_path, capsys, monkeypatch):
+    # 8 episodes reach the first exam (5 mistakes) of seeds 0 and 1, not the budget
+    monkeypatch.setattr(harness, "EPISODE_CAP", 8)
+    argv = ["run", "--strategy", "minHelp", "--seeds", "2", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "final mAP" in out and "no exam in" not in out
+    assert "episode cap reached in seeds 0, 1" in out
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,14 @@ from groundsim.harness import (
     run_suite,
     write_outputs,
 )
-from groundsim.perception import DomainSpec, FeatureModel
+from groundsim.agents import LearnerState
+from groundsim.logic import Atom, Const, cls_pred
+from groundsim.memory import EXPLICIT, NEG_IMPLICATURE, EpisodicMemory, KnowledgeBase, Lexicon
+from groundsim.perception import DomainSpec, ExemplarBase, FeatureModel, init_priors
 from groundsim.program import parse_program
-from groundsim.reasoner import classify
+from groundsim.reasoner import classify, marginals_for
+from test_acceptance import _conj_part_prop
+from test_reasoner import _part_generic
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +206,7 @@ def test_confusion_comes_from_an_exam_right_after_the_final_episode(monkeypatch)
     config = _small_config()
     res, exams = _run_spied(monkeypatch, config)
     assert config.n_total % config.n_exam == 0 and len(exams) == len(res.exams) > 0
+    assert not res.capped
     # the learner is unchanged since the last exam, so classifying again agrees
     learner, test_set, _, domain, _ = exams[-1]
     assert res.confusion == _classified_confusion(learner, test_set, config, domain)
@@ -211,11 +217,19 @@ def test_capped_run_takes_the_confusion_from_one_more_exam(monkeypatch, cap, exa
     monkeypatch.setattr(harness, "EPISODE_CAP", cap)
     config = _small_config()
     res, exams = _run_spied(monkeypatch, config)
-    assert res.episodes == cap
+    assert res.episodes == cap and res.capped
     assert [e.mistakes for e in res.exams] == exam_mistakes  # none at the final episode
     assert len(exams) == len(res.exams) + 1
     learner, test_set, _, domain, _ = exams[-1]
     assert res.confusion == _classified_confusion(learner, test_set, config, domain)
+
+
+def test_run_spending_its_mistake_budget_at_the_cap_is_not_capped(monkeypatch):
+    config = _small_config()
+    full = run_sequence(config, "minHelp", 0)
+    monkeypatch.setattr(harness, "EPISODE_CAP", full.episodes)
+    res = run_sequence(config, "minHelp", 0)
+    assert res.episodes == full.episodes and not res.capped
 
 
 def test_mistake_budget_off_the_exam_interval_takes_one_more_exam(monkeypatch):
@@ -224,8 +238,41 @@ def test_mistake_budget_off_the_exam_interval_takes_one_more_exam(monkeypatch):
     config = _small_config()
     res, exams = _run_spied(monkeypatch, config)
     assert [e.mistakes for e in res.exams] == [5] and len(exams) == 2
+    assert not res.capped
     learner, test_set, _, domain, _ = exams[-1]
     assert res.confusion == _classified_confusion(learner, test_set, config, domain)
+
+
+def test_exam_scene_marginals_equal_each_objects_own_scene():
+    config = ExperimentConfig(difficulty="fineEasy")
+    domain = DomainSpec.builtin_glasses()
+    model = FeatureModel(domain, seed=0)
+    rng = np.random.default_rng([0, 3])
+    xb = ExemplarBase()
+    init_priors(xb, model, rng)
+    classes = list(config.classes)
+    for cls, wrong in zip(classes * 2, (classes[1:] + classes[:1]) * 2):
+        xb.process_correction(wrong, cls, model.sample_object(cls, "x", rng).class_feature)
+    kb = KnowledgeBase()
+    kb.add(_part_generic("brandyGlass", "short", "stem"), EXPLICIT, 1)
+    kb.add(_part_generic("brandyGlass", "round", "bowl"), EXPLICIT, 1)
+    kb.add(_part_generic("champagneCoupe", "round", "bowl"), EXPLICIT, 2)
+    kb.add(_conj_part_prop("burgundyGlass", ["short"], "stem", neg=True), NEG_IMPLICATURE, 2)
+    learner = LearnerState(
+        xb=xb, kb=kb, episodic=EpisodicMemory(), lexicon=Lexicon(), strategy="semNegScal"
+    )
+    test_set = make_test_set(model, config, seed=0)
+    assert len(test_set) == 60
+    sg = harness._perceive(learner, test_set, config, domain)
+    moved = 0  # objects whose marginals the KB moves
+    for obj in test_set:
+        atoms = [Atom(cls_pred(c), (Const(obj.eid),)) for c in classes]
+        alone = harness._perceive(learner, [obj], config, domain)
+        table = marginals_for(sg, kb, learner.u, atoms)
+        expected = marginals_for(alone, kb, learner.u, atoms)
+        assert table.probs == expected.probs and table.log_z == expected.log_z
+        moved += table.probs != marginals_for(alone, KnowledgeBase(), learner.u, atoms).probs
+    assert moved == len(test_set)
 
 
 def test_average_confusion():

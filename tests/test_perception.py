@@ -3,9 +3,15 @@ few-shot classification, scene graphs, prior injection."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundsim.perception import (
+    ATTR_BIAS,
+    ATTR_GAIN,
+    KERNEL_GAIN,
     ONE_SIDED_SCORE,
+    PART_GAIN,
     BBox,
     DomainSpec,
     ExemplarBase,
@@ -16,6 +22,7 @@ from groundsim.perception import (
     generate_scene,
     init_priors,
     relation_score,
+    score_fewshot,
 )
 
 
@@ -199,6 +206,49 @@ def test_classify_fewshot_dimension_mismatch():
     xb.add("stem", np.ones(4), positive=False)
     with pytest.raises(ValueError):
         classify_fewshot(xb, "stem", np.zeros(5))
+    with pytest.raises(ValueError):
+        score_fewshot(xb, "stem", np.zeros((3, 5)))
+    # empty and one-sided sets return their fixed scores before the check
+    xb.add("bowl", np.zeros(4), positive=True)
+    assert classify_fewshot(xb, "bowl", np.zeros(5)) == ONE_SIDED_SCORE
+    assert score_fewshot(xb, "cup", np.zeros((2, 5))).tolist() == [0.5, 0.5]
+
+
+def _reference_score(xb, concept, feature, gain, bias):
+    """The scalar kernel score of one feature, one exemplar set at a time."""
+    pos, neg = xb.positive.get(concept, []), xb.negative.get(concept, [])
+    if not pos or not neg:
+        return 0.5 if not pos and not neg else (ONE_SIDED_SCORE if pos else 1.0 - ONE_SIDED_SCORE)
+    h = xb.classifier_state(concept)[0]
+
+    def kmean(exemplars):
+        d2 = np.sum((np.stack(exemplars) - feature) ** 2, axis=-1)
+        return float(np.mean(np.exp(-d2 / (2 * h * h))))
+
+    margin = kmean(pos) - kmean(neg)
+    return float(1.0 / (1.0 + np.exp(-(gain * margin - bias))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_pos=st.integers(0, 40),
+    n_neg=st.integers(0, 40),
+    n_rows=st.integers(1, 130),
+    gain_bias=st.sampled_from([(KERNEL_GAIN, 0.0), (PART_GAIN, 0.0), (ATTR_GAIN, ATTR_BIAS)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_score_fewshot_equals_classify_fewshot_row_by_row(n_pos, n_neg, n_rows, gain_bias, seed):
+    rng = np.random.default_rng(seed)
+    xb = ExemplarBase()
+    for i in range(n_pos + n_neg):
+        xb.add("c", rng.normal(size=16), positive=i < n_pos)
+    features = rng.normal(size=(n_rows, 16)) * rng.uniform(0.1, 3.0)
+    gain, bias = gain_bias
+    scores = score_fewshot(xb, "c", features, gain, bias)
+    assert scores.shape == (n_rows,)
+    for row, score in zip(features, scores):
+        assert score == classify_fewshot(xb, "c", row, gain, bias)
+        assert score == _reference_score(xb, "c", row, gain, bias)
 
 
 def test_classifier_cache_invalidated_on_add():
@@ -227,6 +277,34 @@ def test_build_scene_graph_scores_and_edges(model, domain):
         for p in obj.parts:
             assert sg.edges[(obj.eid, p.eid)]["have"] == pytest.approx(1.0)
             assert set(sg.nodes[p.eid].attr_scores) == set(domain.attributes)
+
+
+def test_build_scene_graph_of_no_objects_is_empty(domain):
+    xb = ExemplarBase()
+    init_priors(xb, FeatureModel(domain, seed=0), np.random.default_rng(1), n_per_class=1)
+    sg = build_scene_graph([], xb, ["brandyGlass", *domain.parts], list(domain.attributes))
+    assert (sg.nodes, sg.edges, sg.object_parts) == ({}, {}, {})
+
+
+def test_scene_graph_entities_equal_their_own_one_object_scene(model, domain):
+    rng = np.random.default_rng(4)
+    xb = ExemplarBase()
+    init_priors(xb, model, rng, n_per_class=2)
+    classes = ["brandyGlass", "burgundyGlass", "champagneCoupe"]
+    for cls, wrong in zip(classes, classes[1:] + classes[:1]):
+        xb.process_correction(wrong, cls, model.sample_object(cls, "x", rng).class_feature)
+    class_concepts, attrs = classes + list(domain.parts), list(domain.attributes)
+    scene = generate_scene(model, "brandyGlass", rng, 2)
+    sg = build_scene_graph(scene, xb, class_concepts, attrs)
+    assert list(sg.object_parts) == ["o1", "o2", "o3"]
+    for obj in scene:
+        alone = build_scene_graph([obj], xb, class_concepts, attrs)
+        assert {e: sg.nodes[e] for e in alone.nodes} == alone.nodes
+        assert {k: sg.edges[k] for k in alone.edges} == alone.edges
+        assert sg.object_parts[obj.eid] == alone.object_parts[obj.eid]
+        # two-sided concepts were scored, not set to a fixed prior
+        assert sg.nodes[obj.eid].class_scores["brandyGlass"] not in (0.5, ONE_SIDED_SCORE)
+    assert len(sg.nodes) == sum(1 + len(o.parts) for o in scene)
 
 
 # ---------------------------------------------------------------------------
