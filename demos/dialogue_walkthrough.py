@@ -11,12 +11,11 @@ Run: python3 demos/dialogue_walkthrough.py
 
 import numpy as np
 
-from groundsim.agents import LearnerState, TeacherState, domain_lexicon
+from groundsim.agents import TeacherState, domain_lexicon
 from groundsim.dialogue import SEP
-from groundsim.harness import ExperimentConfig, run_episode
-from groundsim.logic import attr_pred, cls_pred, prop_to_text
-from groundsim.memory import EpisodicMemory, KnowledgeBase, Lexicon
-from groundsim.perception import DomainSpec, ExemplarBase, FeatureModel, init_priors
+from groundsim.harness import ExperimentConfig, class_queue, new_learner, run_episode
+from groundsim.logic import prop_to_text
+from groundsim.perception import DomainSpec, FeatureModel
 
 
 def main():
@@ -28,31 +27,16 @@ def main():
     teacher = TeacherState(
         domain=domain, strategy="maxHelp", lexicon=domain_lexicon(domain)
     )
-    lexicon = Lexicon()
-    for part in domain.parts:
-        lexicon.add(part, "noun", cls_pred(part))
-    for attr in domain.attributes:
-        lexicon.add(attr, "adj", attr_pred(attr))
-    xb = ExemplarBase()
-    init_priors(xb, model, np.random.default_rng([seed, 3]))
-    learner = LearnerState(
-        xb=xb,
-        kb=KnowledgeBase(),
-        episodic=EpisodicMemory(),
-        lexicon=lexicon,
-        strategy="semNeg",
-    )
+    learner = new_learner(domain, model, "semNeg", seed)
 
     rng = np.random.default_rng([seed, 1])
+    targets = class_queue(config.classes, rng)
     print("=== transcript ===")
     seen_diff = False
     episode = 0
-    queue = []
-    while not (seen_diff and not queue) and episode < 30:
-        if not queue:
-            order = rng.permutation(len(config.classes))
-            queue = [config.classes[i] for i in order]
-        target = queue.pop(0)
+    # stop at the end of the round of classes that held the first question
+    while not (seen_diff and episode % len(config.classes) == 0) and episode < 30:
+        target = next(targets)
         episode += 1
         _, lines = run_episode(teacher, learner, model, config, target, episode, rng)
         print(f"# episode {episode} target={target}")

@@ -13,33 +13,18 @@ import sys
 
 import numpy as np
 
-from .agents import (
-    LearnerState,
-    cancel_scalar_implicatures,
-    learner_answer_probe,
-    learner_ask_diff,
-    learner_integrate_generics,
-)
-from .dialogue import (
-    CORRECT,
-    NOT_SURE,
-    ParseError,
-    Utterance,
-    parse,
-    transcript_line,
-)
+from .dialogue import CORRECT, NOT_SURE, ParseError, Utterance, parse
 from .harness import (
     DIFFICULTIES,
     STRATEGY_COMBOS,
     ExperimentConfig,
-    _perceive,
-    _property_scores,
+    LearnerEpisode,
+    class_queue,
     mean_ci95,
+    new_learner,
     run_suite,
 )
-from .logic import Prop, Ques, attr_pred, cls_pred
-from .memory import EXPLICIT, EpisodicMemory, EpisodicRecord, KnowledgeBase, Lexicon
-from .perception import DomainSpec, ExemplarBase, FeatureModel, generate_scene, init_priors
+from .perception import DomainSpec, FeatureModel, generate_scene
 
 CONFIG_KEYS = ("difficulty", "strategies", "seeds", "test_set_size", "n_distractors", "feature_seed")
 
@@ -141,51 +126,26 @@ def interactive_loop(config: ExperimentConfig, strategy: str, seed: int) -> int:
 
     The human types template sentences ("What is this?", "Correct.",
     "This is a burgundy glass.", "Burgundy glasses have wide bowls." ...).
-    A blank line ends the current episode.
+    "Correct." or a blank line ends the current episode. The learner takes
+    each sentence as it takes the simulated teacher's under `strategy`.
     """
-    _, learner_strategy = STRATEGY_COMBOS[strategy]
+    teacher_strategy, learner_strategy = STRATEGY_COMBOS[strategy]
     domain = DomainSpec.builtin_glasses()
     model = FeatureModel(domain, seed=config.feature_seed)
-
-    learner_lexicon = Lexicon()
-    for part in domain.parts:
-        learner_lexicon.add(part, "noun", cls_pred(part))
-    for attr in domain.attributes:
-        learner_lexicon.add(attr, "adj", attr_pred(attr))
-    xb = ExemplarBase()
-    init_priors(xb, model, np.random.default_rng([seed, 3]))
-    learner = LearnerState(
-        xb=xb,
-        kb=KnowledgeBase(),
-        episodic=EpisodicMemory(),
-        lexicon=learner_lexicon,
-        strategy=learner_strategy,
-    )
+    learner = new_learner(domain, model, learner_strategy, seed)
     rng = np.random.default_rng([seed, 1])
+    targets = class_queue(config.classes, rng)
 
     print(f"interactive mode: learner strategy {learner_strategy}, seed {seed}")
     print("type teacher sentences; blank line = next episode; Ctrl-D = quit")
 
     episode = 0
-    queue: list[str] = []
     while True:
-        if not queue:
-            order = rng.permutation(len(config.classes))
-            queue = [config.classes[i] for i in order]
-        target = queue.pop(0)
         episode += 1
-        scene = generate_scene(model, target, rng, config.n_distractors)
-        sg = _perceive(learner, scene[:1], config, domain)
-        eid = scene[0].eid
+        scene = generate_scene(model, next(targets), rng, config.n_distractors)
+        step = LearnerEpisode(learner, teacher_strategy, scene, config, domain, episode)
         print(f"\n# episode {episode}")
         _print_scene(scene, domain)
-
-        answer: str | None = None
-        answered = False
-        mistake = False
-        transcript: list[str] = []
-        pending_diff: tuple[str, str] | None = None
-        statements: list[Prop] = []
 
         while True:
             line = _read_teacher_line("teacher> ")
@@ -195,81 +155,22 @@ def interactive_loop(config: ExperimentConfig, strategy: str, seed: int) -> int:
             if not line:
                 break
             try:
-                form = parse(line, learner.lexicon, demonstratum=eid)
+                form = parse(line, learner.lexicon, demonstratum=step.eid)
             except ParseError as exc:
                 print(f"  [no template matches: {exc}]")
                 continue
-            utt = Utterance("teacher", line, form, eid)
-            transcript.append(transcript_line(utt))
-
-            if isinstance(form, Ques) and form.kind == "wh":
-                answer_utt, answer = learner_answer_probe(
-                    learner, sg, list(config.classes), eid
-                )
-                answered = True
-                transcript.append(transcript_line(answer_utt))
-                print(f"learner> {answer_utt.surface}")
+            replies = step.hear(Utterance("teacher", line, form, step.eid))
+            if replies is None:
+                if form == NOT_SURE:
+                    print("  [the teacher cannot be unsure]")
+                else:
+                    print("  [sentence understood but not usable as teacher feedback here]")
                 continue
+            for reply in replies:
+                print(f"learner> {reply.surface}")
             if form == CORRECT:
                 break
-            if form == NOT_SURE:
-                print("  [the teacher cannot be unsure]")
-                continue
-            if isinstance(form, Prop) and not form.generic and len(form.ante) == 0:
-                atoms = form.cons.atoms
-                if len(atoms) == 1 and atoms[0].pred.kind == "class":
-                    cls = atoms[0].pred.name
-                    feature = scene[0].class_feature
-                    if form.cons_negated:
-                        learner.xb.add(cls, feature, positive=False)
-                        mistake = True
-                    else:
-                        mistake = True
-                        if answered and answer is not None and answer != cls:
-                            learner.xb.process_correction(answer, cls, feature)
-                        else:
-                            learner.xb.add(cls, feature, positive=True)
-                        if answer is not None and answer != cls:
-                            diff_q = learner_ask_diff(learner, (cls, answer))
-                            if diff_q is not None:
-                                pending_diff = (cls, answer)
-                                statements = []
-                                transcript.append(transcript_line(diff_q))
-                                print(f"learner> {diff_q.surface}")
-                    continue
-            if isinstance(form, Prop) and form.generic:
-                if pending_diff is None:
-                    # no contrastive question pending: no implicatures licensed,
-                    # the statement is stored verbatim
-                    learner.kb.add(form, EXPLICIT, episode)
-                else:
-                    statements.append(form)
-                continue
-            print("  [sentence understood but not usable as teacher feedback here]")
-
-        if pending_diff is not None and statements:
-            learner_integrate_generics(
-                learner,
-                statements,
-                (cls_pred(pending_diff[0]), cls_pred(pending_diff[1])),
-                episode,
-            )
-        outcome = "correct" if not mistake else (
-            "not-sure" if answer is None else "incorrect"
-        )
-        learner.episodic.append(
-            EpisodicRecord(
-                episode=episode,
-                true_class=target,
-                object_eid=eid,
-                property_scores=_property_scores(sg, eid, domain),
-                transcript=list(transcript),
-                answer=answer if answer is not None else "not-sure",
-                outcome=outcome,
-            )
-        )
-        if mistake:
-            cancel_scalar_implicatures(learner)
+        step.close()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import (
+    MAX_HELP,
     LearnerState,
     TeacherState,
     cancel_scalar_implicatures,
@@ -25,9 +26,9 @@ from .agents import (
     teacher_probe,
     teacher_respond,
 )
-from .dialogue import transcript_line
-from .logic import Atom, Const, attr_pred, cls_pred
-from .memory import EpisodicMemory, EpisodicRecord, KnowledgeBase, Lexicon
+from .dialogue import CORRECT, Utterance, transcript_line
+from .logic import CLASS, Atom, Const, Prop, Ques, attr_pred, cls_pred
+from .memory import EXPLICIT, EpisodicMemory, EpisodicRecord, KnowledgeBase, Lexicon
 from .perception import (
     DomainSpec,
     ExemplarBase,
@@ -185,6 +186,132 @@ def _perceive(learner, scene, config, domain):
     return learner_perceive(learner, scene, class_concepts, list(domain.attributes))
 
 
+def new_learner(domain: DomainSpec, model: FeatureModel, strategy: str, seed: int) -> LearnerState:
+    """A learner that knows the part nouns and attribute adjectives and has
+    seen prior part and attribute exemplars, but knows no target class."""
+    lexicon = Lexicon()
+    for part in domain.parts:
+        lexicon.add(part, "noun", cls_pred(part))
+    for attr in domain.attributes:
+        lexicon.add(attr, "adj", attr_pred(attr))
+    xb = ExemplarBase()
+    init_priors(xb, model, np.random.default_rng([seed, 3]))
+    return LearnerState(
+        xb=xb, kb=KnowledgeBase(), episodic=EpisodicMemory(), lexicon=lexicon, strategy=strategy
+    )
+
+
+def class_queue(classes, rng):
+    """Episode targets: rounds of every class, each round a permutation drawn
+    from rng when its first target is taken."""
+    while True:
+        for i in rng.permutation(len(classes)):
+            yield classes[i]
+
+
+class LearnerEpisode:
+    """The learner's side of one probe-answer-feedback episode, fed one
+    teacher utterance at a time by the simulated teacher (`run_episode`) or
+    by a human (`cli.interactive_loop`).
+
+    The learner answers "What is this?". A denial ("This is not an X.") and
+    a label ("This is a Y.") are kept until `close`, which derives the
+    mistake and the exemplar update from them; a label equal to the answer
+    confirms it. On a label that differs from its answer the learner asks
+    how the two classes differ, but only when a maxHelp teacher is there to
+    answer; the generics that follow are integrated at `close` with their
+    implicatures. A generic heard with no question pending is stored as
+    stated."""
+
+    def __init__(self, learner, teacher_strategy, scene, config, domain, number):
+        self.learner = learner
+        self.asks_diff = teacher_strategy == MAX_HELP
+        self.classes = list(config.classes)
+        self.domain = domain
+        self.number = number
+        self.obj = scene[0]
+        self.eid = self.obj.eid
+        # only the demonstratum is ever queried; the distractors keep the rng stream
+        self.sg = _perceive(learner, scene[:1], config, domain)
+        self.answer: str | None = None
+        self.denial: str | None = None
+        self.label: str | None = None
+        self.diff_pair: tuple[str, str] | None = None
+        self.statements: list[Prop] = []
+        self.transcript: list[str] = []
+
+    def hear(self, utt: Utterance) -> list[Utterance] | None:
+        """The learner's replies to one teacher utterance, or None (and
+        nothing learned) when it is no teacher move of an episode."""
+        form = learner_hear(self.learner, utt)
+        replies = []
+        if isinstance(form, Ques) and form.kind == "wh":
+            answer_utt, self.answer = learner_answer_probe(
+                self.learner, self.sg, self.classes, self.eid
+            )
+            replies.append(answer_utt)
+        elif isinstance(form, Prop) and form.generic:
+            if self.diff_pair is None:
+                # no contrastive question: no implicatures are licensed
+                self.learner.kb.add(form, EXPLICIT, self.number)
+            else:
+                self.statements.append(form)
+        elif (cls := _instance_class(form)) is not None:
+            if form.cons_negated:
+                self.denial = cls
+            else:
+                self.label = cls
+                if self.asks_diff and self.answer not in (None, cls):
+                    diff_q = learner_ask_diff(self.learner, (cls, self.answer))
+                    if diff_q is not None:
+                        self.diff_pair = (cls, self.answer)
+                        replies.append(diff_q)
+        elif form != CORRECT:
+            return None
+        self.transcript.append(transcript_line(utt))
+        self.transcript.extend(transcript_line(r) for r in replies)
+        return replies
+
+    def close(self) -> bool:
+        """Update exemplars, integrate the answer to a difference question,
+        record the episode and cancel refuted scalar implicatures. Returns
+        whether the learner made a mistake."""
+        learner = self.learner
+        label = None if self.label == self.answer else self.label
+        mistake = label is not None or self.denial is not None
+        if label is not None:
+            learner.xb.add(label, self.obj.class_feature, positive=True)
+        if self.denial is not None:
+            learner.xb.add(self.denial, self.obj.class_feature, positive=False)
+        if self.statements:
+            pair = tuple(cls_pred(c) for c in self.diff_pair)
+            learner_integrate_generics(learner, self.statements, pair, self.number)
+        outcome = "correct" if not mistake else ("not-sure" if self.answer is None else "incorrect")
+        learner.episodic.append(
+            EpisodicRecord(
+                episode=self.number,
+                true_class=self.obj.cls,
+                object_eid=self.eid,
+                property_scores=_property_scores(self.sg, self.eid, self.domain),
+                transcript=list(self.transcript),
+                answer=self.answer if self.answer is not None else NOT_SURE_LABEL,
+                outcome=outcome,
+            )
+        )
+        if mistake:
+            cancel_scalar_implicatures(learner)
+        return mistake
+
+
+def _instance_class(form) -> str | None:
+    """X of "This is (not) an X.", for any noun X."""
+    if isinstance(form, Prop) and not form.generic and len(form.ante) == 0:
+        atoms = form.cons.atoms
+        if len(atoms) == 1 and atoms[0].pred.kind == CLASS:
+            return atoms[0].pred.name
+    return None
+
+
 def run_episode(
     teacher: TeacherState,
     learner: LearnerState,
@@ -195,68 +322,14 @@ def run_episode(
     rng,
 ) -> tuple[bool, list[str]]:
     """One probe-answer-feedback episode. Returns (mistake, transcript)."""
-    domain = teacher.domain
     scene = generate_scene(model, target, rng, config.n_distractors)
-    # only the demonstratum is ever queried; the distractors keep the rng stream
-    sg = _perceive(learner, scene[:1], config, domain)
-    eid = scene[0].eid
-
-    transcript = []
-
-    probe = teacher_probe(teacher, eid)
-    learner_hear(learner, probe)
-    transcript.append(transcript_line(probe))
-
-    answer_utt, answer = learner_answer_probe(learner, sg, list(config.classes), eid)
-    transcript.append(transcript_line(answer_utt))
-
-    feedback = teacher_respond(teacher, eid, target, answer)
-    for utt in feedback:
-        learner_hear(learner, utt)
-        transcript.append(transcript_line(utt))
-
-    mistake = answer != target
-    if mistake:
-        feature = scene[0].class_feature
-        if answer is None:
-            learner.xb.add(target, feature, positive=True)
-        elif teacher.strategy == "minHelp":
-            # label withheld: only the denied class gets a negative exemplar
-            learner.xb.add(answer, feature, positive=False)
-        else:
-            learner.xb.process_correction(answer, target, feature)
-
-        if teacher.strategy == "maxHelp" and answer is not None:
-            diff_q = learner_ask_diff(learner, (target, answer))
-            if diff_q is not None:
-                transcript.append(transcript_line(diff_q))
-                generics = teacher_answer_diff(teacher, (target, answer))
-                statements = []
-                for utt in generics:
-                    statements.append(learner_hear(learner, utt))
-                    transcript.append(transcript_line(utt))
-                learner_integrate_generics(
-                    learner,
-                    statements,
-                    (cls_pred(target), cls_pred(answer)),
-                    episode,
-                )
-
-    outcome = "correct" if not mistake else ("not-sure" if answer is None else "incorrect")
-    learner.episodic.append(
-        EpisodicRecord(
-            episode=episode,
-            true_class=target,
-            object_eid=eid,
-            property_scores=_property_scores(sg, eid, domain),
-            transcript=list(transcript),
-            answer=answer if answer is not None else NOT_SURE_LABEL,
-            outcome=outcome,
-        )
-    )
-    if mistake:
-        cancel_scalar_implicatures(learner)
-    return mistake, transcript
+    step = LearnerEpisode(learner, teacher.strategy, scene, config, teacher.domain, episode)
+    step.hear(teacher_probe(teacher, step.eid))
+    for utt in teacher_respond(teacher, step.eid, target, step.answer):
+        if step.hear(utt):  # the learner asked how the target and its answer differ
+            for generic in teacher_answer_diff(teacher, step.diff_pair):
+                step.hear(generic)
+    return step.close(), step.transcript
 
 
 # ---------------------------------------------------------------------------
@@ -329,35 +402,18 @@ def run_sequence(config: ExperimentConfig, strategy: str, seed: int) -> Sequence
     model = FeatureModel(domain, seed=config.feature_seed)
 
     teacher = TeacherState(domain=domain, strategy=teacher_strategy, lexicon=domain_lexicon(domain))
-    learner_lexicon = Lexicon()
-    for part in domain.parts:
-        learner_lexicon.add(part, "noun", cls_pred(part))
-    for attr in domain.attributes:
-        learner_lexicon.add(attr, "adj", attr_pred(attr))
-    xb = ExemplarBase()
-    init_priors(xb, model, np.random.default_rng([seed, 3]))
-    learner = LearnerState(
-        xb=xb,
-        kb=KnowledgeBase(),
-        episodic=EpisodicMemory(),
-        lexicon=learner_lexicon,
-        strategy=learner_strategy,
-    )
-
+    learner = new_learner(domain, model, learner_strategy, seed)
     rng = np.random.default_rng([seed, 1])
+    targets = class_queue(config.classes, rng)
     test_set = make_test_set(model, config, seed)
 
     transcript = []
     exams = []
     mistakes = 0
     episode = 0
-    queue = []
     exam_episode = None  # episode after which the last exam ran
     while mistakes < config.n_total and episode < EPISODE_CAP:
-        if not queue:
-            order = rng.permutation(len(config.classes))
-            queue = [config.classes[i] for i in order]
-        target = queue.pop(0)
+        target = next(targets)
         episode += 1
         made_mistake, lines = run_episode(teacher, learner, model, config, target, episode, rng)
         transcript.append(f"# episode {episode} target={target}")

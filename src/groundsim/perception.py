@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -60,10 +59,6 @@ class DomainSpec:
             attributes=tuple(d["attributes"]),
             surfaces=dict(d.get("surfaces", {})),
         )
-
-    @staticmethod
-    def from_json(path: str | Path) -> "DomainSpec":
-        return DomainSpec.from_dict(json.loads(Path(path).read_text()))
 
     @staticmethod
     def builtin_glasses() -> "DomainSpec":

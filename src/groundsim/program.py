@@ -326,10 +326,11 @@ def _compile_groups(rule, ent, part_candidates, out, emitted) -> WeightedRule:
                 emitted.add(key)
                 out.add(WeightedRule(HARD, aux, item.atoms, ()))
             return aux
-        cands = part_candidates.get(ent, [])
-        for combo in _combinations(cands, len(fns)):
-            fn_binding = dict(zip(fns, combo))
-            body = tuple(_resolve_skolems(a, fn_binding) for a in item.atoms)
+        # a group is the consequent of one part description: one skolem function
+        if len(fns) > 1:
+            raise ProgramError(f"body group with {len(fns)} skolem functions")
+        for cand in part_candidates.get(ent, []):
+            body = tuple(_resolve_skolems(a, {fns[0]: cand}) for a in item.atoms)
             key = (aux, body)
             if key not in emitted:
                 emitted.add(key)
@@ -342,19 +343,6 @@ def _compile_groups(rule, ent, part_candidates, out, emitted) -> WeightedRule:
         tuple(compile_item(i) for i in rule.pos_body),
         tuple(compile_item(i) for i in rule.neg_body),
     )
-
-
-def _combinations(cands: list[str], n: int):
-    """Ordered n-tuples of distinct candidates (n is 1 in practice)."""
-    if n == 0:
-        return
-    if n == 1:
-        for c in cands:
-            yield (c,)
-        return
-    for c in cands:
-        for rest in _combinations([x for x in cands if x != c], n - 1):
-            yield (c, *rest)
 
 
 def _resolve_skolems(atom: Atom, fn_binding) -> Atom:

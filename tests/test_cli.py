@@ -4,10 +4,12 @@ mode driven by scripted stdin."""
 import json
 import os
 
+import numpy as np
 import pytest
 
-from groundsim import harness
+from groundsim import cli, harness
 from groundsim.cli import build_parser, config_from_args, interactive_loop, main
+from groundsim.dialogue import SEP
 from groundsim.harness import ExperimentConfig
 
 
@@ -138,7 +140,7 @@ def test_main_batch_run_reports_capped_cells_by_seed(tmp_path, capsys, monkeypat
 # interactive mode
 
 
-def run_interactive(monkeypatch, lines):
+def feed_stdin(monkeypatch, lines):
     it = iter(lines)
 
     def fake_input(prompt=""):
@@ -148,6 +150,10 @@ def run_interactive(monkeypatch, lines):
             raise EOFError
 
     monkeypatch.setattr("builtins.input", fake_input)
+
+
+def run_interactive(monkeypatch, lines):
+    feed_stdin(monkeypatch, lines)
     config = ExperimentConfig(
         difficulty="fineEasy", strategies=("maxHelp_semNeg",), seeds=(0,)
     )
@@ -184,3 +190,52 @@ def test_interactive_generic_without_pending_diff(monkeypatch, capsys):
     assert rc == 0
     # no crash, generic stored verbatim, next episode prompt printed
     assert "# episode 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("strategy", ["medHelp", "maxHelp_semNegScal"])
+def test_interactive_replay_of_a_batch_run_learns_the_same(monkeypatch, capsys, strategy):
+    # a human typing the simulated teacher's lines gets the same learner:
+    # the same answers and questions, exemplar base and knowledge base
+    learners = []
+    make_learner = harness.new_learner
+
+    def recording_new_learner(*args):
+        learners.append(make_learner(*args))
+        return learners[-1]
+
+    monkeypatch.setattr(harness, "new_learner", recording_new_learner)
+    monkeypatch.setattr(cli, "new_learner", recording_new_learner)
+    # exams only read the learner, so one test object per class is enough
+    config = ExperimentConfig(strategies=(strategy,), seeds=(0,), test_set_size=1)
+    result = harness.run_sequence(config, strategy, 0)
+
+    teacher_lines, learner_lines = [], []
+    episodes = "\n".join(result.transcript).split("# episode ")[1:]
+    for text in episodes:
+        said = [line.split(SEP) for line in text.splitlines()[1:]]
+        teacher = [surface for speaker, surface, _ in said if speaker == "teacher"]
+        teacher_lines += teacher if teacher[-1] == "Correct." else teacher + [""]
+        learner_lines += [surface for speaker, surface, _ in said if speaker == "learner"]
+    assert any(line.startswith("How are") for line in learner_lines) == strategy.startswith(
+        "maxHelp"
+    )
+
+    capsys.readouterr()
+    feed_stdin(monkeypatch, teacher_lines)
+    assert interactive_loop(config, strategy, 0) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line[len("learner> "):] for line in printed if line.startswith("learner> ")] == (
+        learner_lines
+    )
+    assert sum(line.startswith("# episode ") for line in printed) == result.episodes + 1
+
+    batch, interactive = learners
+    for store in ("positive", "negative"):
+        a, b = getattr(batch.xb, store), getattr(interactive.xb, store)
+        assert a.keys() == b.keys()
+        for concept in a:
+            assert len(a[concept]) == len(b[concept]), (store, concept)
+            assert all(np.array_equal(x, y) for x, y in zip(a[concept], b[concept]))
+    assert [(e.prop, e.provenance) for e in batch.kb] == [
+        (e.prop, e.provenance) for e in interactive.kb
+    ]

@@ -22,10 +22,16 @@ from groundsim.harness import (
     run_suite,
     write_outputs,
 )
-from groundsim.agents import LearnerState
+from groundsim.agents import (
+    LearnerState,
+    TeacherState,
+    domain_lexicon,
+    teacher_probe,
+    teacher_respond,
+)
 from groundsim.logic import Atom, Const, cls_pred
 from groundsim.memory import EXPLICIT, NEG_IMPLICATURE, EpisodicMemory, KnowledgeBase, Lexicon
-from groundsim.perception import DomainSpec, ExemplarBase, FeatureModel, init_priors
+from groundsim.perception import DomainSpec, ExemplarBase, FeatureModel, generate_scene, init_priors
 from groundsim.program import parse_program
 from groundsim.reasoner import classify, marginals_for
 from test_acceptance import _conj_part_prop
@@ -168,6 +174,25 @@ def test_transcript_structure(minhelp_result):
     # every episode opens with the probe
     probes = [ln for ln in res.transcript if "What is this?" in ln]
     assert len(probes) == res.episodes
+
+
+def test_label_equal_to_the_answer_confirms_it():
+    # the simulated teacher says "Correct." here; a human may name the class
+    domain = DomainSpec.builtin_glasses()
+    model = FeatureModel(domain, seed=0)
+    learner = harness.new_learner(domain, model, "semOnly", 0)
+    scene = generate_scene(model, "brandyGlass", np.random.default_rng(0), 0)
+    learner.xb.add("brandyGlass", scene[0].class_feature, positive=True)
+    learner.lexicon.add("brandy glass", "noun", cls_pred("brandyGlass"))
+    teacher = TeacherState(domain=domain, strategy="maxHelp", lexicon=domain_lexicon(domain))
+    step = harness.LearnerEpisode(learner, "maxHelp", scene, ExperimentConfig(), domain, 1)
+    step.hear(teacher_probe(teacher, step.eid))
+    assert step.answer == "brandyGlass"
+    [label] = teacher_respond(teacher, step.eid, "brandyGlass", None)
+    assert step.hear(label) == []
+    assert not step.close()
+    assert learner.xb.counts("brandyGlass") == (1, 0)
+    assert learner.episodic.records[-1].outcome == "correct"
 
 
 def _run_spied(monkeypatch, config):

@@ -232,6 +232,19 @@ def test_ground_rejects_multiple_free_variables():
         ground(WeightedProgram([rule]), ["o1"])
 
 
+def test_ground_rejects_body_group_with_two_skolem_functions():
+    o = Var("O")
+    group = BodyGroup(
+        tuple(
+            Atom(cls_pred(part), (SkolemApp(SkolemFn("brandyGlass", part), o),))
+            for part in ("bowl", "stem")
+        )
+    )
+    rule = WeightedRule(1.0, None, (group,), ())
+    with pytest.raises(ProgramError, match="2 skolem functions"):
+        ground(WeightedProgram([rule]), ["o1"], {"o1": ["o1_bowl", "o1_stem"]})
+
+
 def test_ground_object_without_parts_yields_unsupported_aux():
     out = ground(WeightedProgram([o_var_constraint()]), ["o1"], {"o1": []})
     # no candidate parts: the aux atom appears but has no supporting rule
