@@ -13,9 +13,6 @@ from .dialogue import (
     realize,
 )
 from .logic import (
-    Atom,
-    Conjunction,
-    Const,
     PredicateSym,
     Prop,
     Ques,
@@ -23,8 +20,10 @@ from .logic import (
     cls_pred,
     contradicts,
     derive_neg_implicature,
+    instance_prop,
     skolemize_part_description,
     swap_predicates,
+    what_is,
 )
 from .memory import (
     EXPLICIT,
@@ -47,21 +46,26 @@ from .reasoner import ReliabilityParams, classify
 TEACHER_STRATEGIES = ("minHelp", "medHelp", "maxHelp")
 LEARNER_STRATEGIES = ("semOnly", "semNeg", "semNegScal")
 
-MIN_HELP = "minHelp"
 MED_HELP = "medHelp"
 MAX_HELP = "maxHelp"
+
+
+def part_lexicon(domain: DomainSpec) -> Lexicon:
+    """The part nouns and attribute adjectives of a domain."""
+    lex = Lexicon()
+    for part in domain.parts:
+        lex.add(part, "noun", cls_pred(part))
+    for attr in domain.attributes:
+        lex.add(attr, "adj", attr_pred(attr))
+    return lex
 
 
 def domain_lexicon(domain: DomainSpec) -> Lexicon:
     """Full vocabulary over a domain: class nouns, part nouns, attribute
     adjectives."""
-    lex = Lexicon()
+    lex = part_lexicon(domain)
     for cls in sorted(domain.classes):
         lex.add(domain.surfaces[cls], "noun", cls_pred(cls))
-    for part in domain.parts:
-        lex.add(part, "noun", cls_pred(part))
-    for attr in domain.attributes:
-        lex.add(attr, "adj", attr_pred(attr))
     return lex
 
 
@@ -101,20 +105,11 @@ def _teacher_utt(t: TeacherState, form, demonstratum=None) -> Utterance:
 
 
 def teacher_probe(t: TeacherState, eid: str) -> Utterance:
-    ques = Ques(
-        "wh",
-        prop=Prop(ante=Conjunction(()), cons=Conjunction((Atom(cls_pred("P"), (Const(eid),)),))),
-        var="P",
-    )
-    return _teacher_utt(t, ques, eid)
+    return _teacher_utt(t, what_is(eid), eid)
 
 
 def _instance_prop(cls: str, eid: str, negated: bool = False) -> Prop:
-    return Prop(
-        ante=Conjunction(()),
-        cons=Conjunction((Atom(cls_pred(cls), (Const(eid),)),)),
-        cons_negated=negated,
-    )
+    return instance_prop(cls_pred(cls), eid, negated)
 
 
 def teacher_respond(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .logic import Atom
 from .program import HARD, ProgramError, WeightedProgram
-from .exact import MarginalTable, _classify, _fact_weights
+from .exact import MarginalTable, _classify, _fact_weights, union_find
 
 DAMPING = 0.5
 MAX_ITERS = 200
@@ -89,41 +89,21 @@ def build_factor_graph(program: WeightedProgram):
 
 
 def is_acyclic(variables, factors) -> bool:
-    """The factor graph is a forest iff edges <= nodes - components; check by
-    union-find cycle detection."""
-    parent = {}
-
-    def find(x):
-        while parent[x] is not x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v in variables:
-        parent[("v", v)] = ("v", v)
-    for i, f in enumerate(factors):
-        parent[("f", i)] = ("f", i)
-    for i, f in enumerate(factors):
-        for v in f.vars:
-            ra, rb = find(("f", i)), find(("v", v))
-            if ra == rb:
-                return False
-            parent[ra] = rb
-    return True
+    """The factor graph is a forest iff edges = nodes - components. Every
+    variable sits in some factor, so the components are those the factors'
+    variable lists join."""
+    find = union_find([f.vars for f in factors])
+    components = len({find(v) for v in variables})
+    return sum(len(f.vars) for f in factors) == len(variables) + len(factors) - components
 
 
-def solve_bp(
-    program: WeightedProgram,
-    damping: float = DAMPING,
-    max_iters: int = MAX_ITERS,
-    tol: float = TOL,
-) -> MarginalTable:
+def solve_bp(program: WeightedProgram) -> MarginalTable:
     """Sum-product marginals; flagged non-converged if the iteration cap hits."""
     variables, factors = build_factor_graph(program)
     if not variables:
         return MarginalTable({}, log_z=0.0)
-    if is_acyclic(variables, factors):
-        damping = 0.0  # undamped flooding is exact on trees after ~diameter sweeps
+    # undamped flooding is exact on trees after ~diameter sweeps
+    damping = 0.0 if is_acyclic(variables, factors) else DAMPING
 
     # messages in probability space, normalized; indexed by (factor, var) pairs
     msg_fv = {(i, v): np.array([0.5, 0.5]) for i, f in enumerate(factors) for v in f.vars}
@@ -136,7 +116,7 @@ def solve_bp(
     exp_tables = [np.exp(f.table - f.table.max()) for f in factors]
 
     converged = False
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         delta = 0.0
         # variable -> factor
         for v in variables:
@@ -168,7 +148,7 @@ def solve_bp(
                 new = damping * msg_fv[(i, v)] + (1 - damping) * m
                 delta = max(delta, float(np.abs(new - msg_fv[(i, v)]).max()))
                 msg_fv[(i, v)] = new
-        if delta < tol:
+        if delta < TOL:
             converged = True
             break
 

@@ -178,9 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         config = config_from_args(args)
         if args.interactive:
-            strategies = config.strategies
-            strategy = strategies[0] if strategies else "maxHelp_semNegScal"
-            return interactive_loop(config, strategy, config.seeds[0])
+            return interactive_loop(config, config.strategies[0], config.seeds[0])
         return run_batch(config)
     return 2
 

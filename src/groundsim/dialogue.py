@@ -16,22 +16,22 @@ import re
 from dataclasses import dataclass
 
 from .logic import (
-    ATTRIBUTE,
     CLASS,
-    Atom,
     Conjunction,
     Const,
-    HAVE,
     PredicateSym,
     Prop,
     Ques,
-    SkolemApp,
     SkolemFn,
-    Var,
     attr_pred,
     cls_pred,
     form_to_text,
+    instance_atom,
+    instance_prop,
+    part_cons,
+    part_properties,
     skolemize_part_description,
+    what_is,
 )
 from .memory import Lexicon
 
@@ -146,23 +146,11 @@ def _need_demo(surface: str, demonstratum: str | None) -> str:
     return demonstratum
 
 
-def _ground_class_prop(pred: PredicateSym, eid: str, negated: bool) -> Prop:
-    return Prop(
-        ante=Conjunction(()),
-        cons=Conjunction((Atom(pred, (Const(eid),)),)),
-        cons_negated=negated,
-    )
-
-
 def _ground_part_prop(eid: str, adj: PredicateSym, part: PredicateSym) -> Prop:
     """'This has a short stem.' read existentially via a demonstratum-keyed
     skolem constant."""
-    o = Const(eid)
-    fo = SkolemApp(SkolemFn(eid, part.name), o)
-    return Prop(
-        ante=Conjunction(()),
-        cons=Conjunction((Atom(HAVE, (o, fo)), Atom(adj, (fo,)), Atom(part, (fo,)))),
-    )
+    cons = part_cons(Const(eid), SkolemFn(eid, part.name), adj, part)
+    return Prop(ante=Conjunction(()), cons=cons)
 
 
 def parse(surface: str, lexicon: Lexicon, demonstratum: str | None = None):
@@ -174,26 +162,20 @@ def parse(surface: str, lexicon: Lexicon, demonstratum: str | None = None):
     if _NOT_SURE.match(s):
         return NOT_SURE
     if _WHAT_IS.match(s):
-        eid = _need_demo(surface, demonstratum)
-        prop = Prop(
-            ante=Conjunction(()),
-            cons=Conjunction((Atom(cls_pred("P"), (Const(eid),)),)),
-        )
-        return Ques("wh", prop=prop, var="P")
+        return what_is(_need_demo(surface, demonstratum))
 
     m = _IS_NOT_A.match(s)
     if m:
         eid = _need_demo(surface, demonstratum)
-        return _ground_class_prop(_noun_pred(lexicon, m.group(2)), eid, True)
+        return instance_prop(_noun_pred(lexicon, m.group(2)), eid, negated=True)
     m = _IS_A.match(s)
     if m:
         eid = _need_demo(surface, demonstratum)
-        return _ground_class_prop(_noun_pred(lexicon, m.group(2)), eid, False)
+        return instance_prop(_noun_pred(lexicon, m.group(2)), eid)
     m = _IS_THIS.match(s)
     if m:
         eid = _need_demo(surface, demonstratum)
-        prop = _ground_class_prop(_noun_pred(lexicon, m.group(2)), eid, False)
-        return Ques("polar", prop=prop)
+        return Ques("polar", prop=instance_prop(_noun_pred(lexicon, m.group(2)), eid))
     m = _HAS_A.match(s)
     if m:
         eid = _need_demo(surface, demonstratum)
@@ -227,29 +209,21 @@ def _surface_for(lexicon: Lexicon, pred: PredicateSym) -> str:
     return entry.surface
 
 
-def _classify_prop(prop: Prop) -> str:
-    if prop.generic:
-        return "generic"
-    if len(prop.ante) == 0 and len(prop.cons) == 1:
-        return "instance"
-    if len(prop.ante) == 0 and len(prop.cons) == 3 and not prop.cons_negated:
-        return "has-part"
-    raise RealizeError(f"prop outside the template grammar: {prop}")
+def _noun_phrase(lexicon: Lexicon, prop: Prop) -> str:
+    """'a brandy glass', for the class atom of a one-atom prop."""
+    atom = instance_atom(prop)
+    if atom is None or atom.pred.kind != CLASS:
+        raise RealizeError(f"instance template needs one class atom: {prop}")
+    noun = _surface_for(lexicon, atom.pred)
+    return f"{article(noun)} {noun}"
 
 
-def _split_skolem_cons(cons: Conjunction):
-    """(adj, part) predicates of a have/attr/part consequent."""
-    adj = part = None
-    for atom in cons:
-        if atom.pred == HAVE:
-            continue
-        if atom.pred.kind == ATTRIBUTE:
-            adj = atom.pred
-        elif atom.pred.kind == CLASS:
-            part = atom.pred
-    if adj is None or part is None:
-        raise RealizeError(f"consequent is not an attribute-part description: {cons}")
-    return adj, part
+def _part_surfaces(lexicon: Lexicon, prop: Prop) -> tuple[str, str]:
+    """(adjective, part noun) of a consequent describing one attribute of one part."""
+    pairs = part_properties(prop.cons)
+    if len(pairs) != 1:
+        raise RealizeError(f"consequent is not one attribute-part description: {prop.cons}")
+    return _surface_for(lexicon, pairs[0][0]), _surface_for(lexicon, pairs[0][1])
 
 
 def realize(form, lexicon: Lexicon) -> str:
@@ -265,29 +239,19 @@ def realize(form, lexicon: Lexicon) -> str:
         if form.kind == "wh":
             return "What is this?"
         if form.kind == "polar":
-            noun = _surface_for(lexicon, form.prop.cons.atoms[0].pred)
-            return f"Is this {article(noun)} {noun}?"
+            return f"Is this {_noun_phrase(lexicon, form.prop)}?"
         n1 = pluralize(_surface_for(lexicon, form.pair[0]))
         n2 = pluralize(_surface_for(lexicon, form.pair[1]))
         return f"How are {n1} and {n2} different?"
 
-    shape = _classify_prop(form)
-    if shape == "instance":
-        pred = form.cons.atoms[0].pred
-        if pred.kind not in (CLASS,):
-            raise RealizeError(f"instance template needs a class predicate: {pred.name}")
-        noun = _surface_for(lexicon, pred)
+    if form.generic:
+        subj = pluralize(_surface_for(lexicon, form.ante.atoms[0].pred))
+        adj_s, part_s = _part_surfaces(lexicon, form)
+        return f"{_capitalize(subj)} have {adj_s} {pluralize(part_s)}."
+    if instance_atom(form) is not None:
         neg = "not " if form.cons_negated else ""
-        return f"This is {neg}{article(noun)} {noun}."
-    if shape == "has-part":
-        adj, part = _split_skolem_cons(form.cons)
-        adj_s, part_s = _surface_for(lexicon, adj), _surface_for(lexicon, part)
+        return f"This is {neg}{_noun_phrase(lexicon, form)}."
+    if len(form.ante) == 0 and len(form.cons) == 3 and not form.cons_negated:
+        adj_s, part_s = _part_surfaces(lexicon, form)
         return f"This has {article(adj_s)} {adj_s} {part_s}."
-
-    cls = form.ante.atoms[0].pred
-    adj, part = _split_skolem_cons(form.cons)
-    subj = pluralize(_surface_for(lexicon, cls))
-    return (
-        f"{_capitalize(subj)} have {_surface_for(lexicon, adj)} "
-        f"{pluralize(_surface_for(lexicon, part))}."
-    )
+    raise RealizeError(f"prop outside the template grammar: {form}")

@@ -58,9 +58,6 @@ class MarginalTable:
     def __getitem__(self, atom: Atom) -> float:
         return self.probs[atom]
 
-    def get(self, atom: Atom, default: float | None = None):
-        return self.probs.get(atom, default)
-
 
 @dataclass
 class _Classified:

@@ -22,13 +22,14 @@ from .agents import (
     learner_hear,
     learner_integrate_generics,
     learner_perceive,
+    part_lexicon,
     teacher_answer_diff,
     teacher_probe,
     teacher_respond,
 )
 from .dialogue import CORRECT, Utterance, transcript_line
-from .logic import CLASS, Atom, Const, Prop, Ques, attr_pred, cls_pred
-from .memory import EXPLICIT, EpisodicMemory, EpisodicRecord, KnowledgeBase, Lexicon
+from .logic import CLASS, Atom, Const, Prop, Ques, cls_pred, instance_atom
+from .memory import EXPLICIT, EpisodicMemory, EpisodicRecord, KnowledgeBase
 from .perception import (
     DomainSpec,
     ExemplarBase,
@@ -87,6 +88,8 @@ class ExperimentConfig:
         for s in self.strategies:
             if s not in STRATEGY_COMBOS:
                 raise ValueError(f"unknown strategy combo: {s}")
+        if not self.strategies:
+            raise ValueError("strategies must be non-empty")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         spec = DIFFICULTIES[self.difficulty]
@@ -189,16 +192,9 @@ def _perceive(learner, scene, config, domain):
 def new_learner(domain: DomainSpec, model: FeatureModel, strategy: str, seed: int) -> LearnerState:
     """A learner that knows the part nouns and attribute adjectives and has
     seen prior part and attribute exemplars, but knows no target class."""
-    lexicon = Lexicon()
-    for part in domain.parts:
-        lexicon.add(part, "noun", cls_pred(part))
-    for attr in domain.attributes:
-        lexicon.add(attr, "adj", attr_pred(attr))
     xb = ExemplarBase()
     init_priors(xb, model, np.random.default_rng([seed, 3]))
-    return LearnerState(
-        xb=xb, kb=KnowledgeBase(), episodic=EpisodicMemory(), lexicon=lexicon, strategy=strategy
-    )
+    return LearnerState(xb, KnowledgeBase(), EpisodicMemory(), part_lexicon(domain), strategy)
 
 
 def class_queue(classes, rng):
@@ -256,7 +252,8 @@ class LearnerEpisode:
                 self.learner.kb.add(form, EXPLICIT, self.number)
             else:
                 self.statements.append(form)
-        elif (cls := _instance_class(form)) is not None:
+        elif (atom := instance_atom(form)) is not None and atom.pred.kind == CLASS:
+            cls = atom.pred.name
             if form.cons_negated:
                 self.denial = cls
             else:
@@ -301,15 +298,6 @@ class LearnerEpisode:
         if mistake:
             cancel_scalar_implicatures(learner)
         return mistake
-
-
-def _instance_class(form) -> str | None:
-    """X of "This is (not) an X.", for any noun X."""
-    if isinstance(form, Prop) and not form.generic and len(form.ante) == 0:
-        atoms = form.cons.atoms
-        if len(atoms) == 1 and atoms[0].pred.kind == CLASS:
-            return atoms[0].pred.name
-    return None
 
 
 def run_episode(

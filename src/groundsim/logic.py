@@ -4,7 +4,8 @@ Atoms range over object classes, attributes and binary relations; generic
 statements are antecedent => consequent propositions with an optional
 negation flag on the whole consequent conjunction. Part descriptions such
 as "brandy glasses have short stems" are stored in skolemized form:
-cls(O) => have(O, f(O)), short(f(O)), stem(f(O)).
+cls(O) => have(O, f(O)), short(f(O)), stem(f(O)). The forms of the
+dialogue's template sentences are built and read here, and only here.
 """
 
 from __future__ import annotations
@@ -335,11 +336,48 @@ def contradicts(p1: Prop, p2: Prop) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# skolemized part descriptions
+# the dialogue's sentence forms
 
 
-def skolem_fn_for(cls: PredicateSym, part: PredicateSym) -> SkolemFn:
-    return SkolemFn(cls.name, part.name)
+def instance_prop(pred: PredicateSym, eid: str, negated: bool = False) -> Prop:
+    """'This is (not) an X.': pred(eid), or its negation."""
+    return Prop(
+        ante=Conjunction(()),
+        cons=Conjunction((Atom(pred, (Const(eid),)),)),
+        cons_negated=negated,
+    )
+
+
+def what_is(eid: str) -> Ques:
+    """'What is this?': ?lP.P(eid)."""
+    return Ques("wh", prop=instance_prop(cls_pred("P"), eid), var="P")
+
+
+def instance_atom(form) -> Atom | None:
+    """The atom of a ground one-atom prop, else None."""
+    one_atom = isinstance(form, Prop) and not form.generic and len(form.ante) == 0
+    return form.cons.atoms[0] if one_atom and len(form.cons) == 1 else None
+
+
+def part_cons(subject: Term, fn: SkolemFn, attr: PredicateSym, part: PredicateSym) -> Conjunction:
+    """have(s, f(s)), attr(f(s)), part(f(s)): s has an attr part."""
+    fs = SkolemApp(fn, subject)
+    return Conjunction((Atom(HAVE, (subject, fs)), Atom(attr, (fs,)), Atom(part, (fs,))))
+
+
+def part_properties(cons: Conjunction) -> list[tuple[PredicateSym, PredicateSym]]:
+    """(attribute, part) pairs of a skolemized consequent: each attribute of a
+    skolem term with that term's part, in order of appearance."""
+    slots: dict[SkolemFn, tuple[list, list]] = {}
+    for atom in cons:
+        for t in atom.args:
+            if isinstance(t, SkolemApp):
+                attrs, parts = slots.setdefault(t.fn, ([], []))
+                if atom.pred.kind == ATTRIBUTE:
+                    attrs.append(atom.pred)
+                elif atom.pred.kind == CLASS:
+                    parts.append(atom.pred)
+    return [(a, parts[-1]) for attrs, parts in slots.values() if parts for a in attrs]
 
 
 def skolemize_part_description(
@@ -349,10 +387,9 @@ def skolemize_part_description(
     if cls.kind != CLASS or part.kind != CLASS or attr.kind != ATTRIBUTE:
         raise ValueError("expected (object-class, attribute, object-class)")
     o = Var("O")
-    fo = SkolemApp(skolem_fn_for(cls, part), o)
     return Prop(
         ante=Conjunction((Atom(cls, (o,)),)),
-        cons=Conjunction((Atom(HAVE, (o, fo)), Atom(attr, (fo,)), Atom(part, (fo,)))),
+        cons=part_cons(o, SkolemFn(cls.name, part.name), attr, part),
         generic=True,
         variables=("O",),
     )

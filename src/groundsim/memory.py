@@ -5,18 +5,9 @@ The visual exemplar base lives in `perception`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .logic import (
-    ATTRIBUTE,
-    CLASS,
-    Prop,
-    PredicateSym,
-    SkolemApp,
-    prop_key,
-    prop_to_text,
-)
+from .logic import CLASS, Prop, PredicateSym, part_properties, prop_key
 
 EXPLICIT = "explicit-utterance"
 NEG_IMPLICATURE = "neg-implicature"
@@ -94,11 +85,6 @@ class EpisodicRecord:
     answer: str  # class name or "not-sure"
     outcome: str  # correct | incorrect | not-sure
 
-    def to_json(self) -> str:
-        d = dict(self.__dict__)
-        d["property_scores"] = {f"{a}/{p}": s for (a, p), s in self.property_scores.items()}
-        return json.dumps(d, sort_keys=True)
-
 
 class EpisodicMemory:
     """Append-only per-episode records."""
@@ -115,27 +101,6 @@ class EpisodicMemory:
     def append(self, record: EpisodicRecord):
         self.records.append(record)
 
-    def dump_jsonl(self) -> str:
-        return "\n".join(r.to_json() for r in self.records) + ("\n" if self.records else "")
-
-
-def _cons_properties(prop: Prop) -> list[tuple[str, str]]:
-    """(attribute, part) conjuncts of a skolemized consequent."""
-    by_fn: dict = {}
-    for atom in prop.cons:
-        for t in atom.args:
-            if isinstance(t, SkolemApp):
-                slot = by_fn.setdefault(t.fn, {"attrs": [], "part": None})
-                if atom.pred.kind == ATTRIBUTE:
-                    slot["attrs"].append(atom.pred.name)
-                elif atom.pred.kind == CLASS:
-                    slot["part"] = atom.pred.name
-    out = []
-    for slot in by_fn.values():
-        if slot["part"]:
-            out.extend((attr, slot["part"]) for attr in slot["attrs"])
-    return out
-
 
 def find_counterexamples(
     episodic: EpisodicMemory, prop: Prop, theta: float = THETA_COUNTEREXAMPLE
@@ -148,7 +113,7 @@ def find_counterexamples(
     if not ante_classes:
         raise ValueError("prop has no class antecedent")
     ante_cls = ante_classes[0]
-    conjuncts = _cons_properties(prop)
+    conjuncts = [(a.name, p.name) for a, p in part_properties(prop.cons)]
     hits = []
     for rec in episodic:
         if rec.true_class != ante_cls:
@@ -209,9 +174,3 @@ class Lexicon:
 
     def knows_pred(self, name: str) -> bool:
         return name in self._by_pred
-
-    def class_predicates(self) -> list[PredicateSym]:
-        return sorted(
-            (e.pred for e in self._by_pred.values() if e.pred.kind == CLASS),
-            key=lambda p: p.name,
-        )

@@ -133,20 +133,8 @@ class SceneObject:
 class FeatureModel:
     """Seeded prototype geometry shared across all runs of a suite."""
 
-    def __init__(
-        self,
-        domain: DomainSpec,
-        dim: int = FEATURE_DIM,
-        seed: int = 0,
-        sigma_class: float = SIGMA_CLASS,
-        sigma_part: float = SIGMA_PART,
-        sigma_attr: float = SIGMA_ATTR,
-    ):
+    def __init__(self, domain: DomainSpec, seed: int = 0):
         self.domain = domain
-        self.dim = dim
-        self.sigma_class = sigma_class
-        self.sigma_part = sigma_part
-        self.sigma_attr = sigma_attr
         rng = np.random.default_rng([seed, 0xD0])
 
         def unit(v):
@@ -157,7 +145,7 @@ class FeatureModel:
         prop_vecs = {}
         for part in domain.parts:
             for attr in domain.attributes:
-                prop_vecs[(attr, part)] = rng.normal(size=dim)
+                prop_vecs[(attr, part)] = rng.normal(size=FEATURE_DIM)
         self.class_protos = {}
         primary = domain.parts[0]
         for cls in domain.classes:
@@ -168,9 +156,9 @@ class FeatureModel:
             self.class_protos[cls] = unit(np.sum(vecs, axis=0))
         # orthonormal detector bases keep attribute/part margins uniform,
         # so detector quality does not depend on chance anchor overlaps
-        pbasis = np.linalg.qr(rng.normal(size=(dim, dim)))[0].T
+        pbasis = np.linalg.qr(rng.normal(size=(FEATURE_DIM, FEATURE_DIM)))[0].T
         self.part_protos = {p: pbasis[i] for i, p in enumerate(domain.parts)}
-        abasis = np.linalg.qr(rng.normal(size=(dim, dim)))[0].T
+        abasis = np.linalg.qr(rng.normal(size=(FEATURE_DIM, FEATURE_DIM)))[0].T
         self.attr_protos = {a: abasis[i] for i, a in enumerate(domain.attributes)}
         # "plain" direction for parts with no characteristic attributes
         self.plain_proto = abasis[len(domain.attributes)]
@@ -181,7 +169,7 @@ class FeatureModel:
             base = np.sum([self.attr_protos[a] for a in attrs], axis=0)
         else:
             base = self.plain_proto
-        return base + clarity * self.sigma_attr * rng.normal(size=self.dim)
+        return base + clarity * SIGMA_ATTR * rng.normal(size=FEATURE_DIM)
 
     def sample_object(self, cls: str, eid: str, rng) -> SceneObject:
         if cls not in self.domain.classes:
@@ -203,7 +191,7 @@ class FeatureModel:
                     bbox=pbox,
                     attrs=attrs,
                     class_feature=self.part_protos[part]
-                    + self.sigma_part * rng.normal(size=self.dim),
+                    + SIGMA_PART * rng.normal(size=FEATURE_DIM),
                     attr_feature=self._attr_feature(
                         attrs,
                         rng,
@@ -216,7 +204,7 @@ class FeatureModel:
             cls=cls,
             bbox=bbox,
             class_feature=self.class_protos[cls]
-            + self.sigma_class * rng.normal(size=self.dim),
+            + SIGMA_CLASS * rng.normal(size=FEATURE_DIM),
             parts=parts,
         )
 

@@ -15,12 +15,10 @@ from dataclasses import dataclass, field
 
 from .logic import (
     Atom,
-    Conjunction,
     Const,
     PredicateSym,
     SkolemApp,
     Var,
-    attr_pred,
     cls_pred,
     rel_pred,
     subst_atom,
@@ -133,13 +131,6 @@ class WeightedProgram:
                 else:
                     atoms.update(item.atoms)
         return atoms
-
-    def is_ground(self) -> bool:
-        return all(
-            isinstance(it, Atom) and it.is_ground()
-            for r in self.rules
-            for it in ((r.head,) if r.head else ()) + r.pos_body + r.neg_body
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 from .logic import (
     Atom,
-    Conjunction,
     Const,
     Prop,
     Ques,
@@ -16,6 +15,8 @@ from .logic import (
     canonicalize,
     cls_pred,
     cons_key,
+    instance_atom,
+    instance_prop,
     rel_pred,
 )
 from .memory import KBEntry, KnowledgeBase
@@ -191,47 +192,35 @@ def answer_polar(sg: SceneGraph, kb, u: ReliabilityParams, ques: Ques) -> float:
     return the complement."""
     if ques.kind != "polar":
         raise ValueError("answer_polar expects a polar question")
-    prop = ques.prop
-    if len(prop.cons) != 1 or len(prop.ante) != 0:
+    atom = instance_atom(ques.prop)
+    if atom is None:
         raise ValueError("polar queries are single ground atoms")
-    atom = prop.cons.atoms[0]
     m = marginals_for(sg, kb, u, [atom])[atom]
-    return 1.0 - m if prop.cons_negated else m
+    return 1.0 - m if ques.prop.cons_negated else m
 
 
 def classify(
-    sg: SceneGraph,
-    kb,
-    u: ReliabilityParams,
-    candidates: list[str],
-    obj: str,
-    theta_sure: float = THETA_SURE,
+    sg: SceneGraph, kb, u: ReliabilityParams, candidates: list[str], obj: str
 ) -> str | None:
     """Argmax class marginal over candidates, or None (not sure) when no
-    candidate clears theta. Ties break lexicographically."""
+    candidate clears THETA_SURE. Ties break lexicographically."""
     if not candidates:
         raise ValueError("candidates must be non-empty")
     atoms = {c: Atom(cls_pred(c), (Const(obj),)) for c in sorted(candidates)}
     table = marginals_for(sg, kb, u, list(atoms.values()))
-    return best_class({c: table[a] for c, a in atoms.items()}, theta_sure)
+    return best_class({c: table[a] for c, a in atoms.items()})
 
 
-def best_class(scores: dict[str, float], theta_sure: float = THETA_SURE) -> str | None:
-    """The class with the highest score above theta, or None (not sure) when
-    none clears it. Ties break lexicographically."""
-    best, best_p = None, theta_sure
+def best_class(scores: dict[str, float]) -> str | None:
+    """The class with the highest score above THETA_SURE, or None (not sure)
+    when none clears it. Ties break lexicographically."""
+    best, best_p = None, THETA_SURE
     for name in sorted(scores):
         if scores[name] > best_p:
             best, best_p = name, scores[name]
     return best
 
 
-def polar_ques(pred_name: str, obj: str, kind: str = "class", negated: bool = False) -> Ques:
+def polar_ques(pred_name: str, obj: str, negated: bool = False) -> Ques:
     """Convenience constructor for '?p(o)' questions."""
-    pred = cls_pred(pred_name) if kind == "class" else attr_pred(pred_name)
-    prop = Prop(
-        ante=Conjunction(()),
-        cons=Conjunction((Atom(pred, (Const(obj),)),)),
-        cons_negated=negated,
-    )
-    return Ques("polar", prop=prop)
+    return Ques("polar", prop=instance_prop(cls_pred(pred_name), obj, negated))

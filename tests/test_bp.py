@@ -4,7 +4,13 @@ exactness on trees, behavior on loopy graphs."""
 import numpy as np
 import pytest
 
-from genprograms import aux_atom, base_atom, random_tree_program
+from genprograms import (
+    aux_atom,
+    base_atom,
+    random_part_program,
+    random_program,
+    random_tree_program,
+)
 from groundsim.bp import build_factor_graph, is_acyclic, solve_bp
 from groundsim.exact import solve_exact
 from groundsim.program import (
@@ -111,6 +117,43 @@ def test_is_acyclic_detects_cycles():
     )
     variables, factors = build_factor_graph(loopy)
     assert not is_acyclic(variables, factors)
+
+
+def _has_cycle(variables, factors) -> bool:
+    """Depth-first search over the variable-factor graph: an edge to a node
+    already reached, other than the one the search came from, closes a cycle."""
+    nbrs = {("v", v): [] for v in variables}
+    for i, f in enumerate(factors):
+        nbrs[("f", i)] = [("v", v) for v in f.vars]
+        for v in f.vars:
+            nbrs[("v", v)].append(("f", i))
+    reached = set()
+    for root in nbrs:
+        if root in reached:
+            continue
+        reached.add(root)
+        stack = [(root, None)]
+        while stack:
+            node, came_from = stack.pop()
+            for nb in nbrs[node]:
+                if nb == came_from:
+                    continue
+                if nb in reached:
+                    return True
+                reached.add(nb)
+                stack.append((nb, node))
+    return False
+
+
+def test_is_acyclic_agrees_with_a_dfs_cycle_check():
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for make in (random_tree_program, random_program, random_part_program):
+        for _ in range(60):
+            variables, factors = build_factor_graph(make(rng))
+            verdicts.append(is_acyclic(variables, factors))
+            assert verdicts[-1] == (not _has_cycle(variables, factors))
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_random_trees_match_exact():

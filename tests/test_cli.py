@@ -92,6 +92,16 @@ def test_unknown_config_key_rejected(tmp_path):
         config_from_args(parse_args(["run", "--config", str(cfg)]))
 
 
+@pytest.mark.parametrize("mode", [[], ["--interactive"]])
+def test_config_file_without_strategies_is_an_error(tmp_path, mode):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({"strategies": []}))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="strategies must be non-empty"):
+        main(["run", "--config", str(cfg), "--seeds", "1", "--out", str(out), *mode])
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # batch run
 

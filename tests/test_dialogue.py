@@ -1,6 +1,8 @@
 """Template grammar: morphology, parsing, realization, round trips,
 neologism handling, transcript format."""
 
+from dataclasses import replace
+
 import pytest
 
 from groundsim.agents import domain_lexicon
@@ -27,6 +29,7 @@ from groundsim.logic import (
     Ques,
     attr_pred,
     cls_pred,
+    instance_prop,
     skolemize_part_description,
 )
 from groundsim.memory import Lexicon
@@ -162,7 +165,7 @@ def test_realize_errors(lexicon):
             ),
             lexicon,
         )
-    # instance template demands a class predicate
+    # the instance template and the polar question demand a class predicate
     with pytest.raises(RealizeError):
         realize(
             Prop(
@@ -171,6 +174,20 @@ def test_realize_errors(lexicon):
             ),
             lexicon,
         )
+    with pytest.raises(RealizeError):
+        realize(Ques("polar", prop=instance_prop(attr_pred("short"), "o1")), lexicon)
+
+
+def test_realize_needs_exactly_one_attribute_part_pair(lexicon):
+    # parse(realize(form)) == form needs one adjective and one part noun;
+    # a second attribute, or none, has no template sentence
+    for sentence in ("Brandy glasses have short stems.", "This has a short stem."):
+        form = parse(sentence, lexicon, "o1")
+        have, short, stem = form.cons.atoms
+        conic = Atom(attr_pred("conic"), short.args)
+        for cons in ((have, short, conic, stem), (have, conic, short, stem), (have, stem)):
+            with pytest.raises(RealizeError):
+                realize(replace(form, cons=Conjunction(cons)), lexicon)
 
 
 # ---------------------------------------------------------------------------

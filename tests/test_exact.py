@@ -20,7 +20,6 @@ from genprograms import (
 from groundsim import exact
 from groundsim.exact import (
     ENUM_BOUND,
-    MarginalTable,
     enumerate_worlds,
     solve_exact,
     solve_exact_reference,
@@ -142,12 +141,6 @@ def test_unsupported_fragments_rejected():
 def test_empty_program():
     table = solve_exact(WeightedProgram())
     assert table.probs == {} and table.log_z == 0.0
-
-
-def test_marginal_table_access():
-    table = MarginalTable({base_atom(0): 0.5}, log_z=0.0)
-    assert table.get(base_atom(1)) is None
-    assert table.get(base_atom(1), 0.5) == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,8 @@ def test_config_validation():
         ExperimentConfig(strategies=("maxHelp",))  # not a combo name
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=())
+    with pytest.raises(ValueError):
+        ExperimentConfig(strategies=())
 
 
 def test_difficulty_presets():

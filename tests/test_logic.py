@@ -27,6 +27,10 @@ from groundsim.logic import (
     cons_key,
     contradicts,
     derive_neg_implicature,
+    instance_atom,
+    instance_prop,
+    part_cons,
+    part_properties,
     prop_key,
     prop_to_text,
     ques_to_text,
@@ -34,6 +38,7 @@ from groundsim.logic import (
     skolemize_part_description,
     substitute,
     swap_predicates,
+    what_is,
 )
 
 BRANDY = cls_pred("brandyGlass")
@@ -128,6 +133,56 @@ def test_substitute_reaches_skolem_argument():
     assert have_atom.pred == HAVE
     assert have_atom.args[1] == SkolemApp(SkolemFn("brandyGlass", "stem"), Const("o1"))
     assert all(a.is_ground() for a in g.cons)
+
+
+# ---------------------------------------------------------------------------
+# the dialogue's sentence forms
+
+
+def test_instance_prop_and_what_is_build_the_template_forms():
+    assert instance_prop(BRANDY, "o1") == ground_prop("brandyGlass")
+    assert instance_prop(BRANDY, "o1", negated=True) == ground_prop("brandyGlass", neg=True)
+    assert what_is("o1") == Ques("wh", prop=ground_prop("P"), var="P")
+
+
+def test_instance_atom_reads_only_ground_one_atom_props():
+    assert instance_atom(ground_prop("brandyGlass", neg=True)) == Atom(BRANDY, (Const("o1"),))
+    assert instance_atom(what_is("o2").prop) == Atom(cls_pred("P"), (Const("o2"),))
+    has_part = Prop(
+        ante=Conjunction(()), cons=part_cons(Const("o1"), SkolemFn("o1", "stem"), SHORT, STEM)
+    )
+    for form in (has_part, generic_prop("brandyGlass", "burgundyGlass"), what_is("o1"), "Correct"):
+        assert instance_atom(form) is None
+
+
+def test_part_cons_is_the_consequent_of_a_part_description():
+    o = Var("O")
+    fo = SkolemApp(SkolemFn("brandyGlass", "stem"), o)
+    expected = Conjunction((Atom(HAVE, (o, fo)), Atom(SHORT, (fo,)), Atom(STEM, (fo,))))
+    assert part_cons(o, SkolemFn("brandyGlass", "stem"), SHORT, STEM) == expected
+    assert skolemize_part_description(BRANDY, SHORT, STEM).cons == expected
+
+
+def test_part_properties_pairs_each_attribute_with_its_own_part():
+    gen = skolemize_part_description(BRANDY, SHORT, STEM)
+    assert part_properties(gen.cons) == [(SHORT, STEM)]
+    o = Const("o1")
+    stem, bowl = SkolemApp(SkolemFn("o1", "stem"), o), SkolemApp(SkolemFn("o1", "bowl"), o)
+    thin, wide, bowl_pred = attr_pred("thin"), attr_pred("wide"), cls_pred("bowl")
+    cons = Conjunction(
+        (
+            Atom(HAVE, (o, stem)),
+            Atom(SHORT, (stem,)),
+            Atom(HAVE, (o, bowl)),
+            Atom(wide, (bowl,)),
+            Atom(bowl_pred, (bowl,)),
+            Atom(STEM, (stem,)),
+            Atom(thin, (stem,)),
+        )
+    )
+    assert part_properties(cons) == [(SHORT, STEM), (thin, STEM), (wide, bowl_pred)]
+    # an attribute whose skolem term has no part atom pairs with nothing
+    assert part_properties(Conjunction((Atom(SHORT, (stem,)), Atom(BRANDY, (o,))))) == []
 
 
 # ---------------------------------------------------------------------------

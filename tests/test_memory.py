@@ -1,7 +1,6 @@
-"""Long-term stores: KB provenance bookkeeping, episodic records,
-counterexample search, lexicon."""
+"""Long-term stores: KB provenance bookkeeping, counterexample search over
+episodic records, lexicon."""
 
-import json
 from dataclasses import replace
 
 import pytest
@@ -74,27 +73,6 @@ def test_kb_distinguishes_polarity_and_classes():
 def test_kb_rejects_ground_props():
     with pytest.raises(ValueError):
         KnowledgeBase().add(ground_prop("brandyGlass"), EXPLICIT, 1)
-
-
-# ---------------------------------------------------------------------------
-# episodic memory
-
-
-def test_episodic_record_json_round_trip():
-    rec = record(4, "brandyGlass", {("short", "stem"): 0.9})
-    d = json.loads(rec.to_json())
-    assert d["true_class"] == "brandyGlass"
-    assert d["property_scores"] == {"short/stem": 0.9}
-
-
-def test_dump_jsonl():
-    mem = EpisodicMemory()
-    assert mem.dump_jsonl() == ""
-    mem.append(record(1, "brandyGlass", {}))
-    mem.append(record(2, "burgundyGlass", {}))
-    lines = mem.dump_jsonl().splitlines()
-    assert len(lines) == 2 and len(mem) == 2
-    assert json.loads(lines[1])["episode"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +153,6 @@ def test_lexicon_rejects_conflicting_binding():
         lex.add("glass", "noun", cls_pred("glassB"))
     # same surface under a different part of speech is a separate slot
     lex.add("glass", "adj", attr_pred("glassy"))
-
-
-def test_lexicon_class_predicates_sorted():
-    lex = Lexicon()
-    lex.add("stem", "noun", cls_pred("stem"))
-    lex.add("bowl", "noun", cls_pred("bowl"))
-    lex.add("short", "adj", attr_pred("short"))
-    assert [p.name for p in lex.class_predicates()] == ["bowl", "stem"]
 
 
 def test_kb_revision_counts_changes_to_the_props():
