@@ -69,7 +69,7 @@ def build_factor_graph(program: WeightedProgram):
     c = _classify(program.rules)
     variables = c.base + c.derived
     factors: list[_Factor] = []
-    for a, w in _fact_weights(c).items():
+    for a, w in _fact_weights((r.head, r.weight) for r in c.facts).items():
         factors.append(_Factor([a], np.array([0.0, w])))
     for r in c.hard_facts:
         factors.append(_Factor([r.head], np.array([NEG_INF, 0.0])))

@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> ExperimentConfig:
-    """Defaults < config file < explicit CLI flags."""
+    """Defaults < config file < explicit CLI flags. An unknown key or an
+    invalid value exits with a one-line message."""
     values: dict = {}
     if args.config:
         with open(args.config) as fh:
@@ -80,7 +81,10 @@ def config_from_args(args) -> ExperimentConfig:
         values["seeds"] = tuple(values["seeds"])
     if "strategies" in values:
         values["strategies"] = tuple(values["strategies"])
-    return ExperimentConfig(out_dir=args.out, dump_programs=args.dump_program, **values)
+    try:
+        return ExperimentConfig(out_dir=args.out, dump_programs=args.dump_program, **values)
+    except ValueError as err:
+        raise SystemExit(f"invalid config: {err}") from None
 
 
 def run_batch(config: ExperimentConfig) -> int:

@@ -245,6 +245,8 @@ def realize(form, lexicon: Lexicon) -> str:
         return f"How are {n1} and {n2} different?"
 
     if form.generic:
+        if form.cons_negated:
+            raise RealizeError(f"a negated generic has no template sentence: {form}")
         subj = pluralize(_surface_for(lexicon, form.ante.atoms[0].pred))
         adj_s, part_s = _part_surfaces(lexicon, form)
         return f"{_capitalize(subj)} have {adj_s} {pluralize(part_s)}."

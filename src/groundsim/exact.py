@@ -25,7 +25,14 @@ solves each by one method in two stages:
   outnumber its stage-1 atoms, for which staging would widen stage 2.
 
 `enum_bound` caps every single enumeration: each block and the stage-2 table.
-The solver is property-tested against the reference.
+Each component's solve has two halves: `plan` does everything that depends
+only on the rules (classification, blocks, bits, index and mask arrays, the
+soft constraints' terms), and `run` does the arithmetic that depends on the
+soft fact weights. A `CompiledProgram` holds a program's plans and fact
+weights; a caller that solves one structure with many weight vectors
+compiles it once and passes `solve_exact` the compiled program with each
+weight vector (see `reasoner.marginals_for`). The solver is property-tested
+against the reference.
 """
 
 from __future__ import annotations
@@ -101,7 +108,9 @@ def _classify(rules: list[WeightedRule]) -> _Classified:
 
 
 def _atom_sort_key(a: Atom):
-    return (a.pred.name, tuple(str(t) for t in a.args))
+    """A total order on ground atoms: the kind breaks ties between predicates
+    of one name, which would otherwise keep the order of a set."""
+    return (a.pred.name, tuple(str(t) for t in a.args), a.pred.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +196,20 @@ def solve_exact_reference(program: WeightedProgram) -> MarginalTable:
 # production solver
 
 
-def solve_exact(program: WeightedProgram, enum_bound: int = ENUM_BOUND) -> MarginalTable:
-    """Exact marginals, component by component. Raises EnumerationBoundError
-    for a component with a block or a stage-2 table of more than `enum_bound`
-    atoms."""
-    if not program.rules:
-        return MarginalTable({}, log_z=0.0)
-    components = _split_components(program.rules)
+def solve_exact(
+    program: WeightedProgram | CompiledProgram, enum_bound: int = ENUM_BOUND
+) -> MarginalTable:
+    """Exact marginals, component by component: `run` on each component's
+    `plan` with the weights of its soft facts. A `WeightedProgram` is
+    compiled first, and raises EnumerationBoundError for a component with a
+    block or a stage-2 table of more than `enum_bound` atoms; a
+    `CompiledProgram` was checked against the bound it was compiled with."""
+    if not isinstance(program, CompiledProgram):
+        program = CompiledProgram.compile(program, enum_bound)
     probs: dict[Atom, float] = {}
     log_z = 0.0
-    for comp_rules in components:
-        t = _solve_component(comp_rules, enum_bound)
+    for p, weights in zip(program.plans, program.weights):
+        t = run(p, weights)
         probs.update(t.probs)
         log_z += t.log_z
     return MarginalTable(probs, log_z=log_z)
@@ -239,9 +251,45 @@ def _connected(atom_lists: list[list[Atom]]) -> list[list[int]]:
     return [groups[k] for k in sorted(groups, key=_atom_sort_key)]
 
 
-def _solve_component(rules: list[WeightedRule], enum_bound: int) -> MarginalTable:
-    """Split one component into stage-1 blocks and a stage-2 table, then
-    solve it.
+@dataclass
+class _Block:
+    """One stage-1 block: its atoms, their truth over the block's 2^n
+    assignments (`sval`, in atom order), each assignment's bit configuration,
+    and the (truth, atom) pairs of its atoms with a soft fact."""
+
+    atoms: list[Atom]
+    sval: list[np.ndarray]
+    config: np.ndarray
+    weighted: list[tuple[np.ndarray, Atom]]
+
+
+@dataclass
+class Plan:
+    """The structural half of the solve of one component, whose rules are
+    `rules`: everything but the soft fact weights. `run` fills in those
+    weights, one per rule of `facts`, in order.
+
+    Stage 2 enumerates `q_atoms` with the k bits; `aconf` is each stage-2
+    row's bit configuration, `weighted` the (truth, atom) pairs of the
+    q_atoms with a soft fact, `mask` the rows the hard facts and hard
+    constraints admit, `soft` one log-weight term per soft constraint, and
+    `outputs` the (truth, atom) pairs of the q_atoms and derived atoms."""
+
+    rules: list[WeightedRule]
+    facts: list[WeightedRule]
+    blocks: list[_Block]
+    q_atoms: list[Atom]
+    k: int
+    aconf: np.ndarray
+    weighted: list[tuple[np.ndarray, Atom]]
+    mask: np.ndarray
+    soft: list[np.ndarray]
+    outputs: list[tuple[np.ndarray, Atom]]
+
+
+def plan(rules: list[WeightedRule], enum_bound: int = ENUM_BOUND) -> Plan:
+    """Split one component into stage-1 blocks and a stage-2 table, and
+    build their index and mask arrays.
 
     Stage-1 atoms are the base atoms in definite bodies and in no constraint
     or hard fact. The definite rules with the same head and the same other
@@ -250,7 +298,9 @@ def _solve_component(rules: list[WeightedRule], enum_bound: int) -> MarginalTabl
     scene program's bit j is its derived atom j. Blocks are the connected
     components of the stage-1 parts of the rules. When the groups outnumber
     the stage-1 atoms, nothing is staged, so stage 2 never enumerates more
-    atoms than the component's base atoms.
+    atoms than the component's base atoms. Stage 2 derives the heads by
+    forward chaining over the plain rules and the groups' bits (chained
+    rules included).
     """
     c = _classify(rules)
     outside = {r.head for r in c.hard_facts}
@@ -283,91 +333,32 @@ def _solve_component(rules: list[WeightedRule], enum_bound: int) -> MarginalTabl
     order = sorted(dict.fromkeys(g for _, g in staged), key=lambda g: rank[g[0]])
     bit = {g: j for j, g in enumerate(order)}
     rules2 = [(head, (j, *rest)) for j, (head, rest) in enumerate(order)] + plain
+    k = len(order)
 
-    blocks = []
+    block_rules = []
     for group in _connected([part for part, _ in staged]):
         atoms = sorted({b for i in group for b in staged[i][0]}, key=_atom_sort_key)
-        blocks.append((atoms, [(staged[i][0], bit[staged[i][1]]) for i in group]))
+        block_rules.append((atoms, [(staged[i][0], bit[staged[i][1]]) for i in group]))
     q_atoms = [a for a in c.base if a not in stage1]
-    widest = max([len(q_atoms) + len(order)] + [len(atoms) for atoms, _ in blocks])
+    widest = max([len(q_atoms) + k] + [len(atoms) for atoms, _ in block_rules])
     if widest > enum_bound:
         raise EnumerationBoundError(
             f"an enumeration of {widest} atoms exceeds enumeration bound {enum_bound}"
         )
-    return _solve_staged(c, blocks, q_atoms, rules2, len(order))
+    has_fact = {r.head for r in c.facts}
 
-
-def _bit(idx: np.ndarray, i: int) -> np.ndarray:
-    return ((idx >> i) & 1).astype(bool)
-
-
-def _fact_weights(c: _Classified) -> dict[Atom, float]:
-    fw: dict[Atom, float] = {}
-    for r in c.facts:
-        fw[r.head] = fw.get(r.head, 0.0) + r.weight
-    return fw
-
-
-def _solve_staged(
-    c: _Classified,
-    blocks: list[tuple[list[Atom], list[tuple[list[Atom], int]]]],
-    q_atoms: list[Atom],
-    rules2: list[tuple[Atom, tuple[Atom | int, ...]]],
-    k: int,
-) -> MarginalTable:
-    """Marginalize the stage-1 atoms per configuration of the k bits, then
-    enumerate the other base atoms with every bit configuration.
-
-    Stage 1 enumerates each block on its own (in scene programs, one part:
-    its `have` atom and its class and attribute atoms) into a table over the
-    2^k bit configurations; the block tables combine by an OR-fold (a subset
-    convolution). Stage 2 weighs each configuration by its folded mass,
-    derives the heads by forward chaining over `rules2` (head and body, where
-    an int j in a body stands for bit j), and mixes P(stage-1 atom |
-    configuration) over the configuration posterior. With no stage-1 atoms,
-    k = 0 and stage 2 is a plain enumeration of the component's base atoms.
-    """
-    nq, size = len(q_atoms), 1 << k
-    fw = _fact_weights(c)
-
-    # stage 1, per block: row 0 is the fact mass of the block's assignments by
-    # the bit configuration they switch on; row 1+i the same over assignments
-    # with the block's atom i true
-    tables = []
-    shift1 = 0.0
-    for atoms, rules in blocks:
+    blocks = []
+    for atoms, block in block_rules:
         idx = np.arange(1 << len(atoms), dtype=np.int64)
         sval = {a: _bit(idx, i) for i, a in enumerate(atoms)}
         config = np.zeros(len(idx), dtype=np.int64)
-        for part, j in rules:
+        for part, j in block:
             body = np.logical_and.reduce([sval[b] for b in part])
             config |= body.astype(np.int64) << j
-        logw = np.zeros(len(idx))
-        for a in atoms:
-            if a in fw:
-                logw += np.where(sval[a], fw[a], 0.0)
-        shift = logw.max()
-        shift1 += shift
-        ew = np.exp(logw - shift)
-        table = np.empty((1 + len(atoms), size))
-        table[0] = np.bincount(config, weights=ew, minlength=size)
-        for i, a in enumerate(atoms, 1):
-            table[i] = np.bincount(config, weights=np.where(sval[a], ew, 0.0), minlength=size)
-        tables.append(table)
+        weighted = [(sval[a], a) for a in atoms if a in has_fact]
+        blocks.append(_Block(atoms, [sval[a] for a in atoms], config, weighted))
 
-    # blocks share no atom, so the joint configuration is the OR of independent
-    # block configurations: fold each block's rows with the totals of all other
-    # blocks (one block per part, so few blocks)
-    folded = []
-    for i, table in enumerate(tables):
-        others = np.zeros(size)
-        others[0] = 1.0
-        for j, other in enumerate(tables):
-            if j != i:
-                others = _or_fold(others, other[0])
-        folded.append(_or_fold(table, others))
-
-    # stage 2: enumerate the other base atoms x bit configurations
+    nq = len(q_atoms)
     idx2 = np.arange(1 << (nq + k), dtype=np.int64)
     aconf = idx2 >> nq
     val2: dict[Atom | int, np.ndarray] = {j: _bit(aconf, j) for j in range(k)}
@@ -385,16 +376,10 @@ def _solve_staged(
                 val2[head] = new
                 changed = True
 
-    logw2 = np.zeros(len(idx2))
-    if folded:
-        with np.errstate(divide="ignore"):
-            logw2 += np.log(folded[0][0])[aconf]  # -inf where a config is unreachable
     mask = np.ones(len(idx2), dtype=bool)
-    for a in q_atoms:
-        if a in fw:
-            logw2 += np.where(val2[a], fw[a], 0.0)
     for r in c.hard_facts:
         mask &= val2[r.head]
+    soft = []
     for r in c.constraints:
         body = np.ones(len(idx2), dtype=bool)
         for b in r.pos_body:
@@ -404,20 +389,126 @@ def _solve_staged(
         if r.weight is HARD:
             mask &= ~body
         else:
-            logw2 += np.where(body, 0.0, r.weight)
+            soft.append(np.where(body, 0.0, r.weight))
+    return Plan(
+        rules=rules,
+        facts=c.facts,
+        blocks=blocks,
+        q_atoms=q_atoms,
+        k=k,
+        aconf=aconf,
+        weighted=[(val2[a], a) for a in q_atoms if a in has_fact],
+        mask=mask,
+        soft=soft,
+        outputs=[(val2[a], a) for a in q_atoms + c.derived],
+    )
 
-    logw2 = np.where(mask, logw2, -np.inf)
+
+@dataclass
+class CompiledProgram:
+    """A program as `solve_exact` solves it: the plan of each connected
+    component, in order, and the weights of each plan's soft facts. Another
+    weight vector on the same structure is `CompiledProgram(plans, weights)`.
+    Like a `WeightedProgram`, it has a length (its rules) and an atom
+    universe."""
+
+    plans: list[Plan]
+    weights: list[list[float]]
+
+    @classmethod
+    def compile(cls, program: WeightedProgram, enum_bound: int = ENUM_BOUND) -> "CompiledProgram":
+        plans = [plan(rules, enum_bound) for rules in _split_components(program.rules)]
+        return cls(plans, [[r.weight for r in p.facts] for p in plans])
+
+    def __len__(self):
+        return sum(len(p.rules) for p in self.plans)
+
+    def atom_universe(self) -> set[Atom]:
+        return WeightedProgram([r for p in self.plans for r in p.rules]).atom_universe()
+
+
+def _bit(idx: np.ndarray, i: int) -> np.ndarray:
+    return ((idx >> i) & 1).astype(bool)
+
+
+def _fact_weights(facts) -> dict[Atom, float]:
+    """The summed weight of each atom over (atom, weight) pairs."""
+    fw: dict[Atom, float] = {}
+    for a, w in facts:
+        fw[a] = fw.get(a, 0.0) + w
+    return fw
+
+
+def run(plan: Plan, fact_weights: list[float]) -> MarginalTable:
+    """The numeric half of a component's solve: marginalize the stage-1
+    atoms per configuration of the k bits, then enumerate the other base
+    atoms with every bit configuration. `fact_weights` holds one weight per
+    rule of `plan.facts`.
+
+    Stage 1 enumerates each block on its own (in scene programs, one part:
+    its `have` atom and its class and attribute atoms) into a table over the
+    2^k bit configurations; the block tables combine by an OR-fold (a subset
+    convolution). Stage 2 weighs each configuration by its folded mass and
+    mixes P(stage-1 atom | configuration) over the configuration posterior.
+    With no stage-1 atoms, k = 0 and stage 2 is a plain enumeration of the
+    component's base atoms.
+    """
+    size = 1 << plan.k
+    fw = _fact_weights(zip((r.head for r in plan.facts), fact_weights))
+
+    # stage 1, per block: row 0 is the fact mass of the block's assignments by
+    # the bit configuration they switch on; row 1+i the same over assignments
+    # with the block's atom i true
+    tables = []
+    shift1 = 0.0
+    for block in plan.blocks:
+        logw = np.zeros(len(block.config))
+        for s, a in block.weighted:
+            logw += np.where(s, fw[a], 0.0)
+        shift = logw.max()
+        shift1 += shift
+        ew = np.exp(logw - shift)
+        table = np.empty((1 + len(block.atoms), size))
+        table[0] = np.bincount(block.config, weights=ew, minlength=size)
+        for i, s in enumerate(block.sval, 1):
+            table[i] = np.bincount(block.config, weights=np.where(s, ew, 0.0), minlength=size)
+        tables.append(table)
+
+    # blocks share no atom, so the joint configuration is the OR of independent
+    # block configurations: fold each block's rows with the totals of all other
+    # blocks (one block per part, so few blocks)
+    folded = []
+    for i, table in enumerate(tables):
+        others = np.zeros(size)
+        others[0] = 1.0
+        for j, other in enumerate(tables):
+            if j != i:
+                others = _or_fold(others, other[0])
+        folded.append(_or_fold(table, others))
+
+    # stage 2: the other base atoms x bit configurations
+    aconf = plan.aconf
+    logw2 = np.zeros(len(aconf))
+    if folded:
+        with np.errstate(divide="ignore"):
+            logw2 += np.log(folded[0][0])[aconf]  # -inf where a config is unreachable
+    for v, a in plan.weighted:
+        logw2 += np.where(v, fw[a], 0.0)
+    for term in plan.soft:
+        logw2 += term
+
+    logw2 = np.where(plan.mask, logw2, -np.inf)
     m2 = logw2.max()
     if m2 == -np.inf:
         raise NoAdmissibleWorldError("hard core admits no world")
     p = np.exp(logw2 - m2)
     z = p.sum()
 
-    probs = {a: float(p[val2[a]].sum() / z) for a in q_atoms + c.derived}
+    probs = {a: float(p[v].sum() / z) for v, a in plan.outputs}
     # marginals of stage-1 atoms: mix P(s_i | bit config) over the config posterior
     p_conf = np.bincount(aconf, weights=p, minlength=size) / z
-    for (atoms, _), f in zip(blocks, folded):
-        for i, a in enumerate(atoms, 1):
+    for block, f in zip(plan.blocks, folded):
+        for i, a in enumerate(block.atoms, 1):
             ratio = np.divide(f[i], f[0], out=np.zeros(size), where=f[0] > 0)
             probs[a] = float((p_conf * ratio).sum())
     return MarginalTable(probs, log_z=float(m2 + np.log(z) + shift1))

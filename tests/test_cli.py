@@ -97,8 +97,28 @@ def test_config_file_without_strategies_is_an_error(tmp_path, mode):
     cfg = tmp_path / "empty.json"
     cfg.write_text(json.dumps({"strategies": []}))
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match="strategies must be non-empty"):
+    with pytest.raises(SystemExit, match="strategies must be non-empty"):
         main(["run", "--config", str(cfg), "--seeds", "1", "--out", str(out), *mode])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"difficulty": "fineMedium"}, "invalid config: unknown difficulty: fineMedium"),
+        ({"strategies": []}, "invalid config: strategies must be non-empty"),
+    ],
+)
+def test_invalid_config_value_exits_with_one_line(tmp_path, values, message):
+    # SystemExit with a message: the interpreter prints the line and exits 1,
+    # with no traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg), "--seeds", "1", "--out", str(out)])
+    assert str(exc.value) == message
+    assert exc.value.__suppress_context__
     assert not out.exists()
 
 

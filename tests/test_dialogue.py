@@ -29,6 +29,7 @@ from groundsim.logic import (
     Ques,
     attr_pred,
     cls_pred,
+    derive_neg_implicature,
     instance_prop,
     skolemize_part_description,
 )
@@ -176,6 +177,18 @@ def test_realize_errors(lexicon):
         )
     with pytest.raises(RealizeError):
         realize(Ques("polar", prop=instance_prop(attr_pred("short"), "o1")), lexicon)
+
+
+def test_realize_rejects_a_negated_generic(lexicon):
+    # the negative implicature of a generic has no template sentence; the
+    # positive one would say the opposite of the form
+    positive = parse("Bordeaux glasses have elliptical bowls.", lexicon)
+    negative = derive_neg_implicature(positive, cls_pred("bordeauxGlass"), cls_pred("brandyGlass"))
+    assert negative.generic and negative.cons_negated
+    with pytest.raises(RealizeError):
+        realize(negative, lexicon)
+    with pytest.raises(RealizeError):
+        realize(replace(positive, cons_negated=True), lexicon)
 
 
 def test_realize_needs_exactly_one_attribute_part_pair(lexicon):

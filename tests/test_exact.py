@@ -20,6 +20,7 @@ from genprograms import (
 from groundsim import exact
 from groundsim.exact import (
     ENUM_BOUND,
+    CompiledProgram,
     enumerate_worlds,
     solve_exact,
     solve_exact_reference,
@@ -171,6 +172,24 @@ def test_log_z_adds_over_components():
     )
 
 
+def test_a_compiled_program_solves_and_measures_like_its_program():
+    for seed in range(20):
+        prog = random_part_program(np.random.default_rng(seed))
+        compiled = CompiledProgram.compile(prog)
+        assert len(compiled) == len(prog)
+        assert compiled.atom_universe() == prog.atom_universe()
+        assert solve_exact(compiled) == solve_exact(prog)
+        # the compiled structure with another program's fact weights solves
+        # that program
+        shifted = WeightedProgram(
+            [WeightedRule(r.weight - 0.7, r.head) if r.is_fact() and r.weight is not HARD else r
+             for r in prog]
+        )
+        weights = CompiledProgram.compile(shifted).weights
+        assert weights != compiled.weights
+        assert solve_exact(CompiledProgram(compiled.plans, weights)) == solve_exact(shifted)
+
+
 # ---------------------------------------------------------------------------
 # production solver vs reference oracle
 
@@ -233,13 +252,13 @@ def test_part_programs_cover_two_stage_edge_shapes(monkeypatch):
     # they have blocks of unequal size, base atoms with no fact, and aux
     # configurations that no stage-1 assignment reaches
     calls = []
-    original = exact._solve_staged
+    original = exact.run
 
-    def spy(c, blocks, *rest):
-        calls.append([len(atoms) for atoms, _ in blocks])
-        return original(c, blocks, *rest)
+    def spy(plan, fact_weights):
+        calls.append([len(block.atoms) for block in plan.blocks])
+        return original(plan, fact_weights)
 
-    monkeypatch.setattr(exact, "_solve_staged", spy)
+    monkeypatch.setattr(exact, "run", spy)
     unequal = factless = unreachable = 0
     for seed in range(30):
         prog = random_part_program(np.random.default_rng(seed))
@@ -286,13 +305,14 @@ def test_chained_programs_cover_general_shapes(monkeypatch):
     # enumeration bound over a few base atoms, and no solve enumerates more
     # atoms in stage 2 than the component has base atoms
     widths = []
-    original = exact._solve_staged
+    original = exact.run
 
-    def spy(c, blocks, q_atoms, rules2, k):
-        widths.append((len(q_atoms) + k, len(c.base)))
-        return original(c, blocks, q_atoms, rules2, k)
+    def spy(plan, fact_weights):
+        n_base = len(plan.q_atoms) + sum(len(block.atoms) for block in plan.blocks)
+        widths.append((len(plan.q_atoms) + plan.k, n_base))
+        return original(plan, fact_weights)
 
-    monkeypatch.setattr(exact, "_solve_staged", spy)
+    monkeypatch.setattr(exact, "run", spy)
     chained = constrained = forced = wide = 0
     for seed in range(40):
         prog = random_chained_program(np.random.default_rng(seed))

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from groundsim import reasoner
+from groundsim import harness, reasoner
 from groundsim.exact import solve_exact
+from groundsim.harness import ExperimentConfig, run_sequence
 from groundsim.logic import (
     HAVE,
     Atom,
@@ -274,6 +275,48 @@ def test_mixed_kb_has_the_shapes_the_differential_test_needs():
     assert any(isinstance(r.pos_body[-1], BodyGroup) and not r.neg_body for r in rules)
 
 
+def _moved(atom: Atom, old: str, new: str) -> Atom:
+    """`atom` with object `old` and its parts renamed to `new` and its parts."""
+    return Atom(atom.pred, tuple(Const(new + t.ident[len(old) :]) for t in atom.args))
+
+
+def _spy_query_path(monkeypatch):
+    """Record the entities of every `ground` call and the rules of every
+    `_restrict` result that `marginals_for` builds."""
+    calls = {"ground": [], "restrict": []}
+    real_ground, real_restrict = reasoner.ground, reasoner._restrict
+
+    def spy_ground(prog, entities, parts):
+        calls["ground"].append(list(entities))
+        return real_ground(prog, entities, parts)
+
+    def spy_restrict(prog, queries):
+        out = real_restrict(prog, queries)
+        calls["restrict"].append(out.rules)
+        return out
+
+    monkeypatch.setattr(reasoner, "ground", spy_ground)
+    monkeypatch.setattr(reasoner, "_restrict", spy_restrict)
+    return calls
+
+
+def _uncached(sg, kb, u, queries):
+    """The marginals of the whole scene's program, built, restricted and
+    solved with nothing reused."""
+    return solve_exact(_restrict(build_program(sg, kb, u), queries))
+
+
+def _query_matches_uncached(sg, kb, u, queries, calls) -> tuple[int, int]:
+    """Check `marginals_for` `==` `_uncached`; return how many times the
+    query grounded and how many times it restricted a program."""
+    expected = _uncached(sg, kb, u, queries)
+    grounds, restricts = len(calls["ground"]), len(calls["restrict"])
+    table = marginals_for(sg, kb, u, queries)
+    assert table.probs == expected.probs
+    assert table.log_z == expected.log_z
+    return len(calls["ground"]) - grounds, len(calls["restrict"]) - restricts
+
+
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_marginals_for_matches_the_restricted_full_program(name, monkeypatch):
     sg, kb = make_multi_scene(), mixed_kb()
@@ -283,38 +326,42 @@ def test_marginals_for_matches_the_restricted_full_program(name, monkeypatch):
     expected = solve_exact(reference)
     assert any(r.is_definite() for r in reference)  # the skolemized rules are in play
 
-    solved, grounded = [], []
-    real_solve, real_ground = reasoner.solve_exact, reasoner.ground
-
-    def spy_solve(prog, *args):
-        solved.append(list(prog.rules))
-        return real_solve(prog, *args)
-
-    def spy_ground(prog, entities, parts):
-        grounded.append(list(entities))
-        return real_ground(prog, entities, parts)
-
-    monkeypatch.setattr(reasoner, "solve_exact", spy_solve)
-    monkeypatch.setattr(reasoner, "ground", spy_ground)
+    calls = _spy_query_path(monkeypatch)
     table = marginals_for(sg, kb, u, queries)
-    assert solved == [reference.rules]
+    assert calls["restrict"] == [reference.rules]
     assert table.probs == expected.probs
     assert table.log_z == expected.log_z
     owners = sorted({t.ident.split("_")[0] for q in queries for t in q.args})
-    assert grounded == [owners]
+    assert calls["ground"] == [owners]
+
+    if len(owners) > 1:
+        # no plan key describes queries on two objects: each call compiles
+        assert _query_matches_uncached(sg, kb, u, queries, calls) == (1, 1)
+        return
+    # the same queries on another object have the same plan key, so nothing
+    # is grounded or restricted again
+    moved = [_moved(q, owners[0], "o1" if owners[0] != "o1" else "o2") for q in queries]
+    assert _query_matches_uncached(sg, kb, u, moved, calls) == (0, 0)
+    # a revision bump compiles again
+    kb.add(_part_generic("brandyGlass", "wide", "bowl"), EXPLICIT, 3)
+    assert _query_matches_uncached(sg, kb, u, moved, calls) == (1, 1)
 
 
 def test_marginals_for_keeps_one_component_per_fact_without_kb(monkeypatch):
-    solved = []
-    real_solve = reasoner.solve_exact
-    monkeypatch.setattr(
-        reasoner, "solve_exact", lambda prog: solved.append(list(prog.rules)) or real_solve(prog)
-    )
-    sg = make_multi_scene()
+    calls = _spy_query_path(monkeypatch)
+    sg, kb = make_multi_scene(), KnowledgeBase()
     atom = _cls("brandyGlass", "o2")
-    table = marginals_for(sg, KnowledgeBase(), _u(), [atom])
-    assert [[r.head for r in rules] for rules in solved] == [[atom]]
+    assert _query_matches_uncached(sg, kb, _u(), [atom], calls) == (1, 1)
+    assert [[r.head for r in rules] for rules in calls["restrict"]] == [[atom]]
+    table = marginals_for(sg, kb, _u(), [atom])
     assert math.isclose(table[atom], sg.nodes["o2"].class_scores["brandyGlass"], abs_tol=1e-12)
+
+    # the same query on another object reuses the plan
+    assert _query_matches_uncached(sg, kb, _u(), [_cls("brandyGlass", "o3")], calls) == (0, 0)
+    assert len(calls["restrict"]) == 1
+    # a revision bump compiles again
+    kb.add(_part_generic("brandyGlass", "short", "stem"), EXPLICIT, 1)
+    assert _query_matches_uncached(sg, kb, _u(), [_cls("brandyGlass", "o3")], calls) == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -331,6 +378,121 @@ def test_marginals_for_raises_for_atoms_the_program_lacks(unknown):
         marginals_for(sg, kb, _u(), [unknown])
     with pytest.raises(UnknownPredicateError):
         marginals_for(sg, kb, _u(), [_cls("brandyGlass", "o1"), unknown])
+
+
+# ---------------------------------------------------------------------------
+# query plans, one per plan key and KB revision
+
+
+def test_kbs_at_one_revision_never_share_a_plan(monkeypatch):
+    calls = _spy_query_path(monkeypatch)
+    sg, u = make_multi_scene(), _u()
+    queries = [_cls(c, "o2") for c in CLASSES]
+    first, second = mixed_kb(), KnowledgeBase()
+    for cls, attr, part in (
+        ("brandyGlass", "wide", "bowl"),
+        ("burgundyGlass", "short", "stem"),
+        ("champagneCoupe", "wide", "bowl"),
+        ("brandyGlass", "tall", "stem"),
+    ):
+        second.add(_part_generic(cls, attr, part), EXPLICIT, 1)
+    assert first.revision == second.revision
+    assert _query_matches_uncached(sg, first, u, queries, calls) == (1, 1)
+    assert _query_matches_uncached(sg, second, u, queries, calls) == (1, 1)
+    assert marginals_for(sg, first, u, queries).probs != marginals_for(sg, second, u, queries).probs
+
+
+def test_another_u_gets_its_own_plan(monkeypatch):
+    calls = _spy_query_path(monkeypatch)
+    sg, kb = make_multi_scene(), mixed_kb()
+    queries = [_cls(c, "o2") for c in CLASSES]
+    other = ReliabilityParams(u_d=0.7, u_a=0.6)
+    assert _query_matches_uncached(sg, kb, _u(), queries, calls) == (1, 1)
+    assert _query_matches_uncached(sg, kb, other, queries, calls) == (1, 1)
+    assert _query_matches_uncached(sg, kb, other, queries, calls) == (0, 0)
+
+
+def test_an_object_with_another_part_layout_gets_its_own_plan(monkeypatch):
+    calls = _spy_query_path(monkeypatch)
+    sg, kb, u = make_multi_scene(), mixed_kb(), _u()
+    # o2 loses its bowl, and o3's stem gets another id: a different sort order
+    sg.object_parts["o2"] = ["o2_stem"]
+    sg.object_parts["o3"] = ["o3_bowl", "o3_a"]
+    sg.nodes["o3_a"] = sg.nodes["o3_stem"]
+    sg.edges[("o3", "o3_a")] = sg.edges[("o3", "o3_stem")]
+    for o, compiles in (("o1", (1, 1)), ("o2", (1, 1)), ("o3", (1, 1)), ("o1", (0, 0))):
+        queries = [_cls(c, o) for c in CLASSES]
+        assert _query_matches_uncached(sg, kb, u, queries, calls) == compiles
+
+
+def test_an_object_with_other_score_names_gets_its_own_plan(monkeypatch):
+    calls = _spy_query_path(monkeypatch)
+    sg, kb, u = make_multi_scene(), mixed_kb(), _u()
+    del sg.nodes["o3_stem"].attr_scores["short"]
+    queries = {o: [_cls(c, o) for c in CLASSES] for o in ("o1", "o2", "o3")}
+    assert _query_matches_uncached(sg, kb, u, queries["o1"], calls) == (1, 1)
+    assert _query_matches_uncached(sg, kb, u, queries["o2"], calls) == (0, 0)
+    assert _query_matches_uncached(sg, kb, u, queries["o3"], calls) == (1, 1)
+
+
+def test_plain_kb_lists_are_solved_without_a_plan_cache(monkeypatch):
+    calls = _spy_query_path(monkeypatch)
+    sg, u = make_multi_scene(), _u()
+    props = [e.prop for e in mixed_kb()]
+    for o in ("o1", "o2", "o1"):
+        queries = [_cls(c, o) for c in CLASSES]
+        assert _query_matches_uncached(sg, props, u, queries, calls) == (1, 1)
+
+
+def test_unknown_atoms_raise_with_a_warm_cache():
+    sg, kb = make_multi_scene(), mixed_kb()
+    marginals_for(sg, kb, _u(), [_cls("brandyGlass", "o1")])
+    marginals_for(sg, kb, _u(), [_cls("brandyGlass", "o2")])
+    for unknown in (_cls("nope", "o1"), _cls("brandyGlass", "o9")):
+        with pytest.raises(UnknownPredicateError):
+            marginals_for(sg, kb, _u(), [unknown])
+        with pytest.raises(UnknownPredicateError):
+            marginals_for(sg, kb, _u(), [unknown])
+    with pytest.raises(UnknownPredicateError):
+        marginals_for(sg, kb, _u(), [_cls("brandyGlass", "o1"), _cls("nope", "o1")])
+
+
+@pytest.mark.parametrize(
+    "difficulty, strategies",
+    [
+        ("fineEasy", ("maxHelp_semNegScal",)),
+        ("fineHard", ("maxHelp_semNegScal",)),
+        ("fineEasy", ("minHelp", "medHelp")),
+    ],
+)
+def test_every_query_of_a_cell_matches_the_uncached_path(difficulty, strategies, monkeypatch):
+    """Each `marginals_for` call of a seed-0 cell is `==` to building,
+    restricting and solving its objects' program afresh."""
+    real_marginals, real_restrict = reasoner.marginals_for, reasoner._restrict
+    queried, restricted = [], []
+
+    def checked_marginals(sg, kb, u, queries):
+        table = real_marginals(sg, kb, u, queries)
+        owners = {sg.whole_of.get(t.ident, t.ident) for q in queries for t in q.args}
+        scene = reasoner._object_scene(sg, owners)
+        expected = solve_exact(_restrict(build_program(scene, kb, u), queries))
+        assert table.probs == expected.probs
+        assert table.log_z == expected.log_z
+        queried.append(kb.revision)
+        return table
+
+    def counted_restrict(prog, queries):
+        restricted.append(1)
+        return real_restrict(prog, queries)
+
+    monkeypatch.setattr(reasoner, "marginals_for", checked_marginals)
+    monkeypatch.setattr(harness, "marginals_for", checked_marginals)
+    monkeypatch.setattr(reasoner, "_restrict", counted_restrict)
+    config = ExperimentConfig(difficulty=difficulty, strategies=strategies, seeds=(0,))
+    for strategy in strategies:
+        run_sequence(config, strategy, 0)
+    # plans are compiled per key and revision, not per query
+    assert len(restricted) * 10 < len(queried)
 
 
 # ---------------------------------------------------------------------------
