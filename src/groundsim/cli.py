@@ -75,12 +75,11 @@ def config_from_args(args) -> ExperimentConfig:
         values["strategies"] = args.strategy
     if args.seeds is not None:
         values["seeds"] = args.seeds
-    if isinstance(values.get("seeds"), int):
+    if type(values.get("seeds")) is int:  # a count; JSON true is no count
         values["seeds"] = range(values["seeds"])
-    if "seeds" in values:
-        values["seeds"] = tuple(values["seeds"])
-    if "strategies" in values:
-        values["strategies"] = tuple(values["strategies"])
+    for name in ("seeds", "strategies"):
+        if isinstance(values.get(name), (list, range)):
+            values[name] = tuple(values[name])
     try:
         return ExperimentConfig(out_dir=args.out, dump_programs=args.dump_program, **values)
     except ValueError as err:

@@ -71,6 +71,11 @@ EPISODE_CAP = 2000  # safety bound on runaway sequences
 NOT_SURE_LABEL = "not-sure"
 
 
+def _int_at_least(value, low: int) -> bool:
+    """True for an int (not a bool) of `low` or more."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
 @dataclass
 class ExperimentConfig:
     difficulty: str = "fineEasy"
@@ -92,6 +97,11 @@ class ExperimentConfig:
             raise ValueError("strategies must be non-empty")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if not isinstance(self.seeds, tuple) or not all(_int_at_least(s, 0) for s in self.seeds):
+            raise ValueError(f"seeds must be integers >= 0: {self.seeds!r}")
+        for name, low in (("feature_seed", 0), ("test_set_size", 1), ("n_distractors", 0)):
+            if not _int_at_least(getattr(self, name), low):
+                raise ValueError(f"{name} must be an integer >= {low}: {getattr(self, name)!r}")
         spec = DIFFICULTIES[self.difficulty]
         if spec["n_exam"] > spec["n_total"]:
             raise ValueError("exam interval exceeds mistake budget")

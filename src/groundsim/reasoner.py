@@ -3,7 +3,7 @@ programs, polar/multiple-choice query answering, concept differences."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .logic import (
     CLASS,
@@ -91,40 +91,15 @@ def _ante_unit(prop: Prop):
 
 
 def kb_to_program(kb, u: ReliabilityParams = ReliabilityParams()) -> WeightedProgram:
-    """Lifted penalty constraints per the KB translation:
+    """Lifted penalty constraints per the KB translation, for any iterable of
+    KB entries or props:
 
     - each entry: deductive constraint logit(U_d): :- Ante, not Cons
       (negated consequents cancel the default negation: :- Ante, Cons);
     - each group of entries sharing an identical positive consequent: one
       abductive constraint logit(U_a): :- Cons, not Ante_1, ..., not Ante_n.
       Negated consequents generate no abductive constraint.
-
-    A `KnowledgeBase` is translated once per revision and `u`; each call
-    gets its own copy of the rule list. Any other iterable of entries or
-    props is translated on every call.
     """
-    if isinstance(kb, KnowledgeBase):
-        return WeightedProgram(list(_compiled(kb, u).program.rules))
-    return _translate_kb(kb, u)
-
-
-@dataclass
-class _Compiled:
-    """A `KnowledgeBase` translated at one revision and `u`, and the query
-    plans compiled against that translation, by plan key (see
-    `marginals_for`)."""
-
-    program: WeightedProgram
-    plans: dict = field(default_factory=dict)
-
-
-def _compiled(kb: KnowledgeBase, u: ReliabilityParams) -> _Compiled:
-    """The KB's memo: a revision bump or another `u` drops the translation
-    and its plans together."""
-    return kb.memo(u, lambda: _Compiled(_translate_kb(kb, u)))
-
-
-def _translate_kb(kb, u: ReliabilityParams) -> WeightedProgram:
     props = []
     for entry in kb:
         prop = entry.prop if isinstance(entry, KBEntry) else entry
@@ -177,9 +152,9 @@ def _restrict(prog: WeightedProgram, queries: list[Atom]) -> WeightedProgram:
 
 
 def _object_scene(sg: SceneGraph, objects) -> SceneGraph:
-    """The scene cut down to `objects` (those in the scene), their parts and
-    the edges out of them, by direct lookups."""
-    object_parts = {o: sg.object_parts[o] for o in sorted(objects) if o in sg.object_parts}
+    """The scene cut down to `objects`, their parts and the edges out of
+    them, by direct lookups."""
+    object_parts = {o: sg.object_parts[o] for o in sorted(objects)}
     nodes, edges = {}, {}
     for o, parts in object_parts.items():
         nodes[o] = sg.nodes[o]
@@ -190,58 +165,51 @@ def _object_scene(sg: SceneGraph, objects) -> SceneGraph:
 
 
 def _plan_key(sg: SceneGraph, queries: list[Atom]):
-    """(key, entities) for queries on one scene object whose part ids extend
-    its own id, else None. `entities` is the object, then its parts; the key
-    names each query entity by its index there and holds the part ids'
-    suffixes (which fix the atoms' sort order) and the score names of the
-    object's nodes and edges. So two objects with one key get the same
-    restricted program up to the names of their entities, rule for rule."""
-    obj = None
+    """(key, entities, objects) for queries on the scene objects `objects`.
+    `entities` is each object in id order, each followed by its parts; the
+    key names each query entity by its index there and holds the sort
+    permutation of the entity ids (which fixes the order of the program's
+    atoms and rules) and the score names of the entities' nodes and edges.
+    So two sets of objects with one key get the same restricted program up
+    to the names of their entities, rule for rule. Raises
+    UnknownPredicateError for a query argument that is not a constant or is
+    on no entity of the scene."""
+    objects = set()
     for q in queries:
         for t in q.args:
             if not isinstance(t, Const):
-                return None
-            o = sg.whole_of.get(t.ident, t.ident)
-            if obj is not None and o != obj:
-                return None
-            obj = o
-    parts = sg.object_parts.get(obj)
-    if parts is None or not all(len(p) > len(obj) and p.startswith(obj) for p in parts):
-        return None
-    entities = (obj, *parts)
+                raise UnknownPredicateError(f"query atom is not ground: {q}")
+            objects.add(sg.whole_of.get(t.ident, t.ident))
+    entities, edges = [], []
+    for o in sorted(objects):
+        parts = sg.object_parts.get(o)
+        if parts is None:
+            raise UnknownPredicateError(f"query atoms on an entity outside the scene: {o}")
+        entities += (o, *parts)
+        edges.append(tuple(tuple(sorted(sg.edges[(o, p)])) for p in parts))
     role = {e: i for i, e in enumerate(entities)}
     nodes = [sg.nodes[e] for e in entities]
     key = (
         tuple((q.pred, tuple(role[t.ident] for t in q.args)) for q in queries),
-        tuple(p[len(obj) :] for p in parts),
+        tuple(sorted(range(len(entities)), key=entities.__getitem__)),
         tuple((tuple(sorted(n.class_scores)), tuple(sorted(n.attr_scores))) for n in nodes),
-        tuple(tuple(sorted(sg.edges[(obj, p)])) for p in parts),
+        tuple(edges),
     )
-    return key, entities
-
-
-def _query_program(sg: SceneGraph, kb, u: ReliabilityParams, queries: list[Atom]):
-    """`_restrict(build_program(sg, kb, u), queries)`, built on the scene cut
-    down to the objects the queries mention (see `marginals_for`)."""
-    owners = {
-        sg.whole_of.get(t.ident, t.ident) for q in queries for t in q.args if isinstance(t, Const)
-    }
-    return _restrict(build_program(_object_scene(sg, owners), kb, u), queries)
+    return key, entities, objects
 
 
 @dataclass
 class _QueryPlan:
-    """One plan key's query program, compiled on the object `entities`
+    """One plan key's query program, compiled on the objects `entities`
     names."""
 
-    entities: tuple[str, ...]
+    entities: list[str]
     program: CompiledProgram
 
-    def solve(self, sg: SceneGraph, entities: tuple[str, ...]) -> MarginalTable:
-        """The marginals for the object `entities` names, which has this
-        plan key: the compiled program solved with that object's scores as
-        its soft fact weights, and its atoms renamed to that object's
-        entities."""
+    def solve(self, sg: SceneGraph, entities: list[str]) -> MarginalTable:
+        """The marginals for the objects `entities` names, which have this
+        plan key: the compiled program solved with their scores as its soft
+        fact weights, and its atoms renamed to their entities."""
         rename = dict(zip(self.entities, entities))
 
         def weight(fact):
@@ -270,25 +238,20 @@ def marginals_for(
     two objects, and the rules solved are those of the whole scene's
     restricted program, in the same order.
 
-    Queries on one object of a `KnowledgeBase`, which is every query the
-    learner and the harness make, are answered from a program compiled at
-    the first query with the same plan key (`_plan_key`) and kept in the
-    KB's memo until its revision or `u` changes; a query then reads its
-    object's scores into the soft fact weights, so only the solver's numeric
-    half runs. Queries no plan key describes (a plain list of props, as in
-    tests and demos, or atoms on two objects) compile their program each
-    time. Raises UnknownPredicateError for a query atom the program lacks,
-    including one on an entity outside the scene.
+    The program is compiled once per plan key (`_plan_key`). A
+    `KnowledgeBase` keeps its plans in its memo until its revision or `u`
+    changes; any other iterable of entries or props gets a fresh cache, so
+    it compiles on every call. A query reads its objects' scores into the
+    soft fact weights, so only the solver's numeric half runs on a hit.
+    Raises UnknownPredicateError for a query atom the program lacks,
+    including one on an entity outside the scene or one that is not ground.
     """
-    shape = _plan_key(sg, queries) if isinstance(kb, KnowledgeBase) else None
-    if shape is None:
-        return solve_exact(_query_program(sg, kb, u, queries))
-    key, entities = shape
-    plans = _compiled(kb, u).plans
+    key, entities, objects = _plan_key(sg, queries)
+    plans = kb.memo(u, dict) if isinstance(kb, KnowledgeBase) else {}
     planned = plans.get(key)
     if planned is None:
-        program = CompiledProgram.compile(_query_program(sg, kb, u, queries))
-        planned = plans[key] = _QueryPlan(entities, program)
+        program = _restrict(build_program(_object_scene(sg, objects), kb, u), queries)
+        planned = plans[key] = _QueryPlan(entities, CompiledProgram.compile(program))
     return planned.solve(sg, entities)
 
 

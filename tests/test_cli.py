@@ -107,6 +107,12 @@ def test_config_file_without_strategies_is_an_error(tmp_path, mode):
     [
         ({"difficulty": "fineMedium"}, "invalid config: unknown difficulty: fineMedium"),
         ({"strategies": []}, "invalid config: strategies must be non-empty"),
+        ({"test_set_size": 0}, "invalid config: test_set_size must be an integer >= 1: 0"),
+        ({"n_distractors": -3}, "invalid config: n_distractors must be an integer >= 0: -3"),
+        ({"seeds": [-1]}, "invalid config: seeds must be integers >= 0: (-1,)"),
+        ({"seeds": 2.5}, "invalid config: seeds must be integers >= 0: 2.5"),
+        ({"seeds": True}, "invalid config: seeds must be integers >= 0: True"),
+        ({"feature_seed": -1}, "invalid config: feature_seed must be an integer >= 0: -1"),
     ],
 )
 def test_invalid_config_value_exits_with_one_line(tmp_path, values, message):
@@ -115,8 +121,9 @@ def test_invalid_config_value_exits_with_one_line(tmp_path, values, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(values))
     out = tmp_path / "out"
+    seeds = [] if "seeds" in values else ["--seeds", "1"]
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--config", str(cfg), "--seeds", "1", "--out", str(out)])
+        main(["run", "--config", str(cfg), *seeds, "--out", str(out)])
     assert str(exc.value) == message
     assert exc.value.__suppress_context__
     assert not out.exists()

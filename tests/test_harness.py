@@ -97,6 +97,19 @@ def test_config_validation():
         ExperimentConfig(seeds=())
     with pytest.raises(ValueError):
         ExperimentConfig(strategies=())
+    for values in (
+        {"test_set_size": 0},
+        {"test_set_size": 2.5},
+        {"n_distractors": -3},
+        {"seeds": (-1,)},
+        {"seeds": (0, 1.0)},
+        {"seeds": (True,)},
+        {"seeds": 2.5},
+        {"feature_seed": -1},
+        {"feature_seed": 0.5},
+    ):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**values)
 
 
 def test_difficulty_presets():

@@ -335,12 +335,12 @@ def test_marginals_for_matches_the_restricted_full_program(name, monkeypatch):
     assert calls["ground"] == [owners]
 
     if len(owners) > 1:
-        # no plan key describes queries on two objects: each call compiles
-        assert _query_matches_uncached(sg, kb, u, queries, calls) == (1, 1)
-        return
-    # the same queries on another object have the same plan key, so nothing
-    # is grounded or restricted again
-    moved = [_moved(q, owners[0], "o1" if owners[0] != "o1" else "o2") for q in queries]
+        # queries on two objects have a plan key too: asking again hits it
+        moved = queries
+    else:
+        # the same queries on another object have the same plan key
+        moved = [_moved(q, owners[0], "o1" if owners[0] != "o1" else "o2") for q in queries]
+    # so nothing is grounded or restricted again
     assert _query_matches_uncached(sg, kb, u, moved, calls) == (0, 0)
     # a revision bump compiles again
     kb.add(_part_generic("brandyGlass", "wide", "bowl"), EXPLICIT, 3)
@@ -370,6 +370,7 @@ def test_marginals_for_keeps_one_component_per_fact_without_kb(monkeypatch):
         _cls("nope", "o1"),  # predicate the program lacks
         _cls("brandyGlass", "o9"),  # object not in the scene
         Atom(attr_pred("short"), (Const("o9_stem"),)),  # part of no scene object
+        Atom(cls_pred("brandyGlass"), (Var("X"),)),  # not ground
     ],
 )
 def test_marginals_for_raises_for_atoms_the_program_lacks(unknown):
@@ -435,6 +436,58 @@ def test_an_object_with_other_score_names_gets_its_own_plan(monkeypatch):
     assert _query_matches_uncached(sg, kb, u, queries["o3"], calls) == (1, 1)
 
 
+def _renamed(sg: SceneGraph, renames: dict) -> SceneGraph:
+    """`sg` with the entities `renames` names given their new ids."""
+
+    def r(e):
+        return renames.get(e, e)
+
+    return SceneGraph(
+        nodes={r(e): n for e, n in sg.nodes.items()},
+        edges={(r(i), r(j)): s for (i, j), s in sg.edges.items()},
+        object_parts={r(o): [r(p) for p in parts] for o, parts in sg.object_parts.items()},
+    )
+
+
+def test_objects_whose_part_ids_do_not_extend_their_own_get_a_plan(monkeypatch):
+    calls = _spy_query_path(monkeypatch)
+    kb, u = mixed_kb(), _u()
+    # the parts of o2 and o3 sort before their objects, unlike those of o1
+    sg = _renamed(
+        make_multi_scene(),
+        {f"o{k}_{part}": f"a{k}_{part}" for k in (2, 3) for part in PARTS},
+    )
+    for o, stem, compiles in (
+        ("o2", "a2_stem", (1, 1)),
+        ("o3", "a3_stem", (0, 0)),  # the same layout reuses o2's plan
+        ("o1", "o1_stem", (1, 1)),
+    ):
+        queries = [_cls(c, o) for c in CLASSES] + [Atom(attr_pred("short"), (Const(stem),))]
+        assert _query_matches_uncached(sg, kb, u, queries, calls) == compiles
+
+
+def test_objects_whose_entity_ids_interleave_get_their_own_plan(monkeypatch):
+    calls = _spy_query_path(monkeypatch)
+    kb, u = mixed_kb(), _u()
+    # "o1A" < "o1A_bowl" < "o1_bowl": o1A and its parts sort between o1 and
+    # o1's parts
+    sg = _renamed(
+        make_multi_scene(),
+        {"o3": "o1A", **{f"o3_{part}": f"o1A_{part}" for part in PARTS}},
+    )
+    for a, b, compiles in (
+        ("o1", "o2", (1, 1)),
+        ("o1", "o1A", (1, 1)),
+        ("o1A", "o2", (0, 0)),  # entity ids in the order of o1's and o2's
+    ):
+        queries = [
+            _cls("brandyGlass", a),
+            _cls("burgundyGlass", b),
+            Atom(attr_pred("short"), (Const(f"{b}_stem"),)),
+        ]
+        assert _query_matches_uncached(sg, kb, u, queries, calls) == compiles
+
+
 def test_plain_kb_lists_are_solved_without_a_plan_cache(monkeypatch):
     calls = _spy_query_path(monkeypatch)
     sg, u = make_multi_scene(), _u()
@@ -496,17 +549,11 @@ def test_every_query_of_a_cell_matches_the_uncached_path(difficulty, strategies,
 
 
 # ---------------------------------------------------------------------------
-# KB translation once per revision
+# plans across KB revisions
 
 
-def test_kb_translation_is_reused_until_the_kb_or_u_changes(monkeypatch):
-    translations = []
-    real_translate = reasoner._translate_kb
-    monkeypatch.setattr(
-        reasoner,
-        "_translate_kb",
-        lambda kb, u: translations.append(kb) or real_translate(kb, u),
-    )
+def test_plans_are_reused_until_the_kb_or_u_changes(monkeypatch):
+    calls = _spy_query_path(monkeypatch)
     removed = []
     real_remove = KnowledgeBase.remove
 
@@ -522,14 +569,15 @@ def test_kb_translation_is_reused_until_the_kb_or_u_changes(monkeypatch):
     p2 = _part_generic("champagneCoupe", "short", "stem")
     kb = KnowledgeBase()
 
-    def query(u, expected_translations):
+    def query(u, expected_compiles):
         """Marginals on `kb` (twice), checked against a fresh KB with the
-        same entries; `kb` must have been translated `expected_translations`
-        times by the first of its two queries and not again by the second."""
-        del translations[:]
+        same entries; the first of the two queries on `kb` must compile
+        `expected_compiles` plans and the second none."""
+        before = len(calls["restrict"])
         got = marginals_for(sg, kb, u, queries)
+        assert len(calls["restrict"]) - before == expected_compiles
         again = marginals_for(sg, kb, u, queries)
-        assert [t for t in translations if t is kb] == [kb] * expected_translations
+        assert len(calls["restrict"]) - before == expected_compiles
         fresh = KnowledgeBase()
         for e in kb:
             fresh.add(e.prop, EXPLICIT, 0)
@@ -561,16 +609,3 @@ def test_kb_translation_is_reused_until_the_kb_or_u_changes(monkeypatch):
     query(u, 1)
     assert {r.weight for r in kb_to_program(kb, u)} == {logit(u.u_d), logit(u.u_a)}
     assert kb_to_program(kb, u).rules is not kb_to_program(kb, u).rules
-
-
-def test_plain_kb_lists_are_translated_on_every_call(monkeypatch):
-    translations = []
-    real_translate = reasoner._translate_kb
-    monkeypatch.setattr(
-        reasoner,
-        "_translate_kb",
-        lambda kb, u: translations.append(kb) or real_translate(kb, u),
-    )
-    props = [_generic("brandyGlass", "haveShortStem")]
-    first, second = kb_to_program(props), kb_to_program(props)
-    assert len(translations) == 2 and first.rules == second.rules
