@@ -22,23 +22,19 @@ from groundsim.reasoner import (
     kb_to_program,
     polar_ques,
 )
-from groundsim.perception import BBox, SceneGraph, SceneNode
+from groundsim.perception import SceneGraph, SceneNode
 
 
 def make_scene(brandy_score: float, burgundy_score: float) -> SceneGraph:
-    box = BBox(0.0, 0.0, 1.0, 1.0)
     return SceneGraph(
         nodes={
             "o1": SceneNode(
-                bbox=box,
                 class_scores={
                     "brandyGlass": brandy_score,
                     "burgundyGlass": burgundy_score,
                 },
             ),
-            "o1_stem": SceneNode(
-                bbox=box, class_scores={"stem": 0.9}, attr_scores={"short": 0.9}
-            ),
+            "o1_stem": SceneNode(class_scores={"stem": 0.9}, attr_scores={"short": 0.9}),
         },
         edges={("o1", "o1_stem"): {"have": 0.95}},
         object_parts={"o1": ["o1_stem"]},

@@ -26,7 +26,7 @@ from .harness import (
 )
 from .perception import DomainSpec, FeatureModel, generate_scene
 
-CONFIG_KEYS = ("difficulty", "strategies", "seeds", "test_set_size", "n_distractors", "feature_seed")
+CONFIG_KEYS = ("difficulty", "strategies", "seeds", "test_set_size", "feature_seed")
 
 
 def build_parser() -> argparse.ArgumentParser:

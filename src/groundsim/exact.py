@@ -24,7 +24,7 @@ solves each by one method in two stages:
   stage 2 enumerates all of its base atoms. So does a component whose groups
   outnumber its stage-1 atoms, for which staging would widen stage 2.
 
-`enum_bound` caps every single enumeration: each block and the stage-2 table.
+`ENUM_BOUND` caps every single enumeration: each block and the stage-2 table.
 Each component's solve has two halves: `plan` does everything that depends
 only on the rules (classification, blocks, bits, index and mask arrays, the
 soft constraints' terms), and `run` does the arithmetic that depends on the
@@ -196,16 +196,14 @@ def solve_exact_reference(program: WeightedProgram) -> MarginalTable:
 # production solver
 
 
-def solve_exact(
-    program: WeightedProgram | CompiledProgram, enum_bound: int = ENUM_BOUND
-) -> MarginalTable:
+def solve_exact(program: WeightedProgram | CompiledProgram) -> MarginalTable:
     """Exact marginals, component by component: `run` on each component's
     `plan` with the weights of its soft facts. A `WeightedProgram` is
     compiled first, and raises EnumerationBoundError for a component with a
-    block or a stage-2 table of more than `enum_bound` atoms; a
-    `CompiledProgram` was checked against the bound it was compiled with."""
+    block or a stage-2 table of more than `ENUM_BOUND` atoms; a
+    `CompiledProgram` was checked when it was compiled."""
     if not isinstance(program, CompiledProgram):
-        program = CompiledProgram.compile(program, enum_bound)
+        program = CompiledProgram.compile(program)
     probs: dict[Atom, float] = {}
     log_z = 0.0
     for p, weights in zip(program.plans, program.weights):
@@ -287,7 +285,7 @@ class Plan:
     outputs: list[tuple[np.ndarray, Atom]]
 
 
-def plan(rules: list[WeightedRule], enum_bound: int = ENUM_BOUND) -> Plan:
+def plan(rules: list[WeightedRule]) -> Plan:
     """Split one component into stage-1 blocks and a stage-2 table, and
     build their index and mask arrays.
 
@@ -341,9 +339,9 @@ def plan(rules: list[WeightedRule], enum_bound: int = ENUM_BOUND) -> Plan:
         block_rules.append((atoms, [(staged[i][0], bit[staged[i][1]]) for i in group]))
     q_atoms = [a for a in c.base if a not in stage1]
     widest = max([len(q_atoms) + k] + [len(atoms) for atoms, _ in block_rules])
-    if widest > enum_bound:
+    if widest > ENUM_BOUND:
         raise EnumerationBoundError(
-            f"an enumeration of {widest} atoms exceeds enumeration bound {enum_bound}"
+            f"an enumeration of {widest} atoms exceeds enumeration bound {ENUM_BOUND}"
         )
     has_fact = {r.head for r in c.facts}
 
@@ -416,8 +414,8 @@ class CompiledProgram:
     weights: list[list[float]]
 
     @classmethod
-    def compile(cls, program: WeightedProgram, enum_bound: int = ENUM_BOUND) -> "CompiledProgram":
-        plans = [plan(rules, enum_bound) for rules in _split_components(program.rules)]
+    def compile(cls, program: WeightedProgram) -> "CompiledProgram":
+        plans = [plan(rules) for rules in _split_components(program.rules)]
         return cls(plans, [[r.weight for r in p.facts] for p in plans])
 
     def __len__(self):

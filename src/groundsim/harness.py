@@ -8,6 +8,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -82,16 +83,19 @@ class ExperimentConfig:
     strategies: tuple[str, ...] = tuple(STRATEGY_COMBOS)
     seeds: tuple[int, ...] = tuple(range(40))
     test_set_size: int = 20
-    n_distractors: int = 2
     feature_seed: int = 0
     out_dir: str | None = None
     dump_programs: bool = False
+    # the learner perceives only the target; the distractors keep the rng stream
+    n_distractors: ClassVar[int] = 2
 
     def __post_init__(self):
-        if self.difficulty not in DIFFICULTIES:
+        if not isinstance(self.difficulty, str) or self.difficulty not in DIFFICULTIES:
             raise ValueError(f"unknown difficulty: {self.difficulty}")
+        if not isinstance(self.strategies, tuple):
+            raise ValueError(f"strategies must be a tuple of strategy names: {self.strategies!r}")
         for s in self.strategies:
-            if s not in STRATEGY_COMBOS:
+            if not isinstance(s, str) or s not in STRATEGY_COMBOS:
                 raise ValueError(f"unknown strategy combo: {s}")
         if not self.strategies:
             raise ValueError("strategies must be non-empty")
@@ -99,7 +103,10 @@ class ExperimentConfig:
             raise ValueError("seeds must be non-empty")
         if not isinstance(self.seeds, tuple) or not all(_int_at_least(s, 0) for s in self.seeds):
             raise ValueError(f"seeds must be integers >= 0: {self.seeds!r}")
-        for name, low in (("feature_seed", 0), ("test_set_size", 1), ("n_distractors", 0)):
+        for name, values in (("strategies", self.strategies), ("seeds", self.seeds)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat: {values!r}")
+        for name, low in (("feature_seed", 0), ("test_set_size", 1)):
             if not _int_at_least(getattr(self, name), low):
                 raise ValueError(f"{name} must be an integer >= {low}: {getattr(self, name)!r}")
         spec = DIFFICULTIES[self.difficulty]
@@ -298,9 +305,7 @@ class LearnerEpisode:
             EpisodicRecord(
                 episode=self.number,
                 true_class=self.obj.cls,
-                object_eid=self.eid,
                 property_scores=_property_scores(self.sg, self.eid, self.domain),
-                transcript=list(self.transcript),
                 answer=self.answer if self.answer is not None else NOT_SURE_LABEL,
                 outcome=outcome,
             )

@@ -79,9 +79,7 @@ class KnowledgeBase:
 class EpisodicRecord:
     episode: int
     true_class: str  # teacher-asserted, hence confirmed
-    object_eid: str
     property_scores: dict  # (attr, part) -> perceived confidence at answer time
-    transcript: list[str]
     answer: str  # class name or "not-sure"
     outcome: str  # correct | incorrect | not-sure
 
@@ -102,11 +100,10 @@ class EpisodicMemory:
         self.records.append(record)
 
 
-def find_counterexamples(
-    episodic: EpisodicMemory, prop: Prop, theta: float = THETA_COUNTEREXAMPLE
-) -> list[int]:
+def find_counterexamples(episodic: EpisodicMemory, prop: Prop) -> list[int]:
     """Episodes whose teacher-confirmed class matches Ante(prop) and whose
-    perceived properties contradict Cons(prop) at confidence >= theta."""
+    perceived properties contradict Cons(prop) at confidence >=
+    THETA_COUNTEREXAMPLE."""
     if not prop.generic:
         raise ValueError("counterexample search expects a generic prop")
     ante_classes = [a.pred.name for a in prop.ante if a.pred.kind == CLASS]
@@ -124,10 +121,10 @@ def find_counterexamples(
         if prop.cons_negated:
             # rule says the class lacks the conjunction; refuted when every
             # conjunct was confidently perceived
-            if all(s >= theta for s in scores):
+            if all(s >= THETA_COUNTEREXAMPLE for s in scores):
                 hits.append(rec.episode)
         else:
-            if any(s <= 1.0 - theta for s in scores):
+            if any(s <= 1.0 - THETA_COUNTEREXAMPLE for s in scores):
                 hits.append(rec.episode)
     return hits
 

@@ -24,7 +24,8 @@ KERNEL_GAIN = 3.0  # whole-object class detector temperature
 PART_GAIN = 36.0  # part-kind detector temperature (parts are easy to spot)
 ATTR_GAIN = 32.0  # attribute detector temperature
 ATTR_BIAS = 1.6  # conservative attribute calibration: high specificity
-TAU_REL = 0.75  # part-in-whole construction threshold
+PRIORS_PER_CLASS = 12  # prior objects sampled per class by init_priors
+HELDOUT_SAMPLES = 200  # objects per heldout_accuracy measurement
 
 # calibrated against held-out accuracy targets (parts >= 0.95, attrs 0.80-0.92)
 SIGMA_CLASS = 0.55
@@ -180,7 +181,7 @@ class FeatureModel:
         parts = []
         for i, part in enumerate(self.domain.parts):
             attrs = self.domain.part_attrs(cls, part)
-            # parts sit fully inside the whole: ratio 1.0 >= TAU_REL
+            # parts sit fully inside the whole: relation score 1.0
             px = x + 0.1 * w
             py = y + (0.1 + 0.45 * i) * h
             pbox = BBox(px, py, 0.5 * w, 0.35 * h)
@@ -209,9 +210,7 @@ class FeatureModel:
         )
 
 
-def generate_scene(
-    model: FeatureModel, target: str, rng, n_distractors: int = 2
-) -> list[SceneObject]:
+def generate_scene(model: FeatureModel, target: str, rng, n_distractors: int) -> list[SceneObject]:
     """Target instance plus distractor objects; deterministic given the rng state."""
     if target not in model.domain.classes:
         raise KeyError(f"unknown target class: {target}")
@@ -321,24 +320,12 @@ def score_fewshot(
     return 1.0 / (1.0 + np.exp(-(gain * margin - bias)))
 
 
-def classify_fewshot(
-    xb: ExemplarBase,
-    concept: str,
-    feature: np.ndarray,
-    gain: float = KERNEL_GAIN,
-    bias: float = 0.0,
-) -> float:
-    """`score_fewshot` of a single feature vector."""
-    return float(score_fewshot(xb, concept, np.asarray(feature, dtype=float)[None], gain, bias)[0])
-
-
 # ---------------------------------------------------------------------------
 # scene graphs
 
 
 @dataclass
 class SceneNode:
-    bbox: BBox
     class_scores: dict = field(default_factory=dict)
     attr_scores: dict = field(default_factory=dict)
 
@@ -381,13 +368,10 @@ def build_scene_graph(
     object_parts = {}
     k = 0  # row of the next part
     for i, obj in enumerate(scene):
-        nodes[obj.eid] = SceneNode(
-            bbox=obj.bbox, class_scores={c: obj_scores[c][i] for c in class_concepts}
-        )
+        nodes[obj.eid] = SceneNode(class_scores={c: obj_scores[c][i] for c in class_concepts})
         object_parts[obj.eid] = []
         for part in obj.parts:
             nodes[part.eid] = SceneNode(
-                bbox=part.bbox,
                 class_scores={c: part_scores[c][k] for c in class_concepts},
                 attr_scores={a: attr_scores[a][k] for a in attr_concepts},
             )
@@ -409,17 +393,13 @@ def _score_rows(xb, concepts, rows, gain, bias=0.0) -> dict[str, list[float]]:
 # prior knowledge injection
 
 
-def init_priors(
-    xb: ExemplarBase,
-    model: FeatureModel,
-    rng,
-    n_per_class: int = 12,
-) -> ExemplarBase:
-    """Expose the agent to part and attribute exemplars sampled from the full
-    domain. Target object classes are deliberately left out of the XB."""
+def init_priors(xb: ExemplarBase, model: FeatureModel, rng) -> ExemplarBase:
+    """Expose the agent to part and attribute exemplars of PRIORS_PER_CLASS
+    objects per class of the full domain. Target object classes are
+    deliberately left out of the XB."""
     domain = model.domain
     for cls in sorted(domain.classes):
-        for _ in range(n_per_class):
+        for _ in range(PRIORS_PER_CLASS):
             obj = model.sample_object(cls, "prior", rng)
             for part in obj.parts:
                 for kind in domain.parts:
@@ -429,14 +409,14 @@ def init_priors(
     return xb
 
 
-def heldout_accuracy(
-    xb: ExemplarBase, model: FeatureModel, rng, n_samples: int = 200
-) -> tuple[float, float]:
+def heldout_accuracy(xb: ExemplarBase, model: FeatureModel, rng) -> tuple[float, float]:
     """Balanced binary accuracy of part-kind and attribute classifiers on
-    freshly generated instances."""
+    HELDOUT_SAMPLES freshly generated instances."""
     domain = model.domain
     classes = sorted(domain.classes)
-    objs = [model.sample_object(classes[i % len(classes)], "test", rng) for i in range(n_samples)]
+    objs = [
+        model.sample_object(classes[i % len(classes)], "test", rng) for i in range(HELDOUT_SAMPLES)
+    ]
     parts = [part for obj in objs for part in obj.parts]
     part_scores = _score_rows(xb, domain.parts, [p.class_feature for p in parts], KERNEL_GAIN)
     attr_scores = _score_rows(xb, domain.attributes, [p.attr_feature for p in parts], KERNEL_GAIN)

@@ -31,7 +31,7 @@ from .program import (
     ground,
     logit,
 )
-from .exact import CompiledProgram, MarginalTable, solve_exact, union_find
+from .exact import CompiledProgram, MarginalTable, Plan, solve_exact, union_find
 
 THETA_SURE = 0.5
 
@@ -201,10 +201,10 @@ def _plan_key(sg: SceneGraph, queries: list[Atom]):
 @dataclass
 class _QueryPlan:
     """One plan key's query program, compiled on the objects `entities`
-    names."""
+    names: its component plans."""
 
     entities: list[str]
-    program: CompiledProgram
+    plans: list[Plan]
 
     def solve(self, sg: SceneGraph, entities: list[str]) -> MarginalTable:
         """The marginals for the objects `entities` names, which have this
@@ -215,9 +215,8 @@ class _QueryPlan:
         def weight(fact):
             return logit(_score(sg, fact.head.pred, tuple(rename[c.ident] for c in fact.head.args)))
 
-        plans = self.program.plans
-        weights = [[weight(r) for r in p.facts] for p in plans]
-        table = solve_exact(CompiledProgram(plans, weights))
+        weights = [[weight(r) for r in p.facts] for p in self.plans]
+        table = solve_exact(CompiledProgram(self.plans, weights))
         probs = {
             Atom(a.pred, tuple(Const(rename[c.ident]) for c in a.args)): v
             for a, v in table.probs.items()
@@ -251,7 +250,7 @@ def marginals_for(
     planned = plans.get(key)
     if planned is None:
         program = _restrict(build_program(_object_scene(sg, objects), kb, u), queries)
-        planned = plans[key] = _QueryPlan(entities, CompiledProgram.compile(program))
+        planned = plans[key] = _QueryPlan(entities, CompiledProgram.compile(program).plans)
     return planned.solve(sg, entities)
 
 

@@ -217,9 +217,7 @@ def refuting_record(cls, attr, part):
     return EpisodicRecord(
         episode=9,
         true_class=cls,
-        object_eid="o9",
         property_scores={(attr, part): 0.05},
-        transcript=[],
         answer=cls,
         outcome="correct",
     )

@@ -85,6 +85,24 @@ def test_config_file_seed_list(tmp_path):
     assert config.seeds == (4, 9)
 
 
+def test_config_file_with_n_distractors_is_rejected(tmp_path):
+    # the number of distractors is fixed, not a setting
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_distractors": 2}))
+    with pytest.raises(SystemExit, match=r"unknown config keys: \['n_distractors'\]"):
+        main(["run", "--config", str(cfg), "--seeds", "1", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_strategy_flag_exits_with_one_line(tmp_path):
+    out = tmp_path / "out"
+    argv = ["--strategy", "minHelp", "--strategy", "minHelp", "--seeds", "1", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *argv])
+    assert str(exc.value) == "invalid config: strategies must not repeat: ('minHelp', 'minHelp')"
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dificulty": "fineEasy"}))
@@ -108,11 +126,21 @@ def test_config_file_without_strategies_is_an_error(tmp_path, mode):
         ({"difficulty": "fineMedium"}, "invalid config: unknown difficulty: fineMedium"),
         ({"strategies": []}, "invalid config: strategies must be non-empty"),
         ({"test_set_size": 0}, "invalid config: test_set_size must be an integer >= 1: 0"),
-        ({"n_distractors": -3}, "invalid config: n_distractors must be an integer >= 0: -3"),
+        ({"seeds": [0, 0]}, "invalid config: seeds must not repeat: (0, 0)"),
         ({"seeds": [-1]}, "invalid config: seeds must be integers >= 0: (-1,)"),
         ({"seeds": 2.5}, "invalid config: seeds must be integers >= 0: 2.5"),
         ({"seeds": True}, "invalid config: seeds must be integers >= 0: True"),
         ({"feature_seed": -1}, "invalid config: feature_seed must be an integer >= 0: -1"),
+        (
+            {"strategies": ["minHelp", "minHelp"]},
+            "invalid config: strategies must not repeat: ('minHelp', 'minHelp')",
+        ),
+        (
+            {"strategies": "minHelp"},
+            "invalid config: strategies must be a tuple of strategy names: 'minHelp'",
+        ),
+        ({"strategies": [["minHelp"]]}, "invalid config: unknown strategy combo: ['minHelp']"),
+        ({"difficulty": ["fineEasy"]}, "invalid config: unknown difficulty: ['fineEasy']"),
     ],
 )
 def test_invalid_config_value_exits_with_one_line(tmp_path, values, message):

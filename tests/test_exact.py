@@ -111,14 +111,15 @@ def test_no_admissible_world_raises():
         solve_exact_reference(prog)
 
 
-def test_enumeration_bound_enforced():
+def test_enumeration_bound_enforced(monkeypatch):
     prog = WeightedProgram([fact(i, 0.5) for i in range(5)])
     big = WeightedProgram(
         # one constraint chains all atoms into a single component
         prog.rules + [WeightedRule(1.0, None, tuple(base_atom(i) for i in range(5)), ())]
     )
+    monkeypatch.setattr(exact, "ENUM_BOUND", 4)
     with pytest.raises(EnumerationBoundError):
-        solve_exact(big, enum_bound=4)
+        solve_exact(big)
 
 
 def test_unsupported_fragments_rejected():
@@ -335,19 +336,20 @@ def test_chained_programs_cover_general_shapes(monkeypatch):
     assert all(stage2 <= n_base for stage2, n_base in widths)
 
 
-def test_enumeration_bound_applies_per_block():
+def test_enumeration_bound_applies_per_block(monkeypatch):
     # two parts of 5 stage-1 atoms each: 11 base atoms in all, but no block
     # and no stage-2 table exceeds the bound
     prog = random_part_program(np.random.default_rng(3), attr_counts=(4, 4))
     ref = solve_exact_reference(prog)
-    table = solve_exact(prog, enum_bound=6)
+    monkeypatch.setattr(exact, "ENUM_BOUND", 6)
+    table = solve_exact(prog)
     for atom in ref.probs:
         assert abs(table[atom] - ref[atom]) <= 1e-9
     assert abs(table.log_z - ref.log_z) <= 1e-9
 
     one_big_block = random_part_program(np.random.default_rng(3), attr_counts=(6,))
     with pytest.raises(EnumerationBoundError):
-        solve_exact(one_big_block, enum_bound=6)
+        solve_exact(one_big_block)
 
 
 # ---------------------------------------------------------------------------

@@ -100,13 +100,19 @@ def test_config_validation():
     for values in (
         {"test_set_size": 0},
         {"test_set_size": 2.5},
-        {"n_distractors": -3},
         {"seeds": (-1,)},
         {"seeds": (0, 1.0)},
         {"seeds": (True,)},
         {"seeds": 2.5},
         {"feature_seed": -1},
         {"feature_seed": 0.5},
+        {"seeds": (0, 0)},
+        {"seeds": (3, 1, 3)},
+        {"strategies": ("minHelp", "minHelp")},
+        {"difficulty": ["fineEasy"]},
+        {"strategies": "minHelp"},
+        {"strategies": ["minHelp"]},
+        {"strategies": (["minHelp"],)},
     ):
         with pytest.raises(ValueError):
             ExperimentConfig(**values)

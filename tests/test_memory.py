@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from groundsim import memory
 from groundsim.logic import attr_pred, cls_pred, skolemize_part_description
 from groundsim.memory import (
     EXPLICIT,
@@ -29,9 +30,7 @@ def record(episode, true_class, scores, outcome="correct"):
     return EpisodicRecord(
         episode=episode,
         true_class=true_class,
-        object_eid=f"o{episode}",
         property_scores=scores,
-        transcript=[],
         answer=true_class if outcome == "correct" else "not-sure",
         outcome=outcome,
     )
@@ -117,12 +116,13 @@ def test_counterexample_requires_scored_properties():
     assert find_counterexamples(mem, part_prop()) == []
 
 
-def test_counterexample_threshold_boundary():
+def test_counterexample_threshold_boundary(monkeypatch):
     mem = EpisodicMemory()
     # theta=0.75 keeps the 1-theta boundary exactly representable
+    monkeypatch.setattr(memory, "THETA_COUNTEREXAMPLE", 0.75)
     mem.append(record(1, "brandyGlass", {("short", "stem"): 0.25}))
     mem.append(record(2, "brandyGlass", {("short", "stem"): 0.26}))
-    assert find_counterexamples(mem, part_prop(), theta=0.75) == [1]
+    assert find_counterexamples(mem, part_prop()) == [1]
 
 
 def test_counterexample_input_validation():

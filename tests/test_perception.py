@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groundsim import perception
 from groundsim.perception import (
     ATTR_BIAS,
     ATTR_GAIN,
@@ -17,7 +18,6 @@ from groundsim.perception import (
     ExemplarBase,
     FeatureModel,
     build_scene_graph,
-    classify_fewshot,
     concept_diff,
     generate_scene,
     init_priors,
@@ -169,6 +169,11 @@ def test_exemplar_base_bookkeeping():
     assert xb.concepts() == ["bowl", "stem"]
 
 
+def classify_fewshot(xb, concept, feature, gain=KERNEL_GAIN, bias=0.0) -> float:
+    """`score_fewshot` of one feature vector, passed as a one-row matrix."""
+    return float(score_fewshot(xb, concept, np.asarray(feature, dtype=float)[None], gain, bias)[0])
+
+
 def test_classify_fewshot_priors_and_one_sided():
     xb = ExemplarBase()
     assert classify_fewshot(xb, "stem", np.zeros(4)) == 0.5
@@ -279,17 +284,19 @@ def test_build_scene_graph_scores_and_edges(model, domain):
             assert set(sg.nodes[p.eid].attr_scores) == set(domain.attributes)
 
 
-def test_build_scene_graph_of_no_objects_is_empty(domain):
+def test_build_scene_graph_of_no_objects_is_empty(domain, monkeypatch):
+    monkeypatch.setattr(perception, "PRIORS_PER_CLASS", 1)
     xb = ExemplarBase()
-    init_priors(xb, FeatureModel(domain, seed=0), np.random.default_rng(1), n_per_class=1)
+    init_priors(xb, FeatureModel(domain, seed=0), np.random.default_rng(1))
     sg = build_scene_graph([], xb, ["brandyGlass", *domain.parts], list(domain.attributes))
     assert (sg.nodes, sg.edges, sg.object_parts) == ({}, {}, {})
 
 
-def test_scene_graph_entities_equal_their_own_one_object_scene(model, domain):
+def test_scene_graph_entities_equal_their_own_one_object_scene(model, domain, monkeypatch):
+    monkeypatch.setattr(perception, "PRIORS_PER_CLASS", 2)
     rng = np.random.default_rng(4)
     xb = ExemplarBase()
-    init_priors(xb, model, rng, n_per_class=2)
+    init_priors(xb, model, rng)
     classes = ["brandyGlass", "burgundyGlass", "champagneCoupe"]
     for cls, wrong in zip(classes, classes[1:] + classes[:1]):
         xb.process_correction(wrong, cls, model.sample_object(cls, "x", rng).class_feature)

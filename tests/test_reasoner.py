@@ -19,7 +19,7 @@ from groundsim.logic import (
     skolemize_part_description,
 )
 from groundsim.memory import EXPLICIT, NEG_IMPLICATURE, KnowledgeBase
-from groundsim.perception import SceneGraph, SceneNode, BBox
+from groundsim.perception import SceneGraph, SceneNode
 from groundsim.program import BodyGroup, HARD, logit, rule_to_text
 from groundsim.reasoner import (
     ReliabilityParams,
@@ -40,12 +40,11 @@ def make_scene(
     class_scores: dict, attr_scores: dict | None = None, parts: list | None = None
 ) -> SceneGraph:
     """Single object o1 with optional part entities carrying attr scores."""
-    nodes = {"o1": SceneNode(bbox=BBox(0, 0, 1, 1), class_scores=dict(class_scores))}
+    nodes = {"o1": SceneNode(class_scores=dict(class_scores))}
     edges = {}
     object_parts = {"o1": []}
     for pe, scores in (parts or []):
         nodes[pe] = SceneNode(
-            bbox=BBox(0, 0, 0.5, 0.5),
             class_scores=dict(scores.get("class", {})),
             attr_scores=dict(scores.get("attr", {})),
         )
@@ -227,12 +226,11 @@ def make_multi_scene(n_objects: int = 3, seed: int = 0) -> SceneGraph:
     nodes, edges, object_parts = {}, {}, {}
     for k in range(1, n_objects + 1):
         o = f"o{k}"
-        nodes[o] = SceneNode(bbox=BBox(0, 0, 1, 1), class_scores=scores(CLASSES + PARTS))
+        nodes[o] = SceneNode(class_scores=scores(CLASSES + PARTS))
         object_parts[o] = []
         for part in PARTS:
             pe = f"{o}_{part}"
             nodes[pe] = SceneNode(
-                bbox=BBox(0, 0, 0.5, 0.5),
                 class_scores=scores(CLASSES + PARTS),
                 attr_scores=scores(ATTRS),
             )
