@@ -9,13 +9,13 @@ satisfies, normalized into a log-linear distribution.
 is the production path: it splits the program into connected components and
 solves each by one method in two stages:
 
-- stage 1 marginalizes the stage-1 atoms: base atoms in definite bodies and
+- stage 1 sums out the stage-1 atoms: base atoms in definite bodies and
   in no constraint or hard fact. Each group of definite rules with one head
   and the same other body atoms gets a bit, the OR over its rules of the AND
   of their stage-1 atoms. The stage-1 atoms split into blocks, the connected
   components of the rules' stage-1 parts, which in scene programs means one
-  block per part. Each block enumerates only its own assignments into a
-  table over bit configurations, and the tables combine by an OR-fold
+  block per part. Each block enumerates only its own assignments into one
+  row of mass over bit configurations, and the rows combine by an OR-fold
   (`_or_fold`) that adds only non-negative products;
 - stage 2 enumerates the other base atoms with every bit configuration and
   derives the heads by forward chaining, so chained rules, bodies that mix
@@ -23,6 +23,13 @@ solves each by one method in two stages:
   covered. A component without stage-1 atoms has no blocks and no bits, and
   stage 2 enumerates all of its base atoms. So does a component whose groups
   outnumber its stage-1 atoms, for which staging would widen stage 2.
+
+`solve_exact` returns log Z and the marginals of the stage-2 atoms and the
+derived atoms; queries read class atoms of objects, which are stage-2
+atoms. A stage-1 atom's marginal is the ratio of two partition functions,
+exp(log Z(program + the atom as a hard fact) - log Z(program)), the
+conditioning identity of weighted model counting (Sang, Beame & Kautz,
+2005): the hard fact moves the atom to stage 2.
 
 `ENUM_BOUND` caps every single enumeration: each block and the stage-2 table.
 Each component's solve has two halves: `plan` does everything that depends
@@ -32,7 +39,7 @@ soft fact weights. A `CompiledProgram` holds a program's plans and fact
 weights; a caller that solves one structure with many weight vectors
 compiles it once and passes `solve_exact` the compiled program with each
 weight vector (see `reasoner.marginals_for`). The solver is property-tested
-against the reference.
+against the reference on every atom, through that ratio for stage-1 atoms.
 """
 
 from __future__ import annotations
@@ -197,11 +204,12 @@ def solve_exact_reference(program: WeightedProgram) -> MarginalTable:
 
 
 def solve_exact(program: WeightedProgram | CompiledProgram) -> MarginalTable:
-    """Exact marginals, component by component: `run` on each component's
-    `plan` with the weights of its soft facts. A `WeightedProgram` is
-    compiled first, and raises EnumerationBoundError for a component with a
-    block or a stage-2 table of more than `ENUM_BOUND` atoms; a
-    `CompiledProgram` was checked when it was compiled."""
+    """log Z and the exact marginals of the stage-2 and derived atoms,
+    component by component: `run` on each component's `plan` with the
+    weights of its soft facts. A `WeightedProgram` is compiled first, and
+    raises EnumerationBoundError for a component with a block or a stage-2
+    table of more than `ENUM_BOUND` atoms; a `CompiledProgram` was checked
+    when it was compiled."""
     if not isinstance(program, CompiledProgram):
         program = CompiledProgram.compile(program)
     probs: dict[Atom, float] = {}
@@ -251,12 +259,11 @@ def _connected(atom_lists: list[list[Atom]]) -> list[list[int]]:
 
 @dataclass
 class _Block:
-    """One stage-1 block: its atoms, their truth over the block's 2^n
-    assignments (`sval`, in atom order), each assignment's bit configuration,
-    and the (truth, atom) pairs of its atoms with a soft fact."""
+    """One stage-1 block: its atoms, the bit configuration each of its 2^n
+    assignments switches on, and the (truth over those assignments, atom)
+    pairs of its atoms with a soft fact."""
 
     atoms: list[Atom]
-    sval: list[np.ndarray]
     config: np.ndarray
     weighted: list[tuple[np.ndarray, Atom]]
 
@@ -354,7 +361,7 @@ def plan(rules: list[WeightedRule]) -> Plan:
             body = np.logical_and.reduce([sval[b] for b in part])
             config |= body.astype(np.int64) << j
         weighted = [(sval[a], a) for a in atoms if a in has_fact]
-        blocks.append(_Block(atoms, [sval[a] for a in atoms], config, weighted))
+        blocks.append(_Block(atoms, config, weighted))
 
     nq = len(q_atoms)
     idx2 = np.arange(1 << (nq + k), dtype=np.int64)
@@ -438,26 +445,25 @@ def _fact_weights(facts) -> dict[Atom, float]:
 
 
 def run(plan: Plan, fact_weights: list[float]) -> MarginalTable:
-    """The numeric half of a component's solve: marginalize the stage-1
-    atoms per configuration of the k bits, then enumerate the other base
-    atoms with every bit configuration. `fact_weights` holds one weight per
-    rule of `plan.facts`.
+    """The numeric half of a component's solve: log Z and the marginals of
+    `plan.outputs`, the stage-2 atoms and the derived atoms. `fact_weights`
+    holds one weight per rule of `plan.facts`.
 
     Stage 1 enumerates each block on its own (in scene programs, one part:
-    its `have` atom and its class and attribute atoms) into a table over the
-    2^k bit configurations; the block tables combine by an OR-fold (a subset
-    convolution). Stage 2 weighs each configuration by its folded mass and
-    mixes P(stage-1 atom | configuration) over the configuration posterior.
+    its `have` atom and its class and attribute atoms) into its fact mass by
+    the bit configuration each assignment switches on; blocks share no atom,
+    so the block masses combine, in block order, by an OR-fold (a subset
+    convolution) into the mass of each of the 2^k configurations. Stage 2
+    weighs each configuration by that mass and sums the stage-1 atoms out.
     With no stage-1 atoms, k = 0 and stage 2 is a plain enumeration of the
     component's base atoms.
     """
     size = 1 << plan.k
     fw = _fact_weights(zip((r.head for r in plan.facts), fact_weights))
 
-    # stage 1, per block: row 0 is the fact mass of the block's assignments by
-    # the bit configuration they switch on; row 1+i the same over assignments
-    # with the block's atom i true
-    tables = []
+    # stage 1: each block's fact mass by bit configuration, OR-folded
+    mass = np.zeros(size)
+    mass[0] = 1.0
     shift1 = 0.0
     for block in plan.blocks:
         logw = np.zeros(len(block.config))
@@ -466,30 +472,14 @@ def run(plan: Plan, fact_weights: list[float]) -> MarginalTable:
         shift = logw.max()
         shift1 += shift
         ew = np.exp(logw - shift)
-        table = np.empty((1 + len(block.atoms), size))
-        table[0] = np.bincount(block.config, weights=ew, minlength=size)
-        for i, s in enumerate(block.sval, 1):
-            table[i] = np.bincount(block.config, weights=np.where(s, ew, 0.0), minlength=size)
-        tables.append(table)
-
-    # blocks share no atom, so the joint configuration is the OR of independent
-    # block configurations: fold each block's rows with the totals of all other
-    # blocks (one block per part, so few blocks)
-    folded = []
-    for i, table in enumerate(tables):
-        others = np.zeros(size)
-        others[0] = 1.0
-        for j, other in enumerate(tables):
-            if j != i:
-                others = _or_fold(others, other[0])
-        folded.append(_or_fold(table, others))
+        mass = _or_fold(mass, np.bincount(block.config, weights=ew, minlength=size))
 
     # stage 2: the other base atoms x bit configurations
     aconf = plan.aconf
     logw2 = np.zeros(len(aconf))
-    if folded:
+    if plan.blocks:
         with np.errstate(divide="ignore"):
-            logw2 += np.log(folded[0][0])[aconf]  # -inf where a config is unreachable
+            logw2 += np.log(mass)[aconf]  # -inf where a config is unreachable
     for v, a in plan.weighted:
         logw2 += np.where(v, fw[a], 0.0)
     for term in plan.soft:
@@ -501,14 +491,7 @@ def run(plan: Plan, fact_weights: list[float]) -> MarginalTable:
         raise NoAdmissibleWorldError("hard core admits no world")
     p = np.exp(logw2 - m2)
     z = p.sum()
-
     probs = {a: float(p[v].sum() / z) for v, a in plan.outputs}
-    # marginals of stage-1 atoms: mix P(s_i | bit config) over the config posterior
-    p_conf = np.bincount(aconf, weights=p, minlength=size) / z
-    for block, f in zip(plan.blocks, folded):
-        for i, a in enumerate(block.atoms, 1):
-            ratio = np.divide(f[i], f[0], out=np.zeros(size), where=f[0] > 0)
-            probs[a] = float((p_conf * ratio).sum())
     return MarginalTable(probs, log_z=float(m2 + np.log(z) + shift1))
 
 
@@ -516,23 +499,19 @@ _FOLD_CHUNK = 1 << 16  # products per bincount in _or_fold; bounds its memory
 
 
 def _or_fold(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[..., u | v] = sum of a[..., u] * b[v]: the table of the OR of two
-    independent aux configurations, row by row of `a`.
+    """out[u | v] = sum of a[u] * b[v]: the table of the OR of two
+    independent aux configurations.
 
     Only nonzero entries are paired and only non-negative products are added,
     with no Moebius inversion: stage-2 log-weights span over 100 nats, and a
     tiny mass found by subtraction could turn into a wrong marginal.
     """
-    rows = np.atleast_2d(a)
-    n, size = rows.shape
-    u = np.flatnonzero(rows.any(axis=0))
+    u = np.flatnonzero(a)
     v = np.flatnonzero(b)
-    out = np.zeros(n * size)
-    offsets = (np.arange(n) * size)[:, None]
-    step = max(1, _FOLD_CHUNK // max(1, n * len(v)))
+    out = np.zeros(len(a))
+    step = max(1, _FOLD_CHUNK // max(1, len(v)))
     for lo in range(0, len(u), step):
         uu = u[lo : lo + step]
-        target = offsets + (uu[:, None] | v).ravel()
-        weights = (rows[:, uu, None] * b[v]).reshape(n, -1)
-        out += np.bincount(target.ravel(), weights=weights.ravel(), minlength=n * size)
-    return out.reshape(a.shape)
+        target = (uu[:, None] | v).ravel()
+        out += np.bincount(target, weights=(a[uu, None] * b[v]).ravel(), minlength=len(a))
+    return out

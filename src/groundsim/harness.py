@@ -300,14 +300,11 @@ class LearnerEpisode:
         if self.statements:
             pair = tuple(cls_pred(c) for c in self.diff_pair)
             learner_integrate_generics(learner, self.statements, pair, self.number)
-        outcome = "correct" if not mistake else ("not-sure" if self.answer is None else "incorrect")
         learner.episodic.append(
             EpisodicRecord(
                 episode=self.number,
                 true_class=self.obj.cls,
                 property_scores=_property_scores(self.sg, self.eid, self.domain),
-                answer=self.answer if self.answer is not None else NOT_SURE_LABEL,
-                outcome=outcome,
             )
         )
         if mistake:

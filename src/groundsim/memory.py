@@ -80,8 +80,6 @@ class EpisodicRecord:
     episode: int
     true_class: str  # teacher-asserted, hence confirmed
     property_scores: dict  # (attr, part) -> perceived confidence at answer time
-    answer: str  # class name or "not-sure"
-    outcome: str  # correct | incorrect | not-sure
 
 
 class EpisodicMemory:

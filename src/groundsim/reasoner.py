@@ -228,7 +228,8 @@ def marginals_for(
     sg: SceneGraph, kb, u: ReliabilityParams, queries: list[Atom]
 ) -> MarginalTable:
     """Exact marginals of the query atoms' components: those of
-    `solve_exact(_restrict(build_program(sg, kb, u), queries))`.
+    `solve_exact(_restrict(build_program(sg, kb, u), queries))`, which
+    include the marginal of every query atom.
 
     The program is built on the scene cut down to the objects the queries
     mention, their parts and the edges out of them: an atom on a part
@@ -243,14 +244,21 @@ def marginals_for(
     it compiles on every call. A query reads its objects' scores into the
     soft fact weights, so only the solver's numeric half runs on a hit.
     Raises UnknownPredicateError for a query atom the program lacks,
-    including one on an entity outside the scene or one that is not ground.
+    including one on an entity outside the scene or one that is not ground,
+    and for one the solver sums out (a stage-1 atom, such as a part's
+    attribute in the body of a skolemized generic's rules; see `exact`).
     """
     key, entities, objects = _plan_key(sg, queries)
     plans = kb.memo(u, dict) if isinstance(kb, KnowledgeBase) else {}
     planned = plans.get(key)
     if planned is None:
         program = _restrict(build_program(_object_scene(sg, objects), kb, u), queries)
-        planned = plans[key] = _QueryPlan(entities, CompiledProgram.compile(program).plans)
+        compiled = CompiledProgram.compile(program).plans
+        solved = {a for p in compiled for _, a in p.outputs}
+        summed_out = [q for q in queries if q not in solved]
+        if summed_out:
+            raise UnknownPredicateError(f"atoms the solver sums out: {summed_out}")
+        planned = plans[key] = _QueryPlan(entities, compiled)
     return planned.solve(sg, entities)
 
 

@@ -1,9 +1,29 @@
-"""Random ground-program generators shared by the solver test modules."""
+"""Random ground-program generators shared by the solver test modules, and
+the marginals of every atom of a program."""
+
+import math
 
 import numpy as np
 
+from groundsim.exact import solve_exact
 from groundsim.logic import Atom, Const, attr_pred, cls_pred, rel_pred
-from groundsim.program import HARD, WeightedProgram, WeightedRule, logit
+from groundsim.program import HARD, NoAdmissibleWorldError, WeightedProgram, WeightedRule, logit
+
+
+def all_marginals(prog: WeightedProgram) -> dict[Atom, float]:
+    """The marginal of every atom of `prog`: those `solve_exact` returns, and
+    for each atom it sums out, Z(prog + the atom as a hard fact) / Z(prog),
+    which is 0 when the clamped program admits no world."""
+    table = solve_exact(prog)
+    probs = dict(table.probs)
+    for a in prog.atom_universe() - set(probs):
+        try:
+            clamped = solve_exact(prog + WeightedProgram([WeightedRule(HARD, a)]))
+        except NoAdmissibleWorldError:
+            probs[a] = 0.0
+        else:
+            probs[a] = math.exp(clamped.log_z - table.log_z)
+    return probs
 
 
 def base_atom(i: int) -> Atom:

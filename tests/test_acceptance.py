@@ -324,8 +324,6 @@ def test_criterion_7_cancellation(suite20):
                 ("round", "bowl"): 0.05,
                 ("elliptical", "bowl"): 0.95,
             },
-            answer="bordeauxGlass",
-            outcome="correct",
         )
     )
     removed = cancel_scalar_implicatures(learner)

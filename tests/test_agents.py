@@ -214,13 +214,7 @@ def test_scalar_not_duplicated_when_already_known():
 
 
 def refuting_record(cls, attr, part):
-    return EpisodicRecord(
-        episode=9,
-        true_class=cls,
-        property_scores={(attr, part): 0.05},
-        answer=cls,
-        outcome="correct",
-    )
+    return EpisodicRecord(episode=9, true_class=cls, property_scores={(attr, part): 0.05})
 
 
 def test_cancel_removes_only_scalar_only_entries():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genprograms import (
+    all_marginals,
     aux_atom,
     base_atom,
     random_chained_program,
@@ -207,9 +208,10 @@ def test_solve_exact_matches_reference(seed):
             solve_exact(prog)
         return
     table = solve_exact(prog)
-    assert set(table.probs) == set(ref.probs)
+    probs = all_marginals(prog)
+    assert set(probs) == set(ref.probs)
     for atom in ref.probs:
-        assert abs(table[atom] - ref[atom]) <= 1e-9
+        assert abs(probs[atom] - ref[atom]) <= 1e-9
     assert abs(table.log_z - ref.log_z) <= 1e-9
 
 
@@ -229,8 +231,9 @@ def test_two_stage_path_matches_reference():
         prog.add(WeightedRule(logit(0.95), None, (aux_atom(1),), (base_atom(9),)))
         ref = solve_exact_reference(prog)
         table = solve_exact(prog)
+        probs = all_marginals(prog)
         for atom in ref.probs:
-            assert abs(table[atom] - ref[atom]) <= 1e-9
+            assert abs(probs[atom] - ref[atom]) <= 1e-9
         assert abs(table.log_z - ref.log_z) <= 1e-9
 
 
@@ -240,9 +243,10 @@ def test_part_programs_match_reference(seed):
     prog = random_part_program(np.random.default_rng(seed))
     ref = solve_exact_reference(prog)
     table = solve_exact(prog)
-    assert set(table.probs) == set(ref.probs)
+    probs = all_marginals(prog)
+    assert set(probs) == set(ref.probs)
     for atom in ref.probs:
-        assert abs(table[atom] - ref[atom]) <= 1e-9
+        assert abs(probs[atom] - ref[atom]) <= 1e-9
     assert abs(table.log_z - ref.log_z) <= 1e-9
 
 
@@ -294,9 +298,10 @@ def test_chained_programs_match_reference(seed):
             solve_exact(prog)
         return
     table = solve_exact(prog)
-    assert set(table.probs) == set(ref.probs)
+    probs = all_marginals(prog)
+    assert set(probs) == set(ref.probs)
     for atom in ref.probs:
-        assert abs(table[atom] - ref[atom]) <= 1e-9
+        assert abs(probs[atom] - ref[atom]) <= 1e-9
     assert abs(table.log_z - ref.log_z) <= 1e-9
 
 
@@ -343,8 +348,9 @@ def test_enumeration_bound_applies_per_block(monkeypatch):
     ref = solve_exact_reference(prog)
     monkeypatch.setattr(exact, "ENUM_BOUND", 6)
     table = solve_exact(prog)
+    probs = all_marginals(prog)
     for atom in ref.probs:
-        assert abs(table[atom] - ref[atom]) <= 1e-9
+        assert abs(probs[atom] - ref[atom]) <= 1e-9
     assert abs(table.log_z - ref.log_z) <= 1e-9
 
     one_big_block = random_part_program(np.random.default_rng(3), attr_counts=(6,))
@@ -371,7 +377,11 @@ def test_golden_fine_hard_component():
     # this frozen table is the only oracle for a component of this size
     prog, expected = _golden_component()
     table = solve_exact(prog)
-    got = {_atom_text(a): p for a, p in table.probs.items()}
+    # the solver returns the 5 stage-2 and 7 derived atoms and sums out the
+    # 20 stage-1 atoms, whose marginals come from clamping each one
+    derived = {r.head for r in prog.rules if r.is_definite()}
+    assert len(derived) == 7 and derived <= set(table.probs) and len(table.probs) == 12
+    got = {_atom_text(a): p for a, p in all_marginals(prog).items()}
     assert set(got) == set(expected["marginals"])
     for name, p in expected["marginals"].items():
         assert abs(got[name] - p) <= 1e-9, name

@@ -26,14 +26,8 @@ def part_prop(cls="brandyGlass", attr="short", part="stem", neg=False):
     return replace(p, cons_negated=True) if neg else p
 
 
-def record(episode, true_class, scores, outcome="correct"):
-    return EpisodicRecord(
-        episode=episode,
-        true_class=true_class,
-        property_scores=scores,
-        answer=true_class if outcome == "correct" else "not-sure",
-        outcome=outcome,
-    )
+def record(episode, true_class, scores):
+    return EpisodicRecord(episode=episode, true_class=true_class, property_scores=scores)
 
 
 # ---------------------------------------------------------------------------
