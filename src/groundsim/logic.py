@@ -81,6 +81,9 @@ class SkolemApp:
         if isinstance(self.arg, SkolemApp):
             raise ValueError("skolem applications nest to depth 1")
 
+    def __str__(self):
+        return f"sk_{self.fn.cls}_{self.fn.part}({self.arg})"
+
 
 Term = Const | Var | SkolemApp
 
@@ -108,6 +111,9 @@ class Atom:
 
     def __reduce__(self):
         return Atom, (self.pred, self.args)
+
+    def __str__(self):
+        return f"{self.pred.name}({','.join(map(str, self.args))})"
 
     def is_ground(self) -> bool:
         return all(_term_ground(t) for t in self.args)

@@ -137,17 +137,12 @@ class WeightedProgram:
 # text format: `<weight>| <head> :- <posbody>, not <negbody>.`  (#hard for HARD)
 
 
-def _atom_str(a: Atom) -> str:
-    args = ",".join(str(t) for t in a.args)
-    return f"{a.pred.name}({args})"
-
-
 def _item_str(item: BodyItem, negated: bool) -> str:
     if isinstance(item, BodyGroup):
-        inner = " & ".join(_atom_str(a) for a in item.atoms)
+        inner = " & ".join(map(str, item.atoms))
         s = "{" + inner + "}"
     else:
-        s = _atom_str(item)
+        s = str(item)
     return f"not {s}" if negated else s
 
 
@@ -155,7 +150,7 @@ def rule_to_text(r: WeightedRule) -> str:
     w = "#hard" if r.weight is HARD else f"{r.weight:.6f}"
     body = [_item_str(it, False) for it in r.pos_body]
     body += [_item_str(it, True) for it in r.neg_body]
-    head = _atom_str(r.head) if r.head is not None else ""
+    head = str(r.head) if r.head is not None else ""
     if body:
         sep = " " if head else ""
         return f"{w}| {head}{sep}:- {', '.join(body)}."
@@ -305,7 +300,7 @@ def _compile_groups(rule, ent, part_candidates, out, emitted) -> WeightedRule:
     def compile_item(item: BodyItem) -> Atom:
         if isinstance(item, Atom):
             if not item.is_ground():
-                raise ProgramError(f"unrestricted variable in {_atom_str(item)}")
+                raise ProgramError(f"unrestricted variable in {item}")
             return item
         if ent is None:
             raise ProgramError("body group outside any entity binding")

@@ -3,7 +3,7 @@ programs, polar/multiple-choice query answering, concept differences."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .logic import (
     CLASS,
@@ -31,7 +31,7 @@ from .program import (
     ground,
     logit,
 )
-from .exact import CompiledProgram, MarginalTable, Plan, solve_exact, union_find
+from .exact import CompiledProgram, MarginalTable, solve_exact, union_find
 
 THETA_SURE = 0.5
 
@@ -147,7 +147,7 @@ def _restrict(prog: WeightedProgram, queries: list[Atom]) -> WeightedProgram:
         except KeyError:
             missing.append(q)
     if missing:
-        raise UnknownPredicateError(f"atoms unknown to the program: {missing}")
+        raise UnknownPredicateError(f"atoms unknown to the program: {', '.join(map(str, missing))}")
     return WeightedProgram([r for r, atoms in zip(prog, rule_atoms) if find(atoms[0]) in roots])
 
 
@@ -165,13 +165,15 @@ def _object_scene(sg: SceneGraph, objects) -> SceneGraph:
 
 
 def _plan_key(sg: SceneGraph, queries: list[Atom]):
-    """(key, entities, objects) for queries on the scene objects `objects`.
-    `entities` is each object in id order, each followed by its parts; the
-    key names each query entity by its index there and holds the sort
-    permutation of the entity ids (which fixes the order of the program's
-    atoms and rules) and the score names of the entities' nodes and edges.
-    So two sets of objects with one key get the same restricted program up
-    to the names of their entities, rule for rule. Raises
+    """(key, codes, entities, role, objects) for queries on the scene objects
+    `objects`. `entities` is each object in id order, each followed by its
+    parts, and `role` maps each entity to its index there; `codes` holds
+    each query atom as (predicate, the entity index of each argument). The
+    key holds the set of codes, the sort permutation of the entity ids
+    (which fixes the order of the program's atoms and rules) and the score
+    names of the entities' nodes and edges. So two sets of objects with one
+    key get the same restricted program up to the names of their entities,
+    rule for rule, whatever the order of their queries. Raises
     UnknownPredicateError for a query argument that is not a constant or is
     on no entity of the scene."""
     objects = set()
@@ -188,48 +190,23 @@ def _plan_key(sg: SceneGraph, queries: list[Atom]):
         entities += (o, *parts)
         edges.append(tuple(tuple(sorted(sg.edges[(o, p)])) for p in parts))
     role = {e: i for i, e in enumerate(entities)}
+    codes = [(q.pred, tuple(role[t.ident] for t in q.args)) for q in queries]
     nodes = [sg.nodes[e] for e in entities]
     key = (
-        tuple((q.pred, tuple(role[t.ident] for t in q.args)) for q in queries),
+        frozenset(codes),
         tuple(sorted(range(len(entities)), key=entities.__getitem__)),
         tuple((tuple(sorted(n.class_scores)), tuple(sorted(n.attr_scores))) for n in nodes),
         tuple(edges),
     )
-    return key, entities, objects
-
-
-@dataclass
-class _QueryPlan:
-    """One plan key's query program, compiled on the objects `entities`
-    names: its component plans."""
-
-    entities: list[str]
-    plans: list[Plan]
-
-    def solve(self, sg: SceneGraph, entities: list[str]) -> MarginalTable:
-        """The marginals for the objects `entities` names, which have this
-        plan key: the compiled program solved with their scores as its soft
-        fact weights, and its atoms renamed to their entities."""
-        rename = dict(zip(self.entities, entities))
-
-        def weight(fact):
-            return logit(_score(sg, fact.head.pred, tuple(rename[c.ident] for c in fact.head.args)))
-
-        weights = [[weight(r) for r in p.facts] for p in self.plans]
-        table = solve_exact(CompiledProgram(self.plans, weights))
-        probs = {
-            Atom(a.pred, tuple(Const(rename[c.ident]) for c in a.args)): v
-            for a, v in table.probs.items()
-        }
-        return MarginalTable(probs, log_z=table.log_z)
+    return key, codes, entities, role, objects
 
 
 def marginals_for(
     sg: SceneGraph, kb, u: ReliabilityParams, queries: list[Atom]
 ) -> MarginalTable:
-    """Exact marginals of the query atoms' components: those of
-    `solve_exact(_restrict(build_program(sg, kb, u), queries))`, which
-    include the marginal of every query atom.
+    """Exact marginals of the query atoms, and the log Z of their
+    components: those of `solve_exact(_restrict(build_program(sg, kb, u),
+    queries))`.
 
     The program is built on the scene cut down to the objects the queries
     mention, their parts and the edges out of them: an atom on a part
@@ -238,28 +215,46 @@ def marginals_for(
     two objects, and the rules solved are those of the whole scene's
     restricted program, in the same order.
 
-    The program is compiled once per plan key (`_plan_key`). A
-    `KnowledgeBase` keeps its plans in its memo until its revision or `u`
-    changes; any other iterable of entries or props gets a fresh cache, so
-    it compiles on every call. A query reads its objects' scores into the
-    soft fact weights, so only the solver's numeric half runs on a hit.
-    Raises UnknownPredicateError for a query atom the program lacks,
-    including one on an entity outside the scene or one that is not ground,
-    and for one the solver sums out (a stage-1 atom, such as a part's
-    attribute in the body of a skolemized generic's rules; see `exact`).
+    The program is compiled once per plan key (`_plan_key`), in entity
+    indices: each soft fact is a slot (predicate, entity indices) and each
+    query code names the compiled atom it reads. A `KnowledgeBase` keeps
+    its plans in its memo until its revision or `u` changes; any other
+    iterable of entries or props gets a fresh cache, so it compiles on
+    every call. A query fills the slots with its entities' scores, so only
+    the solver's numeric half runs on a hit. Raises UnknownPredicateError
+    for a query atom the program lacks, including one on an entity outside
+    the scene or one that is not ground, and for one the solver sums out (a
+    stage-1 atom, such as a part's attribute in the body of a skolemized
+    generic's rules; see `exact`).
     """
-    key, entities, objects = _plan_key(sg, queries)
+    key, codes, entities, role, objects = _plan_key(sg, queries)
     plans = kb.memo(u, dict) if isinstance(kb, KnowledgeBase) else {}
     planned = plans.get(key)
     if planned is None:
         program = _restrict(build_program(_object_scene(sg, objects), kb, u), queries)
-        compiled = CompiledProgram.compile(program).plans
-        solved = {a for p in compiled for _, a in p.outputs}
-        summed_out = [q for q in queries if q not in solved]
+        wanted = set(queries)
+        compiled = [
+            replace(p, outputs=[(v, a) for v, a in p.outputs if a in wanted])
+            for p in CompiledProgram.compile(program).plans
+        ]
+        atoms = {a for p in compiled for _, a in p.outputs}
+        summed_out = ", ".join(str(q) for q in queries if q not in atoms)
         if summed_out:
             raise UnknownPredicateError(f"atoms the solver sums out: {summed_out}")
-        planned = plans[key] = _QueryPlan(entities, compiled)
-    return planned.solve(sg, entities)
+        slots = [
+            [(r.head.pred, tuple(role[c.ident] for c in r.head.args)) for r in p.facts]
+            for p in compiled
+        ]
+        planned = plans[key] = (compiled, slots, dict(zip(codes, queries)))
+    compiled, slots, atom_of = planned
+    weights = [
+        [logit(_score(sg, pred, tuple(entities[i] for i in idx))) for pred, idx in fact_slots]
+        for fact_slots in slots
+    ]
+    table = solve_exact(CompiledProgram(compiled, weights))
+    return MarginalTable(
+        {q: table.probs[atom_of[code]] for q, code in zip(queries, codes)}, log_z=table.log_z
+    )
 
 
 def answer_polar(sg: SceneGraph, kb, u: ReliabilityParams, ques: Ques) -> float:

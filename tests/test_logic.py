@@ -90,6 +90,13 @@ def test_skolem_apps_do_not_nest():
         SkolemApp(fn, inner)
 
 
+def test_atoms_and_skolem_terms_print_as_program_text():
+    stem = SkolemApp(SkolemFn("brandyGlass", "stem"), Var("O"))
+    assert str(stem) == "sk_brandyGlass_stem(O)"
+    assert str(Atom(SHORT, (Const("o2_stem"),))) == "short(o2_stem)"
+    assert str(Atom(HAVE, (Var("O"), stem))) == "have(O,sk_brandyGlass_stem(O))"
+
+
 def test_prop_requires_nonempty_consequent():
     with pytest.raises(ValueError):
         Prop(ante=Conjunction(()), cons=Conjunction(()))

@@ -20,7 +20,7 @@ from groundsim.logic import (
 )
 from groundsim.memory import EXPLICIT, NEG_IMPLICATURE, KnowledgeBase
 from groundsim.perception import SceneGraph, SceneNode
-from groundsim.program import BodyGroup, HARD, logit, rule_to_text
+from groundsim.program import BodyGroup, HARD, logit, program_to_text, rule_to_text
 from groundsim.reasoner import (
     ReliabilityParams,
     UnknownPredicateError,
@@ -107,6 +107,18 @@ def test_kb_to_program_skolemized_consequent_becomes_body_group():
     rules = list(kb_to_program([prop]))
     assert isinstance(rules[0].neg_body[0], BodyGroup)
     assert rules[0].neg_body[0].aux_name == "aux_have_short_stem"
+
+
+def test_kb_to_program_text_names_skolem_terms():
+    prop = skolemize_part_description(
+        cls_pred("brandyGlass"), attr_pred("short"), cls_pred("stem")
+    )
+    sk = "sk_brandyGlass_stem(O)"
+    group = f"{{have(O,{sk}) & short({sk}) & stem({sk})}}"
+    assert program_to_text(kb_to_program([prop])).splitlines() == [
+        f"2.944439| :- brandyGlass(O), not {group}.",
+        f"2.944439| :- {group}, not brandyGlass(O).",
+    ]
 
 
 def test_kb_to_program_rejects_ground_props():
@@ -308,7 +320,7 @@ def _query_matches_uncached(sg, kb, u, queries, calls) -> tuple[int, int]:
     expected = _uncached(sg, kb, u, queries)
     grounds, restricts = len(calls["ground"]), len(calls["restrict"])
     table = marginals_for(sg, kb, u, queries)
-    assert table.probs == expected.probs
+    assert table.probs == {q: expected.probs[q] for q in queries}
     assert table.log_z == expected.log_z
     return len(calls["ground"]) - grounds, len(calls["restrict"]) - restricts
 
@@ -325,22 +337,29 @@ def test_marginals_for_matches_the_restricted_full_program(name, monkeypatch):
     calls = _spy_query_path(monkeypatch)
     table = marginals_for(sg, kb, u, queries)
     assert calls["restrict"] == [reference.rules]
-    assert table.probs == expected.probs
+    assert table.probs == {q: expected.probs[q] for q in queries}
     assert table.log_z == expected.log_z
     owners = sorted({t.ident.split("_")[0] for q in queries for t in q.args})
     assert calls["ground"] == [owners]
 
     if len(owners) > 1:
-        # queries on two objects have a plan key too: asking again hits it
-        moved = queries
+        # queries on two objects have a plan key too: asking again hits it,
+        # in either order
+        moved = [queries, queries[::-1]]
     else:
-        # the same queries on another object have the same plan key
-        moved = [_moved(q, owners[0], "o1" if owners[0] != "o1" else "o2") for q in queries]
+        # the same queries on another object have the same plan key, and so
+        # have the same queries reversed, on a third object
+        first, second = (o for o in ("o1", "o2", "o3") if o != owners[0])
+        moved = [
+            [_moved(q, owners[0], first) for q in queries],
+            [_moved(q, owners[0], second) for q in reversed(queries)],
+        ]
     # so nothing is grounded or restricted again
-    assert _query_matches_uncached(sg, kb, u, moved, calls) == (0, 0)
+    for m in moved:
+        assert _query_matches_uncached(sg, kb, u, m, calls) == (0, 0)
     # a revision bump compiles again
     kb.add(_part_generic("brandyGlass", "wide", "bowl"), EXPLICIT, 3)
-    assert _query_matches_uncached(sg, kb, u, moved, calls) == (1, 1)
+    assert _query_matches_uncached(sg, kb, u, moved[0], calls) == (1, 1)
 
 
 def test_marginals_for_keeps_one_component_per_fact_without_kb(monkeypatch):
@@ -378,6 +397,21 @@ def test_marginals_for_raises_for_atoms_the_program_lacks(unknown):
         marginals_for(sg, kb, _u(), [unknown])
     with pytest.raises(UnknownPredicateError):
         marginals_for(sg, kb, _u(), [_cls("brandyGlass", "o1"), unknown])
+
+
+@pytest.mark.parametrize(
+    "unknown, message",
+    [
+        (_cls("nope", "o1"), "atoms unknown to the program: nope(o1)"),
+        (Atom(cls_pred("brandyGlass"), (Var("X"),)), "query atom is not ground: brandyGlass(X)"),
+        (Atom(attr_pred("short"), (Const("o1_stem"),)), "atoms the solver sums out: short(o1_stem)"),
+    ],
+)
+def test_unknown_atom_errors_print_atoms_as_text(unknown, message):
+    sg, kb = make_multi_scene(), mixed_kb()
+    with pytest.raises(UnknownPredicateError) as err:
+        marginals_for(sg, kb, _u(), [unknown])
+    assert err.value.args == (message,)
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +559,17 @@ def test_every_query_of_a_cell_matches_the_uncached_path(difficulty, strategies,
     """Each `marginals_for` call of a seed-0 cell is `==` to building,
     restricting and solving its objects' program afresh."""
     real_marginals, real_restrict = reasoner.marginals_for, reasoner._restrict
-    queried, restricted = [], []
+    queried, restricted, compiles = [], [], []
 
     def checked_marginals(sg, kb, u, queries):
+        before = len(restricted)
         table = real_marginals(sg, kb, u, queries)
+        if len(restricted) > before:
+            compiles.append((kb.revision, frozenset(reasoner._plan_key(sg, queries)[1])))
         owners = {sg.whole_of.get(t.ident, t.ident) for q in queries for t in q.args}
         scene = reasoner._object_scene(sg, owners)
         expected = solve_exact(_restrict(build_program(scene, kb, u), queries))
-        assert table.probs == expected.probs
+        assert table.probs == {q: expected.probs[q] for q in queries}
         assert table.log_z == expected.log_z
         queried.append(kb.revision)
         return table
@@ -546,7 +583,10 @@ def test_every_query_of_a_cell_matches_the_uncached_path(difficulty, strategies,
     monkeypatch.setattr(reasoner, "_restrict", counted_restrict)
     config = ExperimentConfig(difficulty=difficulty, strategies=strategies, seeds=(0,))
     for strategy in strategies:
+        compiles.clear()
         run_sequence(config, strategy, 0)
+        # one plan per KB revision and set of query atoms, whatever their order
+        assert len(set(compiles)) == len(compiles)
     # plans are compiled per key and revision, not per query
     assert len(restricted) * 10 < len(queried)
 
