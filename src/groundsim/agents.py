@@ -74,7 +74,6 @@ class TeacherState:
     domain: DomainSpec
     strategy: str
     lexicon: Lexicon
-    asked_diff_pairs: set = field(default_factory=set)
 
     def __post_init__(self):
         if self.strategy not in TEACHER_STRATEGIES:
@@ -144,12 +143,8 @@ def diff_generics(domain: DomainSpec, p: str, p_tilde: str) -> list[Prop]:
 
 
 def teacher_answer_diff(t: TeacherState, pair: tuple[str, str]) -> list[Utterance]:
-    """Answer ?conceptDiff(p, p~) with generic statements, at most once per
-    unordered pair."""
-    key = frozenset(pair)
-    if key in t.asked_diff_pairs:
-        return []
-    t.asked_diff_pairs.add(key)
+    """Answer ?conceptDiff(p, p~) with generic statements. The learner asks
+    about each unordered pair once (`learner_ask_diff`)."""
     return [_teacher_utt(t, prop) for prop in diff_generics(t.domain, *pair)]
 
 

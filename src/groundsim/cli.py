@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -60,11 +61,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> ExperimentConfig:
     """Defaults < config file < explicit CLI flags. An unknown key or an
-    invalid value exits with a one-line message."""
+    invalid value exits with a one-line message, and so does a config file
+    that cannot be read or does not hold a JSON object."""
     values: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as err:  # ValueError: bad JSON or encoding
+            raise SystemExit(f"invalid config: {err}") from None
+        if not isinstance(loaded, dict):
+            raise SystemExit(f"invalid config: {args.config} does not hold a JSON object")
         unknown = set(loaded) - set(CONFIG_KEYS)
         if unknown:
             raise SystemExit(f"unknown config keys: {sorted(unknown)}")
@@ -87,6 +94,11 @@ def config_from_args(args) -> ExperimentConfig:
 
 
 def run_batch(config: ExperimentConfig) -> int:
+    if config.out_dir is not None:  # fail before the cells run, not after
+        try:
+            os.makedirs(config.out_dir, exist_ok=True)
+        except OSError as err:
+            raise SystemExit(f"invalid --out: {config.out_dir}: {err.strerror}") from None
     results = run_suite(config)
     for strategy in config.strategies:
         finals = [r.exams[-1].map for r in results[strategy] if r.exams]

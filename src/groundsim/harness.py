@@ -109,9 +109,6 @@ class ExperimentConfig:
         for name, low in (("feature_seed", 0), ("test_set_size", 1)):
             if not _int_at_least(getattr(self, name), low):
                 raise ValueError(f"{name} must be an integer >= {low}: {getattr(self, name)!r}")
-        spec = DIFFICULTIES[self.difficulty]
-        if spec["n_exam"] > spec["n_total"]:
-            raise ValueError("exam interval exceeds mistake budget")
 
     @property
     def classes(self) -> tuple[str, ...]:

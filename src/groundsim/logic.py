@@ -138,14 +138,12 @@ class Prop:
     cons: Conjunction
     generic: bool = False
     cons_negated: bool = False
-    variables: tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.cons) == 0:
             raise ValueError("consequent may not be empty")
         if self.generic:
-            occ = _vars_of(self.ante) & _vars_of(self.cons)
-            if not occ:
+            if not set(_variables(self.ante)) & set(_variables(self.cons)):
                 raise ValueError("generic prop must share a variable between ante and cons")
         else:
             for atom in (*self.ante, *self.cons):
@@ -177,15 +175,16 @@ def _term_ground(t: Term) -> bool:
     return True
 
 
-def _vars_of(conj: Conjunction) -> set[str]:
-    out: set[str] = set()
-    for atom in conj:
-        for t in atom.args:
-            if isinstance(t, Var):
-                out.add(t.name)
-            elif isinstance(t, SkolemApp) and isinstance(t.arg, Var):
-                out.add(t.arg.name)
-    return out
+def _variables(*conjs: Conjunction) -> list[str]:
+    """Variable names in order of first appearance, skolem arguments included."""
+    order: list[str] = []
+    for conj in conjs:
+        for atom in conj:
+            for t in atom.args:
+                v = t.arg if isinstance(t, SkolemApp) else t
+                if isinstance(v, Var) and v.name not in order:
+                    order.append(v.name)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +210,9 @@ def substitute(formula: Conjunction | Prop, binding: dict[str, Term]):
     """Replace every bound variable, including inside skolem applications."""
     if isinstance(formula, Conjunction):
         return Conjunction(tuple(subst_atom(a, binding) for a in formula))
-    new_vars = tuple(v for v in formula.variables if v not in binding) + tuple(
-        t.name for t in binding.values() if isinstance(t, Var)
-    )
-    generic = formula.generic and len(new_vars) > 0
-    return replace(
-        formula,
-        ante=substitute(formula.ante, binding),
-        cons=substitute(formula.cons, binding),
-        variables=new_vars,
-        generic=generic,
-    )
+    ante, cons = substitute(formula.ante, binding), substitute(formula.cons, binding)
+    generic = formula.generic and bool(_variables(ante, cons))
+    return replace(formula, ante=ante, cons=cons, generic=generic)
 
 
 # ---------------------------------------------------------------------------
@@ -278,17 +269,10 @@ def derive_neg_implicature(psi: Prop, p: PredicateSym, q: PredicateSym) -> Prop:
 
 def canonicalize(p: Prop) -> Prop:
     """Rename variables to canonical names (O, P, ...) in order of appearance."""
-    order: list[str] = []
-    for atom in (*p.ante, *p.cons):
-        for t in atom.args:
-            v = t if isinstance(t, Var) else (t.arg if isinstance(t, SkolemApp) else None)
-            if isinstance(v, Var) and v.name not in order:
-                order.append(v.name)
+    order = _variables(p.ante, p.cons)
     if len(order) > len(_CANON_VARS):
         raise ValueError("too many variables to canonicalize")
-    binding = {name: Var(_CANON_VARS[i]) for i, name in enumerate(order)}
-    q = substitute(p, binding)
-    return replace(q, variables=tuple(_CANON_VARS[: len(order)]))
+    return substitute(p, {name: Var(_CANON_VARS[i]) for i, name in enumerate(order)})
 
 
 def _conj_key(conj: Conjunction, fn_ids: dict[SkolemFn, int]):
@@ -397,7 +381,6 @@ def skolemize_part_description(
         ante=Conjunction((Atom(cls, (o,)),)),
         cons=part_cons(o, SkolemFn(cls.name, part.name), attr, part),
         generic=True,
-        variables=("O",),
     )
 
 
@@ -425,9 +408,7 @@ def prop_to_text(p: Prop) -> str:
     cons = _render_conj(p.cons, fn_letters)
     if p.cons_negated:
         cons = f"~({cons})"
-    prefix = ""
-    if p.generic:
-        prefix = f"G {' '.join(p.variables)}. "
+    prefix = f"G {' '.join(_variables(p.ante, p.cons))}. " if p.generic else ""
     if len(p.ante) == 0:
         return f"{prefix}{cons}"
     ante = _render_conj(p.ante, fn_letters)

@@ -28,29 +28,26 @@ class KnowledgeBase:
 
     `revision` goes up whenever the props change: an `add` that creates an
     entry, and every `remove`. An `add` that only extends an entry's
-    provenance leaves it as it is."""
+    provenance leaves it as it is. Entries iterate in insertion order."""
 
     def __init__(self):
-        self.entries: list[KBEntry] = []
-        self._index: dict = {}
+        self._entries: dict = {}  # prop_key -> KBEntry
         self.revision = 0
         self._memo = None  # ((revision, key), value)
 
     def __iter__(self):
-        return iter(self.entries)
+        return iter(self._entries.values())
 
     def __len__(self):
-        return len(self.entries)
+        return len(self._entries)
 
     def add(self, prop: Prop, source: str, episode: int) -> KBEntry:
         if not prop.generic:
             raise ValueError("KB holds generic props only")
         key = prop_key(prop)
-        entry = self._index.get(key)
+        entry = self._entries.get(key)
         if entry is None:
-            entry = KBEntry(prop, {source}, [episode])
-            self.entries.append(entry)
-            self._index[key] = entry
+            entry = self._entries[key] = KBEntry(prop, {source}, [episode])
             self.revision += 1
         else:
             entry.provenance.add(source)
@@ -59,11 +56,10 @@ class KnowledgeBase:
         return entry
 
     def contains(self, prop: Prop) -> bool:
-        return prop_key(prop) in self._index
+        return prop_key(prop) in self._entries
 
     def remove(self, entry: KBEntry):
-        self.entries.remove(entry)
-        del self._index[prop_key(entry.prop)]
+        del self._entries[prop_key(entry.prop)]
         self.revision += 1
 
     def memo(self, key, build):

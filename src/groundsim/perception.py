@@ -249,8 +249,6 @@ class ExemplarBase:
     def add(self, concept: str, feature: np.ndarray, positive: bool):
         store = self.positive if positive else self.negative
         store.setdefault(concept, []).append(np.asarray(feature, dtype=float))
-        store = self.negative if positive else self.positive
-        store.setdefault(concept, [])
         self._cache.pop(concept, None)
 
     def classifier_state(self, concept: str):

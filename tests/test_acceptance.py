@@ -84,7 +84,6 @@ def _generic(ante: str, cons: str, neg: bool = False) -> Prop:
         cons=Conjunction((Atom(cls_pred(cons), (o,)),)),
         generic=True,
         cons_negated=neg,
-        variables=("O",),
     )
 
 
@@ -102,7 +101,6 @@ def _conj_part_prop(cls: str, attrs: list[str], part: str, neg: bool = False) ->
         cons=Conjunction(atoms),
         generic=True,
         cons_negated=neg,
-        variables=("O",),
     )
 
 

@@ -157,6 +157,26 @@ def test_invalid_config_value_exits_with_one_line(tmp_path, values, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('["seeds"]', "invalid config: {cfg} does not hold a JSON object"),
+        ('{"seeds": 2', "invalid config: Expecting ',' delimiter: line 1 column 12 (char 11)"),
+        (None, "invalid config: [Errno 2] No such file or directory: '{cfg}'"),
+    ],
+)
+def test_unreadable_config_file_exits_with_one_line(tmp_path, text, message):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg), "--out", str(out)])
+    assert str(exc.value) == message.format(cfg=cfg)
+    assert exc.value.__suppress_context__ or exc.value.__context__ is None  # no traceback
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # batch run
 
@@ -179,6 +199,39 @@ def test_main_batch_run_writes_outputs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "minHelp" in out and "final mAP" in out
     assert os.path.exists(tmp_path / "out" / "curves.csv")
+
+
+@pytest.mark.parametrize("inside_a_file", [False, True])
+def test_out_path_that_cannot_be_a_directory_exits_before_any_cell(
+    tmp_path, monkeypatch, inside_a_file
+):
+    def no_cell(*args):
+        pytest.fail("a cell ran before --out was checked")
+
+    monkeypatch.setattr(harness, "run_sequence", no_cell)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "out" if inside_a_file else taken
+    reason = "Not a directory" if inside_a_file else "File exists"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--strategy", "minHelp", "--seeds", "1", "--out", str(out)])
+    assert str(exc.value) == f"invalid --out: {out}: {reason}"
+    assert exc.value.__suppress_context__
+
+
+def test_main_batch_run_creates_out_before_the_first_cell(tmp_path, monkeypatch):
+    out = tmp_path / "a" / "out"
+    seen = []
+    real = harness.run_sequence
+
+    def spy(config, strategy, seed):
+        seen.append(out.is_dir())
+        return real(config, strategy, seed)
+
+    monkeypatch.setattr(harness, "run_sequence", spy)
+    monkeypatch.setattr(harness, "EPISODE_CAP", 1)
+    assert main(["run", "--strategy", "minHelp", "--seeds", "1", "--out", str(out)]) == 0
+    assert seen == [True] and (out / "curves.csv").exists()
 
 
 def test_main_batch_run_reports_cells_without_exam(tmp_path, capsys, monkeypatch):

@@ -62,7 +62,6 @@ def generic_prop(ante: str, cons: str, var: str = "O", neg: bool = False) -> Pro
         cons=Conjunction((Atom(cls_pred(cons), (v,)),)),
         generic=True,
         cons_negated=neg,
-        variables=(var,),
     )
 
 
@@ -258,7 +257,6 @@ def test_prop_key_ignores_conjunct_order():
         ante=Conjunction((Atom(BRANDY, (o,)),)),
         cons=Conjunction(atoms),
         generic=True,
-        variables=("O",),
     )
     p2 = replace(p1, cons=Conjunction(atoms[::-1]))
     assert prop_key(p1) == prop_key(p2)
@@ -274,7 +272,6 @@ def test_prop_key_canonicalizes_skolem_identity():
             (Atom(HAVE, (o, fo)), Atom(SHORT, (fo,)), Atom(STEM, (fo,)))
         ),
         generic=True,
-        variables=("O",),
     )
     assert prop_key(fresh) == prop_key(skolemize_part_description(BRANDY, SHORT, STEM))
 
@@ -294,7 +291,8 @@ def test_cons_key_groups_shared_consequents():
 def test_canonicalize_renames_in_order_of_appearance():
     p = generic_prop("brandyGlass", "haveShortStem", var="Z")
     q = canonicalize(p)
-    assert q.variables == ("O",)
+    assert prop_to_text(p).startswith("G Z. ")
+    assert prop_to_text(q).startswith("G O. ")
     assert q.ante.atoms[0].args == (Var("O"),)
 
 
@@ -324,7 +322,6 @@ def test_contradicts_ignores_partial_overlap():
             )
         ),
         generic=True,
-        variables=("O",),
     )
     one = skolemize_part_description(cls_pred("c"), attr_pred("wide"), cls_pred("bowl"))
     assert not contradicts(two, replace(one, cons_negated=True))
@@ -346,6 +343,15 @@ def test_prop_to_text_shapes():
         prop_to_text(skolemize_part_description(BRANDY, SHORT, STEM))
         == "G O. brandyGlass(O) => have(O,f(O)), short(f(O)), stem(f(O))"
     )
+    # two variables print in order of appearance, ante before cons
+    x, y = Var("X"), Var("Y")
+    two = Prop(
+        ante=Conjunction((Atom(rel_pred("near"), (y, x)),)),
+        cons=Conjunction((Atom(cls_pred("c"), (x,)),)),
+        generic=True,
+    )
+    assert prop_to_text(two) == "G Y X. near(Y,X) => c(X)"
+    assert prop_to_text(canonicalize(two)) == "G O P. near(O,P) => c(P)"
 
 
 def test_ques_to_text_shapes():

@@ -162,6 +162,18 @@ def test_kb_revision_counts_changes_to_the_props():
     assert kb.revision == 3
 
 
+def test_kb_iterates_in_insertion_order_after_a_remove_and_re_add():
+    props = [part_prop(), part_prop(attr="wide"), part_prop(neg=True)]
+    kb = KnowledgeBase()
+    entries = [kb.add(p, EXPLICIT, i) for i, p in enumerate(props)]
+    kb.remove(entries[0])
+    assert list(kb) == entries[1:] and len(kb) == 2
+    readded = kb.add(props[0], EXPLICIT, 3)
+    assert list(kb) == [*entries[1:], readded] and len(kb) == 3
+    assert [e.prop for e in kb] == [props[1], props[2], props[0]]
+    assert kb.revision == 5
+
+
 def test_kb_memo_rebuilds_on_a_new_revision_or_key():
     kb = KnowledgeBase()
     builds = []

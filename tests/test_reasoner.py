@@ -639,11 +639,11 @@ def test_plans_are_reused_until_the_kb_or_u_changes(monkeypatch):
     entry = kb.add(p2, EXPLICIT, 3)
     assert kb.revision == 2
     query(u, 1)
-    kb.remove(kb.entries[0])
+    kb.remove(next(iter(kb)))
     assert kb.revision == 3 and removed == [frozenset({EXPLICIT, NEG_IMPLICATURE})]
     query(u, 1)
     kb.add(p1, EXPLICIT, 4)
-    assert kb.revision == 4 and kb.entries[0] is entry
+    assert kb.revision == 4 and next(iter(kb)) is entry
     query(u, 1)
 
     other = ReliabilityParams(u_d=0.7, u_a=0.6)
