@@ -245,6 +245,31 @@ def test_ground_rejects_body_group_with_two_skolem_functions():
         ground(WeightedProgram([rule]), ["o1"], {"o1": ["o1_bowl", "o1_stem"]})
 
 
+def test_ground_compiles_skolem_free_group_once_per_entity():
+    o = Var("O")
+    group = BodyGroup((Atom(cls_pred("p"), (o,)), Atom(cls_pred("q"), (o,))))
+    r = Atom(cls_pred("r"), (o,))
+    prog = WeightedProgram(
+        [WeightedRule(1.0, None, (r,), (group,)), WeightedRule(2.0, None, (group,), (r,))]
+    )
+    out = ground(prog, ["o2", "o1"])
+    assert [rule_to_text(x) for x in out] == [
+        "#hard| aux_p_q(o1) :- p(o1), q(o1).",
+        "1.000000| :- r(o1), not aux_p_q(o1).",
+        "#hard| aux_p_q(o2) :- p(o2), q(o2).",
+        "1.000000| :- r(o2), not aux_p_q(o2).",
+        "2.000000| :- aux_p_q(o1), not r(o1).",
+        "2.000000| :- aux_p_q(o2), not r(o2).",
+    ]
+
+
+def test_ground_rejects_body_group_without_a_variable():
+    group = BodyGroup((gatom("p", "o1"), gatom("q", "o1")))
+    rule = WeightedRule(1.0, None, (group,), ())
+    with pytest.raises(ProgramError, match="body group outside any entity binding"):
+        ground(WeightedProgram([rule]), ["o1"])
+
+
 def test_ground_object_without_parts_yields_unsupported_aux():
     out = ground(WeightedProgram([o_var_constraint()]), ["o1"], {"o1": []})
     # no candidate parts: the aux atom appears but has no supporting rule

@@ -2,13 +2,16 @@
 polar answering and multiple-choice classification."""
 
 import math
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from groundsim import harness, reasoner
+from groundsim.agents import diff_generics, learner_integrate_generics
 from groundsim.exact import solve_exact
-from groundsim.harness import ExperimentConfig, run_sequence
+from groundsim.harness import DIFFICULTIES, ExperimentConfig, run_sequence
 from groundsim.logic import (
     HAVE,
     Atom,
@@ -19,8 +22,8 @@ from groundsim.logic import (
     skolemize_part_description,
 )
 from groundsim.memory import EXPLICIT, NEG_IMPLICATURE, KnowledgeBase
-from groundsim.perception import SceneGraph, SceneNode
-from groundsim.program import BodyGroup, HARD, logit, program_to_text, rule_to_text
+from groundsim.perception import DomainSpec, SceneGraph, SceneNode
+from groundsim.program import BodyGroup, HARD, ground, logit, program_to_text, rule_to_text
 from groundsim.reasoner import (
     ReliabilityParams,
     UnknownPredicateError,
@@ -33,7 +36,9 @@ from groundsim.reasoner import (
     polar_ques,
     scene_to_program,
 )
-from test_acceptance import _conj_part_prop, _generic
+from test_acceptance import _conj_part_prop, _fresh_learner, _generic
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def make_scene(
@@ -148,6 +153,20 @@ def test_build_program_grounds_over_scene_objects():
     aux_defs = [r for r in prog if r.weight is HARD and r.head is not None]
     assert len(aux_defs) == 1
     assert aux_defs[0].head == Atom(cls_pred("aux_have_short_stem"), (Const("o1"),))
+
+
+def test_grounded_fineHard_kb_matches_golden():
+    # a semNegScal learner told every conceptDiff answer of fineHard, one
+    # unordered pair per episode, grounded over one object with a bowl and a stem
+    domain = DomainSpec.builtin_glasses()
+    learner = _fresh_learner("semNegScal")
+    pairs = combinations(DIFFICULTIES["fineHard"]["classes"], 2)
+    for episode, (p, q) in enumerate(pairs, 1):
+        statements = diff_generics(domain, p, q)
+        learner_integrate_generics(learner, statements, (cls_pred(p), cls_pred(q)), episode)
+    prog = ground(kb_to_program(learner.kb), ["o1"], {"o1": ["o1_bowl", "o1_stem"]})
+    golden = (GOLDEN / "kb_fineHard_grounded.lp").read_bytes()
+    assert program_to_text(prog).encode() == golden
 
 
 # ---------------------------------------------------------------------------
