@@ -193,6 +193,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         config = config_from_args(args)
         if args.interactive:
+            # a session writes no files, so an output flag would be dropped silently
+            for flag, value in (("--out", args.out), ("--dump-program", args.dump_program)):
+                if value:
+                    raise SystemExit(f"{flag} is not supported with --interactive")
             return interactive_loop(config, config.strategies[0], config.seeds[0])
         return run_batch(config)
     return 2

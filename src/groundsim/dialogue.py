@@ -109,8 +109,7 @@ def _capitalize(s: str) -> str:
 # parsing
 
 
-_IS_A = re.compile(r"^This is (a|an) (.+)\.$")
-_IS_NOT_A = re.compile(r"^This is not (a|an) (.+)\.$")
+_IS_A = re.compile(r"^This is (not )?(a|an) (.+)\.$")
 _HAS_A = re.compile(r"^This has (a|an) ([a-z]+) ([a-z]+)\.$")
 _GENERIC = re.compile(r"^(.+) have ([a-z]+) ([a-z]+)\.$")
 _WHAT_IS = re.compile(r"^What is this\?$")
@@ -120,23 +119,15 @@ _CORRECT = re.compile(r"^Correct\.$")
 _NOT_SURE = re.compile(r"^I am not sure\.$")
 
 
-def _noun_pred(lexicon: Lexicon, surface: str) -> PredicateSym:
-    """Class/part predicate for a singular noun surface, inserting a
-    neologism when unknown."""
-    entry = lexicon.lookup_surface(surface, "noun")
+def _pred(lexicon: Lexicon, surface: str, pos: str) -> PredicateSym:
+    """The predicate of a surface with part of speech `pos`: a class/part
+    predicate for a singular "noun", an attribute predicate for an "adj".
+    Inserts a neologism when unknown."""
+    entry = lexicon.lookup_surface(surface, pos)
     if entry is not None:
         return entry.pred
-    pred = cls_pred(pred_name_for(surface))
-    lexicon.add(surface, "noun", pred)
-    return pred
-
-
-def _adj_pred(lexicon: Lexicon, surface: str) -> PredicateSym:
-    entry = lexicon.lookup_surface(surface, "adj")
-    if entry is not None:
-        return entry.pred
-    pred = attr_pred(pred_name_for(surface))
-    lexicon.add(surface, "adj", pred)
+    pred = (attr_pred if pos == "adj" else cls_pred)(pred_name_for(surface))
+    lexicon.add(surface, pos, pred)
     return pred
 
 
@@ -164,35 +155,32 @@ def parse(surface: str, lexicon: Lexicon, demonstratum: str | None = None):
     if _WHAT_IS.match(s):
         return what_is(_need_demo(surface, demonstratum))
 
-    m = _IS_NOT_A.match(s)
-    if m:
-        eid = _need_demo(surface, demonstratum)
-        return instance_prop(_noun_pred(lexicon, m.group(2)), eid, negated=True)
     m = _IS_A.match(s)
     if m:
         eid = _need_demo(surface, demonstratum)
-        return instance_prop(_noun_pred(lexicon, m.group(2)), eid)
+        pred = _pred(lexicon, m.group(3), "noun")
+        return instance_prop(pred, eid, negated=m.group(1) is not None)
     m = _IS_THIS.match(s)
     if m:
         eid = _need_demo(surface, demonstratum)
-        return Ques("polar", prop=instance_prop(_noun_pred(lexicon, m.group(2)), eid))
+        return Ques("polar", prop=instance_prop(_pred(lexicon, m.group(2), "noun"), eid))
     m = _HAS_A.match(s)
     if m:
         eid = _need_demo(surface, demonstratum)
-        adj = _adj_pred(lexicon, m.group(2))
-        part = _noun_pred(lexicon, m.group(3))
+        adj = _pred(lexicon, m.group(2), "adj")
+        part = _pred(lexicon, m.group(3), "noun")
         return _ground_part_prop(eid, adj, part)
     m = _HOW_DIFF.match(s)
     if m:
         n1 = singularize(m.group(1)[:1].lower() + m.group(1)[1:])
         n2 = singularize(m.group(2))
-        return Ques("conceptDiff", pair=(_noun_pred(lexicon, n1), _noun_pred(lexicon, n2)))
+        return Ques("conceptDiff", pair=(_pred(lexicon, n1, "noun"), _pred(lexicon, n2, "noun")))
     m = _GENERIC.match(s)
     if m:
         subj = singularize(m.group(1)[:1].lower() + m.group(1)[1:])
-        cls = _noun_pred(lexicon, subj)
-        adj = _adj_pred(lexicon, m.group(2))
-        part = _noun_pred(lexicon, singularize(m.group(3)))
+        cls = _pred(lexicon, subj, "noun")
+        adj = _pred(lexicon, m.group(2), "adj")
+        part = _pred(lexicon, singularize(m.group(3)), "noun")
         return skolemize_part_description(cls, adj, part)
 
     raise ParseError(surface, s)

@@ -10,6 +10,7 @@ dialogue's template sentences are built and read here, and only here.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 CLASS = "class"
@@ -143,7 +144,7 @@ class Prop:
         if len(self.cons) == 0:
             raise ValueError("consequent may not be empty")
         if self.generic:
-            if not set(_variables(self.ante)) & set(_variables(self.cons)):
+            if not set(variables(self.ante)) & set(variables(self.cons)):
                 raise ValueError("generic prop must share a variable between ante and cons")
         else:
             for atom in (*self.ante, *self.cons):
@@ -175,7 +176,7 @@ def _term_ground(t: Term) -> bool:
     return True
 
 
-def _variables(*conjs: Conjunction) -> list[str]:
+def variables(*conjs: Iterable[Atom]) -> list[str]:
     """Variable names in order of first appearance, skolem arguments included."""
     order: list[str] = []
     for conj in conjs:
@@ -191,10 +192,12 @@ def _variables(*conjs: Conjunction) -> list[str]:
 # substitution
 
 
-def _subst_term(t: Term, binding: dict[str, Term]) -> Term:
+def _subst_term(t: Term, binding: dict[str | SkolemFn, Term]) -> Term:
     if isinstance(t, Var) and t.name in binding:
         return binding[t.name]
     if isinstance(t, SkolemApp):
+        if t.fn in binding:
+            return binding[t.fn]
         inner = _subst_term(t.arg, binding)
         if isinstance(inner, SkolemApp):
             raise ValueError("binding would nest skolem applications")
@@ -202,7 +205,9 @@ def _subst_term(t: Term, binding: dict[str, Term]) -> Term:
     return t
 
 
-def subst_atom(atom: Atom, binding: dict[str, Term]) -> Atom:
+def subst_atom(atom: Atom, binding: dict[str | SkolemFn, Term]) -> Atom:
+    """Bind variables by name and skolem functions: every application of a
+    bound function becomes the function's term, whatever its argument."""
     return Atom(atom.pred, tuple(_subst_term(t, binding) for t in atom.args))
 
 
@@ -211,7 +216,7 @@ def substitute(formula: Conjunction | Prop, binding: dict[str, Term]):
     if isinstance(formula, Conjunction):
         return Conjunction(tuple(subst_atom(a, binding) for a in formula))
     ante, cons = substitute(formula.ante, binding), substitute(formula.cons, binding)
-    generic = formula.generic and bool(_variables(ante, cons))
+    generic = formula.generic and bool(variables(ante, cons))
     return replace(formula, ante=ante, cons=cons, generic=generic)
 
 
@@ -269,7 +274,7 @@ def derive_neg_implicature(psi: Prop, p: PredicateSym, q: PredicateSym) -> Prop:
 
 def canonicalize(p: Prop) -> Prop:
     """Rename variables to canonical names (O, P, ...) in order of appearance."""
-    order = _variables(p.ante, p.cons)
+    order = variables(p.ante, p.cons)
     if len(order) > len(_CANON_VARS):
         raise ValueError("too many variables to canonicalize")
     return substitute(p, {name: Var(_CANON_VARS[i]) for i, name in enumerate(order)})
@@ -314,15 +319,7 @@ def contradicts(p1: Prop, p2: Prop) -> bool:
     overlap does not count."""
     if not (p1.generic and p2.generic):
         raise ValueError("contradicts is defined for generic props")
-    q1, q2 = canonicalize(p1), canonicalize(p2)
-    f1: dict[SkolemFn, int] = {}
-    f2: dict[SkolemFn, int] = {}
-    if _conj_key(q1.ante, f1) != _conj_key(q2.ante, f2):
-        return False
-    return (
-        _conj_key(q1.cons, f1) == _conj_key(q2.cons, f2)
-        and q1.cons_negated != q2.cons_negated
-    )
+    return prop_key(p1) == prop_key(replace(p2, cons_negated=not p2.cons_negated))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +405,7 @@ def prop_to_text(p: Prop) -> str:
     cons = _render_conj(p.cons, fn_letters)
     if p.cons_negated:
         cons = f"~({cons})"
-    prefix = f"G {' '.join(_variables(p.ante, p.cons))}. " if p.generic else ""
+    prefix = f"G {' '.join(variables(p.ante, p.cons))}. " if p.generic else ""
     if len(p.ante) == 0:
         return f"{prefix}{cons}"
     ante = _render_conj(p.ante, fn_letters)

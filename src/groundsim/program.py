@@ -22,6 +22,7 @@ from .logic import (
     cls_pred,
     rel_pred,
     subst_atom,
+    variables,
 )
 
 HARD = None  # weight sentinel
@@ -83,6 +84,10 @@ class BodyGroup:
 BodyItem = Atom | BodyGroup
 
 
+def _item_atoms(item: BodyItem) -> tuple[Atom, ...]:
+    return item.atoms if isinstance(item, BodyGroup) else (item,)
+
+
 @dataclass(frozen=True)
 class WeightedRule:
     weight: float | None  # None = HARD
@@ -123,13 +128,8 @@ class WeightedProgram:
     def atom_universe(self) -> set[Atom]:
         atoms: set[Atom] = set()
         for r in self.rules:
-            if r.head is not None:
-                atoms.add(r.head)
-            for item in (*r.pos_body, *r.neg_body):
-                if isinstance(item, Atom):
-                    atoms.add(item)
-                else:
-                    atoms.update(item.atoms)
+            for item in r.atoms():
+                atoms.update(_item_atoms(item))
         return atoms
 
 
@@ -242,20 +242,6 @@ def _split_body(s: str) -> list[str]:
 # grounding
 
 
-def _rule_vars(r: WeightedRule) -> set[str]:
-    out: set[str] = set()
-    items = list(r.pos_body) + list(r.neg_body) + ([r.head] if r.head else [])
-    for item in items:
-        atoms = item.atoms if isinstance(item, BodyGroup) else (item,)
-        for a in atoms:
-            for t in a.args:
-                if isinstance(t, Var):
-                    out.add(t.name)
-                elif isinstance(t, SkolemApp) and isinstance(t.arg, Var):
-                    out.add(t.arg.name)
-    return out
-
-
 def ground(
     program: WeightedProgram,
     entities: list[str],
@@ -268,74 +254,49 @@ def ground(
     aux_rules_emitted: set[tuple] = set()
 
     for rule in program:
-        vs = _rule_vars(rule)
+        vs = variables(*map(_item_atoms, rule.atoms()))
         if not vs:
-            out.add(_compile_groups(rule, None, part_candidates, out, aux_rules_emitted))
+            out.add(_ground_rule(rule, None, {}, part_candidates, out, aux_rules_emitted))
             continue
         if len(vs) > 1:
             raise ProgramError(f"rule has multiple free variables: {sorted(vs)}")
-        (v,) = vs
         for ent in sorted(entities):
-            binding = {v: Const(ent)}
-            g = _bind_rule(rule, binding)
-            out.add(_compile_groups(g, ent, part_candidates, out, aux_rules_emitted))
+            binding = {vs[0]: Const(ent)}
+            out.add(_ground_rule(rule, ent, binding, part_candidates, out, aux_rules_emitted))
     return out
 
 
-def _bind_rule(rule: WeightedRule, binding) -> WeightedRule:
-    def bind_item(item: BodyItem) -> BodyItem:
-        if isinstance(item, BodyGroup):
-            return BodyGroup(tuple(subst_atom(a, binding) for a in item.atoms))
-        return subst_atom(item, binding)
+def _ground_rule(rule, ent, binding, part_candidates, out, emitted) -> WeightedRule:
+    """`rule` under `binding`, its body groups compiled to aux atoms of `ent`;
+    each aux rule is emitted to `out` once."""
 
-    return WeightedRule(
-        rule.weight,
-        subst_atom(rule.head, binding) if rule.head is not None else None,
-        tuple(bind_item(i) for i in rule.pos_body),
-        tuple(bind_item(i) for i in rule.neg_body),
-    )
-
-
-def _compile_groups(rule, ent, part_candidates, out, emitted) -> WeightedRule:
-    def compile_item(item: BodyItem) -> Atom:
+    def ground_item(item: BodyItem) -> Atom:
         if isinstance(item, Atom):
-            if not item.is_ground():
-                raise ProgramError(f"unrestricted variable in {item}")
-            return item
+            atom = subst_atom(item, binding)
+            if not atom.is_ground():
+                raise ProgramError(f"unrestricted variable in {atom}")
+            return atom
         if ent is None:
             raise ProgramError("body group outside any entity binding")
         aux = Atom(cls_pred(item.aux_name), (Const(ent),))
         fns = item.skolem_fns()
-        if not fns:
-            key = (aux, item.atoms)
-            if key not in emitted:
-                emitted.add(key)
-                out.add(WeightedRule(HARD, aux, item.atoms, ()))
-            return aux
         # a group is the consequent of one part description: one skolem function
         if len(fns) > 1:
             raise ProgramError(f"body group with {len(fns)} skolem functions")
-        for cand in part_candidates.get(ent, []):
-            body = tuple(_resolve_skolems(a, {fns[0]: cand}) for a in item.atoms)
-            key = (aux, body)
-            if key not in emitted:
-                emitted.add(key)
+        if fns:
+            bindings = [{**binding, fns[0]: Const(c)} for c in part_candidates.get(ent, [])]
+        else:
+            bindings = [binding]
+        for b in bindings:
+            body = tuple(subst_atom(a, b) for a in item.atoms)
+            if (aux, body) not in emitted:
+                emitted.add((aux, body))
                 out.add(WeightedRule(HARD, aux, body, ()))
         return aux
 
     return WeightedRule(
         rule.weight,
-        rule.head,
-        tuple(compile_item(i) for i in rule.pos_body),
-        tuple(compile_item(i) for i in rule.neg_body),
+        subst_atom(rule.head, binding) if rule.head is not None else None,
+        tuple(ground_item(i) for i in rule.pos_body),
+        tuple(ground_item(i) for i in rule.neg_body),
     )
-
-
-def _resolve_skolems(atom: Atom, fn_binding) -> Atom:
-    args = []
-    for t in atom.args:
-        if isinstance(t, SkolemApp):
-            args.append(Const(fn_binding[t.fn]))
-        else:
-            args.append(t)
-    return Atom(atom.pred, tuple(args))

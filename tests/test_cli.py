@@ -310,6 +310,20 @@ def test_interactive_generic_without_pending_diff(monkeypatch, capsys):
     assert "# episode 2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--out", "--dump-program"])
+def test_interactive_rejects_output_flags(tmp_path, monkeypatch, flag):
+    def no_session(*args):
+        pytest.fail("the session started")
+
+    monkeypatch.setattr(cli, "interactive_loop", no_session)
+    out = tmp_path / "out"
+    argv = ["run", "--interactive", flag] + ([str(out)] if flag == "--out" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert str(exc.value) == f"{flag} is not supported with --interactive"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("strategy", ["medHelp", "maxHelp_semNegScal"])
 def test_interactive_replay_of_a_batch_run_learns_the_same(monkeypatch, capsys, strategy):
     # a human typing the simulated teacher's lines gets the same learner:

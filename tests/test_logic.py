@@ -36,6 +36,7 @@ from groundsim.logic import (
     ques_to_text,
     rel_pred,
     skolemize_part_description,
+    subst_atom,
     substitute,
     swap_predicates,
     what_is,
@@ -139,6 +140,14 @@ def test_substitute_reaches_skolem_argument():
     assert have_atom.pred == HAVE
     assert have_atom.args[1] == SkolemApp(SkolemFn("brandyGlass", "stem"), Const("o1"))
     assert all(a.is_ground() for a in g.cons)
+
+
+def test_subst_atom_binds_a_skolem_function_to_its_term():
+    stem, bowl = SkolemFn("brandyGlass", "stem"), SkolemFn("brandyGlass", "bowl")
+    o = Var("O")
+    atom = Atom(HAVE, (SkolemApp(stem, o), SkolemApp(bowl, o)))
+    bound = subst_atom(atom, {stem: Const("o1_stem"), "O": Const("o1")})
+    assert bound == Atom(HAVE, (Const("o1_stem"), SkolemApp(bowl, Const("o1"))))
 
 
 # ---------------------------------------------------------------------------
