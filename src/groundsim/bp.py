@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logic import Atom
-from .program import HARD, ProgramError, WeightedProgram
+from .program import HARD, WeightedProgram
 from .exact import MarginalTable, _classify, _fact_weights, union_find
 
 DAMPING = 0.5
@@ -77,12 +77,7 @@ def build_factor_graph(program: WeightedProgram):
     for r in c.definite:
         by_head.setdefault(r.head, []).append(tuple(r.pos_body))
     for head in c.derived:
-        bodies = by_head.get(head, [])
-        for b in bodies:
-            for a in b:
-                if a in by_head:
-                    raise ProgramError("chained definite rules are not supported by solve_bp")
-        factors.append(_completion_factor(head, bodies))
+        factors.append(_completion_factor(head, by_head[head]))
     for r in c.constraints:
         factors.append(_constraint_factor(r))
     return variables, factors

@@ -1,9 +1,10 @@
 """Exact marginal inference by world enumeration.
 
-Worlds are subsets of base atoms; auxiliary atoms are derived by forward
-chaining over HARD definite rules; worlds violating HARD constraints are
-discarded; a world's weight is the sum of the weights of the soft rules it
-satisfies, normalized into a log-linear distribution.
+Worlds are subsets of base atoms; each auxiliary atom is the OR of the
+bodies of its HARD definite rules, which hold only base atoms (`_classify`
+rejects any other program, for every solver); worlds violating HARD
+constraints are discarded; a world's weight is the sum of the weights of
+the soft rules it satisfies, normalized into a log-linear distribution.
 
 `enumerate_worlds` is a deliberately plain pure-Python reference. `solve_exact`
 is the production path: it splits the program into connected components and
@@ -18,10 +19,10 @@ solves each by one method in two stages:
   row of mass over bit configurations, and the rows combine by an OR-fold
   (`_or_fold`) that adds only non-negative products;
 - stage 2 enumerates the other base atoms with every bit configuration and
-  derives the heads by forward chaining, so chained rules, bodies that mix
-  stage-1 and other atoms, and constrained or forced body atoms are all
-  covered. A component without stage-1 atoms has no blocks and no bits, and
-  stage 2 enumerates all of its base atoms. So does a component whose groups
+  derives the heads in one pass over the rules, so bodies that mix stage-1
+  and other atoms, and constrained or forced body atoms are all covered. A
+  component without stage-1 atoms has no blocks and no bits, and stage 2
+  enumerates all of its base atoms. So does a component whose groups
   outnumber its stage-1 atoms, for which staging would widen stage 2.
 
 `solve_exact` returns log Z and the marginals of the stage-2 atoms and the
@@ -98,6 +99,9 @@ def _classify(rules: list[WeightedRule]) -> _Classified:
                 raise ProgramError("definite rules may not carry default negation")
             c.definite.append(r)
             heads.add(r.head)
+    for r in c.definite:
+        if any(b in heads for b in r.pos_body):
+            raise ProgramError(f"definite rule for {r.head} has a derived atom in its body")
 
     universe = set()
     for r in rules:
@@ -152,16 +156,11 @@ def _enumerate_weighted(program: WeightedProgram):
         truth = dict(zip(c.base, bits))
         if any(not truth[a] for a in forced if a in truth):
             continue
-        # forward chaining closure over HARD definite rules
         for a in c.derived:
             truth[a] = False
-        changed = True
-        while changed:
-            changed = False
-            for r in c.definite:
-                if not truth[r.head] and all(truth[b] for b in r.pos_body):
-                    truth[r.head] = True
-                    changed = True
+        for r in c.definite:
+            if all(truth[b] for b in r.pos_body):
+                truth[r.head] = True
         w = 0.0
         admissible = True
         for r in c.constraints:
@@ -303,9 +302,8 @@ def plan(rules: list[WeightedRule]) -> Plan:
     scene program's bit j is its derived atom j. Blocks are the connected
     components of the stage-1 parts of the rules. When the groups outnumber
     the stage-1 atoms, nothing is staged, so stage 2 never enumerates more
-    atoms than the component's base atoms. Stage 2 derives the heads by
-    forward chaining over the plain rules and the groups' bits (chained
-    rules included).
+    atoms than the component's base atoms. Stage 2 derives each head in one
+    pass as the OR of its plain rules' bodies and its groups' bits.
     """
     c = _classify(rules)
     outside = {r.head for r in c.hard_facts}
@@ -371,15 +369,8 @@ def plan(rules: list[WeightedRule]) -> Plan:
         val2[a] = _bit(idx2, i)
     for a in c.derived:
         val2[a] = np.zeros(len(idx2), dtype=bool)
-    changed = True
-    while changed:  # forward chaining closure (supports chained rules)
-        changed = False
-        for head, body_keys in rules2:
-            body = np.logical_and.reduce([val2[b] for b in body_keys])
-            new = val2[head] | body
-            if not np.array_equal(new, val2[head]):
-                val2[head] = new
-                changed = True
+    for head, body_keys in rules2:
+        val2[head] |= np.logical_and.reduce([val2[b] for b in body_keys])
 
     mask = np.ones(len(idx2), dtype=bool)
     for r in c.hard_facts:

@@ -162,6 +162,3 @@ class Lexicon:
 
     def lookup_pred(self, name: str) -> LexiconEntry | None:
         return self._by_pred.get(name)
-
-    def knows_pred(self, name: str) -> bool:
-        return name in self._by_pred

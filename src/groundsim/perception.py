@@ -234,18 +234,6 @@ class ExemplarBase:
         self.negative: dict[str, list[np.ndarray]] = {}
         self._cache: dict[str, tuple] = {}  # concept -> (bandwidth, pos mat, neg mat)
 
-    def concepts(self):
-        return sorted(set(self.positive) | set(self.negative))
-
-    def known(self, concept: str) -> bool:
-        return bool(self.positive.get(concept) or self.negative.get(concept))
-
-    def counts(self, concept: str) -> tuple[int, int]:
-        return (
-            len(self.positive.get(concept, ())),
-            len(self.negative.get(concept, ())),
-        )
-
     def add(self, concept: str, feature: np.ndarray, positive: bool):
         store = self.positive if positive else self.negative
         store.setdefault(concept, []).append(np.asarray(feature, dtype=float))

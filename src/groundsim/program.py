@@ -1,10 +1,11 @@
 """Weighted normal-logic programs: rule representation, text format, grounding.
 
 Supported fragment (all the reasoner ever constructs): weighted ground facts,
-HARD definite auxiliary rules, and weighted/HARD integrity constraints. A
-consequent with skolem terms is carried through lifted rules as a BodyGroup
-and compiled at grounding time into one auxiliary atom plus HARD definite
-rules, one per candidate part.
+HARD definite auxiliary rules whose bodies hold no auxiliary atom, and
+weighted/HARD integrity constraints. `exact._classify` enforces it for every
+solver. A consequent with skolem terms is carried through lifted rules as a
+BodyGroup and compiled at grounding time into one auxiliary atom plus HARD
+definite rules, one per candidate part, over that part's base atoms.
 """
 
 from __future__ import annotations
@@ -100,9 +101,6 @@ class WeightedRule:
 
     def is_constraint(self) -> bool:
         return self.head is None
-
-    def is_definite(self) -> bool:
-        return self.head is not None and (self.pos_body or self.neg_body)
 
     def atoms(self) -> list[BodyItem]:
         """The head, if any, then the body items."""
@@ -272,10 +270,7 @@ def _ground_rule(rule, ent, binding, part_candidates, out, emitted) -> WeightedR
 
     def ground_item(item: BodyItem) -> Atom:
         if isinstance(item, Atom):
-            atom = subst_atom(item, binding)
-            if not atom.is_ground():
-                raise ProgramError(f"unrestricted variable in {atom}")
-            return atom
+            return subst_atom(item, binding)
         if ent is None:
             raise ProgramError("body group outside any entity binding")
         aux = Atom(cls_pred(item.aux_name), (Const(ent),))

@@ -149,12 +149,12 @@ def random_part_program(
     return prog
 
 
-def random_chained_program(rng: np.random.Generator, max_base: int = 6) -> WeightedProgram:
-    """Programs off the scene shape: aux bodies that chain through an earlier
-    aux atom, definite-body atoms that constraints also mention, and hard facts
-    on body atoms. One draw in four is wide instead: 23-26 aux atoms, more than
-    `ENUM_BOUND`, with one rule each over a few base atoms, where constraints
-    and the hard fact touch only aux atoms and `a0`."""
+def random_general_program(rng: np.random.Generator, max_base: int = 6) -> WeightedProgram:
+    """Programs off the scene shape: constraints over aux atoms and
+    definite-body atoms alike, and hard facts on body atoms. One draw in four
+    is wide instead: 23-26 aux atoms, more than `ENUM_BOUND`, with one rule
+    each over a few base atoms, where constraints and the hard fact touch only
+    aux atoms and `a0`."""
     wide = rng.random() < 0.25
     n = int(rng.integers(2, max_base + 1))
     atoms = [base_atom(i) for i in range(n)]
@@ -170,8 +170,6 @@ def random_chained_program(rng: np.random.Generator, max_base: int = 6) -> Weigh
             body = [atoms[k] for k in rng.choice(n, size=int(rng.integers(1, 3)), replace=True)]
             if wide:
                 body[0] = atoms[j % n]  # every base atom sits in some body
-            elif j and rng.random() < 0.5:
-                body.append(aux[int(rng.integers(0, j))])
             bodies.append(tuple(dict.fromkeys(body)))
             prog.add(WeightedRule(HARD, head, bodies[-1], ()))
 

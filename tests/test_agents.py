@@ -135,7 +135,7 @@ def test_learner_hear_adds_neologisms(domain):
     utt = Utterance("teacher", "This is a brandy glass.", None, "o1")
     form = learner_hear(learner, utt)
     assert form.cons.atoms[0].pred == cls_pred("brandyGlass")
-    assert learner.lexicon.knows_pred("brandyGlass")
+    assert learner.lexicon.lookup_pred("brandyGlass") is not None
 
 
 # ---------------------------------------------------------------------------

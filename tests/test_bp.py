@@ -2,7 +2,6 @@
 exactness on trees, behavior on loopy graphs."""
 
 import numpy as np
-import pytest
 
 from genprograms import (
     all_marginals,
@@ -16,7 +15,6 @@ from groundsim.bp import build_factor_graph, is_acyclic, solve_bp
 from groundsim.exact import solve_exact
 from groundsim.program import (
     HARD,
-    ProgramError,
     WeightedProgram,
     WeightedRule,
     logit,
@@ -89,18 +87,6 @@ def test_headless_aux_is_pinned_false():
     tol = 1e-7 if is_acyclic(variables, factors) else 0.05
     for atom in exact:
         assert abs(bp[atom] - exact[atom]) <= tol
-
-
-def test_chained_definite_rules_rejected():
-    prog = WeightedProgram(
-        [
-            fact(0, 0.5),
-            WeightedRule(HARD, aux_atom(0), (base_atom(0),), ()),
-            WeightedRule(HARD, aux_atom(1), (aux_atom(0),), ()),
-        ]
-    )
-    with pytest.raises(ProgramError):
-        solve_bp(prog)
 
 
 def test_is_acyclic_detects_cycles():

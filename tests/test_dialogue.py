@@ -126,7 +126,7 @@ def test_parse_introduces_neologisms():
     assert lex.lookup_surface("snifter glass", "noun").pred == cls_pred("snifterGlass")
     gen = parse("Snifter glasses have curved handles.", lex)
     assert gen.generic
-    assert lex.knows_pred("curved") and lex.knows_pred("handle")
+    assert lex.lookup_pred("curved") is not None and lex.lookup_pred("handle") is not None
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ from genprograms import (
     all_marginals,
     aux_atom,
     base_atom,
-    random_chained_program,
+    random_general_program,
     random_part_program,
     random_program,
 )
 from groundsim import exact
+from groundsim.bp import solve_bp
 from groundsim.exact import (
     ENUM_BOUND,
     CompiledProgram,
@@ -139,6 +140,31 @@ def test_unsupported_fragments_rejected():
     )
     with pytest.raises(ProgramError):
         solve_exact(fact_and_head)
+
+
+CHAINS = {
+    "two_rule_chain": [
+        fact(0, 0.5),
+        WeightedRule(HARD, aux_atom(0), (base_atom(0),), ()),
+        WeightedRule(HARD, aux_atom(1), (aux_atom(0),), ()),
+    ],
+    "self_reference": [
+        fact(0, 0.5),
+        WeightedRule(HARD, aux_atom(0), (base_atom(0), aux_atom(0)), ()),
+    ],
+}
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+@pytest.mark.parametrize(
+    "entry",
+    [solve_exact, CompiledProgram.compile, solve_exact_reference, solve_bp],
+    ids=["solve_exact", "compile", "solve_exact_reference", "solve_bp"],
+)
+def test_chained_definite_rules_rejected(entry, chain):
+    # an aux body holds no aux atom: every solver checks that in one place
+    with pytest.raises(ProgramError):
+        entry(WeightedProgram(CHAINS[chain]))
 
 
 def test_empty_program():
@@ -289,8 +315,8 @@ def test_part_programs_cover_two_stage_edge_shapes(monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
-def test_chained_programs_match_reference(seed):
-    prog = random_chained_program(np.random.default_rng(seed))
+def test_general_programs_match_reference(seed):
+    prog = random_general_program(np.random.default_rng(seed))
     try:
         ref = solve_exact_reference(prog)
     except NoAdmissibleWorldError:
@@ -305,23 +331,32 @@ def test_chained_programs_match_reference(seed):
     assert abs(table.log_z - ref.log_z) <= 1e-9
 
 
-def test_chained_programs_cover_general_shapes(monkeypatch):
+def test_general_programs_cover_their_shapes(monkeypatch):
     # the property test above draws from these shapes, none of which the
     # scene programs have; the wide draws have more aux atoms than the
-    # enumeration bound over a few base atoms, and no solve enumerates more
-    # atoms in stage 2 than the component has base atoms
+    # enumeration bound over a few base atoms, some component's groups
+    # outnumber its stage-1 atoms so that nothing is staged, and no solve
+    # enumerates more atoms in stage 2 than the component has base atoms
     widths = []
+    unstaged = 0
     original = exact.run
 
     def spy(plan, fact_weights):
+        nonlocal unstaged
         n_base = len(plan.q_atoms) + sum(len(block.atoms) for block in plan.blocks)
         widths.append((len(plan.q_atoms) + plan.k, n_base))
+        # a body atom in no constraint and no hard fact is a stage-1 atom,
+        # unless the fallback left it in stage 2
+        outside = {a for r in plan.rules if r.is_constraint() for a in r.atoms()}
+        outside |= {r.head for r in plan.rules if r.is_fact() and r.weight is HARD}
+        in_bodies = {b for r in plan.rules if r.head is not None for b in r.pos_body}
+        unstaged += plan.k == 0 and bool(in_bodies - outside)
         return original(plan, fact_weights)
 
     monkeypatch.setattr(exact, "run", spy)
-    chained = constrained = forced = wide = 0
+    constrained = forced = wide = 0
     for seed in range(40):
-        prog = random_chained_program(np.random.default_rng(seed))
+        prog = random_general_program(np.random.default_rng(seed))
         try:
             solve_exact(prog)
         except NoAdmissibleWorldError:
@@ -332,12 +367,10 @@ def test_chained_programs_cover_general_shapes(monkeypatch):
         }
         hard_facts = {r.head for r in prog.rules if r.is_fact() and r.weight is HARD}
         bodies = [set(r.pos_body) for r in prog.rules if r.head in aux]
-        outside = aux | in_constraint | hard_facts
-        chained += any(b & aux and b - outside for b in bodies)
         constrained += any((b - aux) & in_constraint for b in bodies)
         forced += any(b & hard_facts for b in bodies)
         wide += len(aux) > ENUM_BOUND
-    assert chained and constrained and forced and wide
+    assert constrained and forced and wide and unstaged
     assert all(stage2 <= n_base for stage2, n_base in widths)
 
 
@@ -379,7 +412,7 @@ def test_golden_fine_hard_component():
     table = solve_exact(prog)
     # the solver returns the 5 stage-2 and 7 derived atoms and sums out the
     # 20 stage-1 atoms, whose marginals come from clamping each one
-    derived = {r.head for r in prog.rules if r.is_definite()}
+    derived = {r.head for r in prog.rules if r.head is not None and r.pos_body}
     assert len(derived) == 7 and derived <= set(table.probs) and len(table.probs) == 12
     got = {_atom_text(a): p for a, p in all_marginals(prog).items()}
     assert set(got) == set(expected["marginals"])

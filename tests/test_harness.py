@@ -2,9 +2,11 @@
 emission."""
 
 import csv
+import hashlib
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,7 +214,8 @@ def test_label_equal_to_the_answer_confirms_it():
     [label] = teacher_respond(teacher, step.eid, "brandyGlass", None)
     assert step.hear(label) == []
     assert not step.close()
-    assert learner.xb.counts("brandyGlass") == (1, 0)
+    assert len(learner.xb.positive["brandyGlass"]) == 1
+    assert not learner.xb.negative.get("brandyGlass")
 
 
 def _run_spied(monkeypatch, config):
@@ -387,6 +390,23 @@ def test_confusion_json_rows_normalized(tiny_suite):
     assert set(matrix) == set(config.classes)
     for row in matrix.values():
         assert abs(sum(row.values()) - 1.0) <= 1e-9
+
+
+def test_fineHard_cell_outputs_match_golden_digests(tmp_path):
+    # the files of `groundsim run --difficulty fineHard --strategy
+    # maxHelp_semNegScal --seeds 1 --dump-program`, in `sha256sum` format
+    config = ExperimentConfig(
+        difficulty="fineHard",
+        strategies=("maxHelp_semNegScal",),
+        seeds=(0,),
+        out_dir=str(tmp_path),
+        dump_programs=True,
+    )
+    run_suite(config)
+    golden = Path(__file__).parent / "golden" / "fineHard_cell.sha256"
+    for line in golden.read_text().splitlines():
+        digest, name = line.split()
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_program_dumps_parse_back(tiny_suite):

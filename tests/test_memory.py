@@ -134,7 +134,7 @@ def test_lexicon_add_and_lookup():
     entry = lex.add("brandy glass", "noun", cls_pred("brandyGlass"))
     assert lex.lookup_surface("brandy glass", "noun") is entry
     assert lex.lookup_pred("brandyGlass") is entry
-    assert lex.knows_pred("brandyGlass")
+    assert lex.lookup_pred("brandyGlass") is not None
     assert len(lex) == 1
     # re-adding the same binding is idempotent
     assert lex.add("brandy glass", "noun", cls_pred("brandyGlass")) is entry

@@ -160,13 +160,13 @@ def test_sibling_classes_are_close_in_feature_space(model):
 
 def test_exemplar_base_bookkeeping():
     xb = ExemplarBase()
-    assert not xb.known("stem")
+    assert not xb.positive and not xb.negative
     xb.add("stem", np.zeros(4), positive=True)
-    assert xb.known("stem") and xb.counts("stem") == (1, 0)
+    assert list(xb.positive) == ["stem"] and len(xb.positive["stem"]) == 1 and not xb.negative
     xb.process_correction("bowl", "stem", np.ones(4))
-    assert xb.counts("stem") == (2, 0)
-    assert xb.counts("bowl") == (0, 1)
-    assert xb.concepts() == ["bowl", "stem"]
+    assert len(xb.positive["stem"]) == 2 and "stem" not in xb.negative
+    assert "bowl" not in xb.positive and len(xb.negative["bowl"]) == 1
+    assert sorted(set(xb.positive) | set(xb.negative)) == ["bowl", "stem"]
 
 
 def classify_fewshot(xb, concept, feature, gain=KERNEL_GAIN, bias=0.0) -> float:
@@ -321,13 +321,11 @@ def test_scene_graph_entities_equal_their_own_one_object_scene(model, domain, mo
 def test_init_priors_covers_parts_and_attrs_only(model, domain):
     xb = ExemplarBase()
     init_priors(xb, model, np.random.default_rng([0, 3]))
-    for part in domain.parts:
-        assert xb.known(part)
-    for attr in domain.attributes:
-        assert xb.known(attr)
+    for concept in (*domain.parts, *domain.attributes):
+        assert xb.positive.get(concept) or xb.negative.get(concept)
     for cls in domain.classes:
-        assert not xb.known(cls)
-    n_pos, n_neg = xb.counts("stem")
+        assert not xb.positive.get(cls) and not xb.negative.get(cls)
+    n_pos, n_neg = len(xb.positive["stem"]), len(xb.negative["stem"])
     # every sampled object contributes one stem (positive) and one bowl
     # (negative) exemplar for the stem concept
     assert n_pos == n_neg == 12 * len(domain.classes)

@@ -80,9 +80,9 @@ def test_rule_shape_predicates():
     fact = WeightedRule(1.0, gatom("p", "o"))
     constraint = WeightedRule(1.0, None, (gatom("p", "o"),), ())
     definite = WeightedRule(HARD, gatom("q", "o"), (gatom("p", "o"),), ())
-    assert fact.is_fact() and not fact.is_constraint() and not fact.is_definite()
+    assert fact.is_fact() and not fact.is_constraint()
     assert constraint.is_constraint() and not constraint.is_fact()
-    assert definite.is_definite() and not definite.is_fact()
+    assert not definite.is_fact() and not definite.is_constraint()
 
 
 def test_atom_universe_includes_group_atoms():
