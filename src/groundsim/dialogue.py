@@ -227,6 +227,8 @@ def realize(form, lexicon: Lexicon) -> str:
         if form.kind == "wh":
             return "What is this?"
         if form.kind == "polar":
+            if form.prop.cons_negated:
+                raise RealizeError(f"a negated polar question has no template sentence: {form}")
             return f"Is this {_noun_phrase(lexicon, form.prop)}?"
         n1 = pluralize(_surface_for(lexicon, form.pair[0]))
         n2 = pluralize(_surface_for(lexicon, form.pair[1]))

@@ -133,21 +133,16 @@ def enumerate_worlds(program: WeightedProgram):
 
     Plain nested loops, no numpy; used as the independent oracle in tests.
     """
-    worlds, weights = _enumerate_weighted(program)
-    m = max(weights)
-    unnorm = [math.exp(w - m) for w in weights]
-    z = sum(unnorm)
-    for world, u in zip(worlds, unnorm):
-        yield world, u / z
+    yield from _reference_worlds(program)[1]
 
 
-def _enumerate_weighted(program: WeightedProgram):
+def _reference_worlds(program: WeightedProgram):
+    """The classification of `program`, its admissible worlds with their
+    probabilities, and log Z."""
     c = _classify(program.rules)
     if len(c.base) > ENUM_BOUND:
         raise EnumerationBoundError(f"{len(c.base)} base atoms exceeds bound {ENUM_BOUND}")
-    fact_w = {}
-    for r in c.facts:
-        fact_w[r.head] = fact_w.get(r.head, 0.0) + r.weight
+    fact_w = _fact_weights((r.head, r.weight) for r in c.facts)
     forced = {r.head for r in c.hard_facts}
 
     worlds = []
@@ -181,21 +176,20 @@ def _enumerate_weighted(program: WeightedProgram):
 
     if not worlds:
         raise NoAdmissibleWorldError("hard core admits no world")
-    return worlds, weights
+    m = max(weights)
+    unnorm = [math.exp(w - m) for w in weights]
+    z = sum(unnorm)
+    return c, [(world, u / z) for world, u in zip(worlds, unnorm)], m + math.log(z)
 
 
 def solve_exact_reference(program: WeightedProgram) -> MarginalTable:
     """Marginals via the plain world enumerator."""
-    c = _classify(program.rules)
-    worlds, weights = _enumerate_weighted(program)
-    m = max(weights)
-    unnorm = [math.exp(w - m) for w in weights]
-    z = sum(unnorm)
+    c, worlds, log_z = _reference_worlds(program)
     probs = {a: 0.0 for a in c.base + c.derived}
-    for world, u in zip(worlds, unnorm):
+    for world, p in worlds:
         for a in world:
-            probs[a] += u / z
-    return MarginalTable(probs, log_z=m + math.log(z))
+            probs[a] += p
+    return MarginalTable(probs, log_z=log_z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Weighted normal-logic programs: rule representation, text format, grounding.
+"""Weighted normal-logic programs: rule representation, a text dump, grounding.
 
 Supported fragment (all the reasoner ever constructs): weighted ground facts,
 HARD definite auxiliary rules whose bodies hold no auxiliary atom, and
@@ -6,22 +6,21 @@ weighted/HARD integrity constraints. `exact._classify` enforces it for every
 solver. A consequent with skolem terms is carried through lifted rules as a
 BodyGroup and compiled at grounding time into one auxiliary atom plus HARD
 definite rules, one per candidate part, over that part's base atoms.
+
+The text format (`program_to_text`) is write-only: `--dump-program` writes
+it for audit, and no run reads a program back from text.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 from .logic import (
     Atom,
     Const,
-    PredicateSym,
     SkolemApp,
-    Var,
     cls_pred,
-    rel_pred,
     subst_atom,
     variables,
 )
@@ -50,13 +49,6 @@ def logit(s: float) -> float:
         raise ValueError(f"probability out of range: {s}")
     s = min(max(s, LOGIT_EPS), 1.0 - LOGIT_EPS)
     return math.log(s / (1.0 - s))
-
-
-def sigmoid(w: float) -> float:
-    if w >= 0:
-        return 1.0 / (1.0 + math.exp(-w))
-    e = math.exp(w)
-    return e / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -157,83 +149,6 @@ def rule_to_text(r: WeightedRule) -> str:
 
 def program_to_text(p: WeightedProgram) -> str:
     return "\n".join(rule_to_text(r) for r in p.rules) + ("\n" if p.rules else "")
-
-
-_ATOM_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\(([^()]*)\))?$")
-
-
-def _parse_term(tok: str):
-    tok = tok.strip()
-    if tok and tok[0].isupper():
-        return Var(tok)
-    return Const(tok)
-
-
-def parse_atom(s: str, kinds: dict[str, PredicateSym] | None = None) -> Atom:
-    m = _ATOM_RE.match(s.strip())
-    if not m:
-        raise ProgramError(f"cannot parse atom: {s!r}")
-    name, argstr = m.group(1), m.group(2)
-    args = tuple(_parse_term(t) for t in argstr.split(",")) if argstr else ()
-    if not args:
-        raise ProgramError(f"propositional atoms not supported: {s!r}")
-    if kinds and name in kinds:
-        pred = kinds[name]
-    elif len(args) == 2:
-        pred = rel_pred(name)
-    else:
-        pred = cls_pred(name)
-    return Atom(pred, args)
-
-
-def parse_program(text: str, kinds: dict[str, PredicateSym] | None = None) -> WeightedProgram:
-    """Parse the one-rule-per-line text format (ground or simple lifted rules;
-    body groups are not parsed back)."""
-    prog = WeightedProgram()
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("%"):
-            continue
-        try:
-            wstr, rest = line.split("|", 1)
-        except ValueError:
-            raise ProgramError(f"line {lineno}: missing weight separator")
-        weight = HARD if wstr.strip() == "#hard" else float(wstr)
-        rest = rest.strip()
-        if not rest.endswith("."):
-            raise ProgramError(f"line {lineno}: missing terminating period")
-        rest = rest[:-1].strip()
-        if ":-" in rest:
-            head_s, body_s = rest.split(":-", 1)
-            head = parse_atom(head_s, kinds) if head_s.strip() else None
-            pos, neg = [], []
-            for part in _split_body(body_s):
-                part = part.strip()
-                if part.startswith("not "):
-                    neg.append(parse_atom(part[4:], kinds))
-                else:
-                    pos.append(parse_atom(part, kinds))
-            prog.add(WeightedRule(weight, head, tuple(pos), tuple(neg)))
-        else:
-            prog.add(WeightedRule(weight, parse_atom(rest, kinds)))
-    return prog
-
-
-def _split_body(s: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return parts
 
 
 # ---------------------------------------------------------------------------

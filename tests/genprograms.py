@@ -1,5 +1,6 @@
-"""Random ground-program generators shared by the solver test modules, and
-the marginals of every atom of a program."""
+"""Random ground-program generators shared by the solver test modules, the
+marginals of every atom of a program, and a reader for the ground rules that
+`program_to_text` writes (golden components and `--dump-program` files)."""
 
 import math
 
@@ -24,6 +25,31 @@ def all_marginals(prog: WeightedProgram) -> dict[Atom, float]:
         else:
             probs[a] = math.exp(clamped.log_z - table.log_z)
     return probs
+
+
+def read_ground_program(text: str) -> WeightedProgram:
+    """The ground rules of `program_to_text`'s format, one per line; blank
+    lines and `# ` header lines are skipped. The text does not record a
+    predicate's kind: a unary atom gets a class predicate, a binary one a
+    relation predicate."""
+    prog = WeightedProgram()
+    for line in text.splitlines():
+        if not line or line.startswith("# "):
+            continue
+        weight, rule = line.split("| ", 1)
+        head, _, body = (s.strip() for s in rule.removesuffix(".").partition(":-"))
+        items = body.split(", ") if body else []
+        pos = tuple(_read_atom(b) for b in items if not b.startswith("not "))
+        neg = tuple(_read_atom(b[4:]) for b in items if b.startswith("not "))
+        w = HARD if weight == "#hard" else float(weight)
+        prog.add(WeightedRule(w, _read_atom(head) if head else None, pos, neg))
+    return prog
+
+
+def _read_atom(text: str) -> Atom:
+    name, args = text.removesuffix(")").split("(")
+    terms = tuple(Const(a) for a in args.split(","))
+    return Atom((cls_pred if len(terms) == 1 else rel_pred)(name), terms)
 
 
 def base_atom(i: int) -> Atom:

@@ -35,6 +35,7 @@ from groundsim.logic import (
 )
 from groundsim.memory import Lexicon
 from groundsim.perception import DomainSpec
+from groundsim.reasoner import polar_ques
 
 
 @pytest.fixture()
@@ -189,6 +190,15 @@ def test_realize_rejects_a_negated_generic(lexicon):
         realize(negative, lexicon)
     with pytest.raises(RealizeError):
         realize(replace(positive, cons_negated=True), lexicon)
+
+
+def test_realize_rejects_a_negated_polar_question(lexicon):
+    # "Is this a brandy glass?" parses back to the positive question, whose
+    # answer is the complement of the negated one's
+    positive = parse("Is this a brandy glass?", lexicon, "o1")
+    assert positive == polar_ques("brandyGlass", "o1")
+    with pytest.raises(RealizeError):
+        realize(polar_ques("brandyGlass", "o1", negated=True), lexicon)
 
 
 def test_realize_needs_exactly_one_attribute_part_pair(lexicon):

@@ -17,6 +17,7 @@ from genprograms import (
     random_general_program,
     random_part_program,
     random_program,
+    read_ground_program,
 )
 from groundsim import exact
 from groundsim.bp import solve_bp
@@ -35,7 +36,7 @@ from groundsim.program import (
     WeightedProgram,
     WeightedRule,
     logit,
-    parse_program,
+    program_to_text,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -396,7 +397,7 @@ def test_enumeration_bound_applies_per_block(monkeypatch):
 
 
 def _golden_component():
-    prog = parse_program((GOLDEN / "component_fineHard.lp").read_text())
+    prog = read_ground_program((GOLDEN / "component_fineHard.lp").read_text())
     expected = json.loads((GOLDEN / "component_fineHard.json").read_text())
     return prog, expected
 
@@ -409,6 +410,8 @@ def test_golden_fine_hard_component():
     # 25 base + 7 derived atoms: above the reference enumerator's bound, so
     # this frozen table is the only oracle for a component of this size
     prog, expected = _golden_component()
+    # the reader gives back the rules the file was written from
+    assert program_to_text(prog) == (GOLDEN / "component_fineHard.lp").read_text()
     table = solve_exact(prog)
     # the solver returns the 5 stage-2 and 7 derived atoms and sums out the
     # 20 stage-1 atoms, whose marginals come from clamping each one

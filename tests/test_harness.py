@@ -22,7 +22,6 @@ from groundsim.harness import (
     mean_ci95,
     run_sequence,
     run_suite,
-    write_outputs,
 )
 from groundsim.agents import (
     LearnerState,
@@ -34,8 +33,9 @@ from groundsim.agents import (
 from groundsim.logic import Atom, Const, cls_pred
 from groundsim.memory import EXPLICIT, NEG_IMPLICATURE, EpisodicMemory, KnowledgeBase, Lexicon
 from groundsim.perception import DomainSpec, ExemplarBase, FeatureModel, generate_scene, init_priors
-from groundsim.program import parse_program
+from groundsim.program import program_to_text
 from groundsim.reasoner import classify, marginals_for
+from genprograms import read_ground_program
 from test_acceptance import _conj_part_prop
 from test_reasoner import _part_generic
 
@@ -414,10 +414,12 @@ def test_program_dumps_parse_back(tiny_suite):
     dumps = results["minHelp"][0].program_dumps
     assert len(dumps) == config.test_set_size * len(config.classes)
     text = open(os.path.join(config.out_dir, "programs", "minHelp_0.lp")).read()
-    # strip per-object comment headers ("# query ..."), keep "#hard|" rules
-    body = "\n".join(ln for ln in text.splitlines() if not ln.startswith("# "))
-    prog = parse_program(body)
+    # strip per-object comment headers ("# query ...") and the blank lines
+    # between dumps, keep "#hard|" rules; the rules read back to the same text
+    body = "".join(ln + "\n" for ln in text.splitlines() if ln and not ln.startswith("# "))
+    prog = read_ground_program(body)
     assert len(prog) > 0
+    assert program_to_text(prog) == body
 
 
 def test_episode_cap_guard():

@@ -1,5 +1,5 @@
-"""Weighted-program layer: logit/sigmoid, text format round-trip, grounding
-and body-group compilation."""
+"""Weighted-program layer: logit, the text dump, grounding and body-group
+compilation."""
 
 import math
 
@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from groundsim.logic import (
     HAVE,
     Atom,
-    Conjunction,
     Const,
     SkolemApp,
     SkolemFn,
@@ -26,11 +25,7 @@ from groundsim.program import (
     WeightedRule,
     ground,
     logit,
-    parse_atom,
-    parse_program,
-    program_to_text,
     rule_to_text,
-    sigmoid,
 )
 
 
@@ -40,13 +35,17 @@ def gatom(name: str, *args: str) -> Atom:
 
 
 # ---------------------------------------------------------------------------
-# logit / sigmoid
+# logit
+
+
+def logistic(w: float) -> float:
+    return 1.0 / (1.0 + math.exp(-w))
 
 
 def test_logit_known_values():
     assert logit(0.5) == 0.0
     assert math.isclose(logit(0.95), math.log(19), rel_tol=1e-12)
-    assert math.isclose(sigmoid(logit(0.2)), 0.2, rel_tol=1e-12)
+    assert math.isclose(logistic(logit(0.2)), 0.2, rel_tol=1e-12)
 
 
 def test_logit_clamps_extremes():
@@ -63,13 +62,7 @@ def test_logit_range_checked():
 
 @given(st.floats(min_value=1e-5, max_value=1.0 - 1e-5))
 def test_sigmoid_inverts_logit(s):
-    assert math.isclose(sigmoid(logit(s)), s, rel_tol=1e-9)
-
-
-@given(st.floats(min_value=-50, max_value=50))
-def test_sigmoid_bounded_and_monotone_symmetry(w):
-    assert 0.0 <= sigmoid(w) <= 1.0
-    assert math.isclose(sigmoid(w) + sigmoid(-w), 1.0, rel_tol=1e-12)
+    assert math.isclose(logistic(logit(s)), s, rel_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -117,59 +110,6 @@ def test_body_group_renders_braced():
     group = BodyGroup((gatom("short", "s1"), gatom("stem", "s1")))
     text = rule_to_text(WeightedRule(1.0, None, (), (group,)))
     assert text == "1.000000| :- not {short(s1) & stem(s1)}."
-
-
-def test_parse_program_round_trip():
-    text = (
-        "0.447368| brandyGlass(o1).\n"
-        "2.944439| :- brandyGlass(o1), not haveShortStem(o1).\n"
-        "#hard| aux(o1) :- short(s1), stem(s1).\n"
-        "1.000000| have(o1,s1).\n"
-    )
-    prog = parse_program(text)
-    assert program_to_text(prog) == text
-
-
-def test_parse_program_skips_comments_and_blank_lines():
-    prog = parse_program("% comment\n\n1.000000| p(o).\n")
-    assert len(prog) == 1
-
-
-def test_parse_program_errors():
-    with pytest.raises(ProgramError):
-        parse_program("1.0 p(o).")  # missing separator
-    with pytest.raises(ProgramError):
-        parse_program("1.0| p(o)")  # missing period
-    with pytest.raises(ProgramError):
-        parse_atom("p")  # propositional atom
-    with pytest.raises(ProgramError):
-        parse_atom("not an atom!")
-
-
-def test_parse_atom_kinds():
-    assert parse_atom("have(o1,s1)").pred.arity == 2
-    assert parse_atom("p(O)").args == (Var("O"),)
-    kinds = {"short": attr_pred("short")}
-    assert parse_atom("short(s1)", kinds).pred == attr_pred("short")
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["p", "q", "r"]),
-            st.sampled_from(["o1", "o2"]),
-            st.floats(min_value=-9, max_value=9).map(lambda w: round(w, 6)),
-            st.booleans(),
-        ),
-        min_size=1,
-        max_size=8,
-    )
-)
-def test_text_round_trip_property(rows):
-    prog = WeightedProgram()
-    for name, ent, weight, hard in rows:
-        prog.add(WeightedRule(HARD if hard else weight, gatom(name, ent)))
-    assert program_to_text(parse_program(program_to_text(prog))) == program_to_text(prog)
 
 
 # ---------------------------------------------------------------------------
