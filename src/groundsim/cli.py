@@ -27,7 +27,7 @@ from .harness import (
 )
 from .perception import DomainSpec, FeatureModel, generate_scene
 
-CONFIG_KEYS = ("difficulty", "strategies", "seeds", "test_set_size", "feature_seed")
+CONFIG_KEYS = ("difficulty", "strategies", "seeds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,6 +133,8 @@ def _read_teacher_line(prompt: str) -> str | None:
         line = input(prompt)
     except EOFError:
         return None
+    if not sys.stdin.isatty():  # a terminal echoes what is typed; a pipe does not
+        print(line)
     return line.strip()
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .logic import (
     CLASS,
-    Conjunction,
     Const,
     PredicateSym,
     Prop,
@@ -140,8 +139,7 @@ def _need_demo(surface: str, demonstratum: str | None) -> str:
 def _ground_part_prop(eid: str, adj: PredicateSym, part: PredicateSym) -> Prop:
     """'This has a short stem.' read existentially via a demonstratum-keyed
     skolem constant."""
-    cons = part_cons(Const(eid), SkolemFn(eid, part.name), adj, part)
-    return Prop(ante=Conjunction(()), cons=cons)
+    return Prop(ante=(), cons=part_cons(Const(eid), SkolemFn(eid, part.name), adj, part))
 
 
 def parse(surface: str, lexicon: Lexicon, demonstratum: str | None = None):
@@ -237,7 +235,7 @@ def realize(form, lexicon: Lexicon) -> str:
     if form.generic:
         if form.cons_negated:
             raise RealizeError(f"a negated generic has no template sentence: {form}")
-        subj = pluralize(_surface_for(lexicon, form.ante.atoms[0].pred))
+        subj = pluralize(_surface_for(lexicon, form.ante[0].pred))
         adj_s, part_s = _part_surfaces(lexicon, form)
         return f"{_capitalize(subj)} have {adj_s} {pluralize(part_s)}."
     if instance_atom(form) is not None:

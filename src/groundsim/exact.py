@@ -304,8 +304,7 @@ def plan(rules: list[WeightedRule]) -> Plan:
     for r in c.constraints:
         outside.update(r.pos_body)
         outside.update(r.neg_body)
-    heads = set(c.derived)
-    stage1 = {b for r in c.definite for b in r.pos_body if b not in heads and b not in outside}
+    stage1 = {b for r in c.definite for b in r.pos_body if b not in outside}
     groups = {
         (r.head, tuple(b for b in r.pos_body if b not in stage1))
         for r in c.definite

@@ -72,9 +72,9 @@ EPISODE_CAP = 2000  # safety bound on runaway sequences
 NOT_SURE_LABEL = "not-sure"
 
 
-def _int_at_least(value, low: int) -> bool:
-    """True for an int (not a bool) of `low` or more."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+def _nonneg_int(value) -> bool:
+    """True for an int (not a bool) of 0 or more."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass
@@ -82,12 +82,12 @@ class ExperimentConfig:
     difficulty: str = "fineEasy"
     strategies: tuple[str, ...] = tuple(STRATEGY_COMBOS)
     seeds: tuple[int, ...] = tuple(range(40))
-    test_set_size: int = 20
-    feature_seed: int = 0
     out_dir: str | None = None
     dump_programs: bool = False
     # the learner perceives only the target; the distractors keep the rng stream
     n_distractors: ClassVar[int] = 2
+    test_set_size: ClassVar[int] = 20  # held-out objects per class
+    feature_seed: ClassVar[int] = 0
 
     def __post_init__(self):
         if not isinstance(self.difficulty, str) or self.difficulty not in DIFFICULTIES:
@@ -101,14 +101,11 @@ class ExperimentConfig:
             raise ValueError("strategies must be non-empty")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        if not isinstance(self.seeds, tuple) or not all(_int_at_least(s, 0) for s in self.seeds):
+        if not isinstance(self.seeds, tuple) or not all(_nonneg_int(s) for s in self.seeds):
             raise ValueError(f"seeds must be integers >= 0: {self.seeds!r}")
         for name, values in (("strategies", self.strategies), ("seeds", self.seeds)):
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat: {values!r}")
-        for name, low in (("feature_seed", 0), ("test_set_size", 1)):
-            if not _int_at_least(getattr(self, name), low):
-                raise ValueError(f"{name} must be an integer >= {low}: {getattr(self, name)!r}")
 
     @property
     def classes(self) -> tuple[str, ...]:

@@ -121,22 +121,12 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class Conjunction:
-    atoms: tuple[Atom, ...] = ()
-
-    def __iter__(self):
-        return iter(self.atoms)
-
-    def __len__(self):
-        return len(self.atoms)
-
-
-@dataclass(frozen=True)
 class Prop:
-    """Ante => Cons proposition; `generic` marks the G quantifier."""
+    """Ante => Cons proposition; `generic` marks the G quantifier. Each side
+    is a conjunction, held as a tuple of atoms."""
 
-    ante: Conjunction
-    cons: Conjunction
+    ante: tuple[Atom, ...]
+    cons: tuple[Atom, ...]
     generic: bool = False
     cons_negated: bool = False
 
@@ -211,13 +201,12 @@ def subst_atom(atom: Atom, binding: dict[str | SkolemFn, Term]) -> Atom:
     return Atom(atom.pred, tuple(_subst_term(t, binding) for t in atom.args))
 
 
-def substitute(formula: Conjunction | Prop, binding: dict[str, Term]):
+def substitute(p: Prop, binding: dict[str, Term]) -> Prop:
     """Replace every bound variable, including inside skolem applications."""
-    if isinstance(formula, Conjunction):
-        return Conjunction(tuple(subst_atom(a, binding) for a in formula))
-    ante, cons = substitute(formula.ante, binding), substitute(formula.cons, binding)
-    generic = formula.generic and bool(variables(ante, cons))
-    return replace(formula, ante=ante, cons=cons, generic=generic)
+    ante = tuple(subst_atom(a, binding) for a in p.ante)
+    cons = tuple(subst_atom(a, binding) for a in p.cons)
+    generic = p.generic and bool(variables(ante, cons))
+    return replace(p, ante=ante, cons=cons, generic=generic)
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +240,7 @@ def swap_predicates(p: Prop, a: PredicateSym, b: PredicateSym) -> Prop:
             pred = a
         return Atom(pred, tuple(swap_term(t) for t in atom.args))
 
-    def swap_conj(c: Conjunction) -> Conjunction:
-        return Conjunction(tuple(swap_atom(x) for x in c))
-
-    return replace(p, ante=swap_conj(p.ante), cons=swap_conj(p.cons))
+    return replace(p, ante=tuple(map(swap_atom, p.ante)), cons=tuple(map(swap_atom, p.cons)))
 
 
 def derive_neg_implicature(psi: Prop, p: PredicateSym, q: PredicateSym) -> Prop:
@@ -280,7 +266,7 @@ def canonicalize(p: Prop) -> Prop:
     return substitute(p, {name: Var(_CANON_VARS[i]) for i, name in enumerate(order)})
 
 
-def _conj_key(conj: Conjunction, fn_ids: dict[SkolemFn, int]):
+def _conj_key(conj: tuple[Atom, ...], fn_ids: dict[SkolemFn, int]):
     """Order-insensitive key; skolem fn ids canonicalized by appearance."""
 
     def term_key(t: Term):
@@ -328,11 +314,7 @@ def contradicts(p1: Prop, p2: Prop) -> bool:
 
 def instance_prop(pred: PredicateSym, eid: str, negated: bool = False) -> Prop:
     """'This is (not) an X.': pred(eid), or its negation."""
-    return Prop(
-        ante=Conjunction(()),
-        cons=Conjunction((Atom(pred, (Const(eid),)),)),
-        cons_negated=negated,
-    )
+    return Prop(ante=(), cons=(Atom(pred, (Const(eid),)),), cons_negated=negated)
 
 
 def what_is(eid: str) -> Ques:
@@ -343,16 +325,18 @@ def what_is(eid: str) -> Ques:
 def instance_atom(form) -> Atom | None:
     """The atom of a ground one-atom prop, else None."""
     one_atom = isinstance(form, Prop) and not form.generic and len(form.ante) == 0
-    return form.cons.atoms[0] if one_atom and len(form.cons) == 1 else None
+    return form.cons[0] if one_atom and len(form.cons) == 1 else None
 
 
-def part_cons(subject: Term, fn: SkolemFn, attr: PredicateSym, part: PredicateSym) -> Conjunction:
+def part_cons(
+    subject: Term, fn: SkolemFn, attr: PredicateSym, part: PredicateSym
+) -> tuple[Atom, Atom, Atom]:
     """have(s, f(s)), attr(f(s)), part(f(s)): s has an attr part."""
     fs = SkolemApp(fn, subject)
-    return Conjunction((Atom(HAVE, (subject, fs)), Atom(attr, (fs,)), Atom(part, (fs,))))
+    return Atom(HAVE, (subject, fs)), Atom(attr, (fs,)), Atom(part, (fs,))
 
 
-def part_properties(cons: Conjunction) -> list[tuple[PredicateSym, PredicateSym]]:
+def part_properties(cons: tuple[Atom, ...]) -> list[tuple[PredicateSym, PredicateSym]]:
     """(attribute, part) pairs of a skolemized consequent: each attribute of a
     skolem term with that term's part, in order of appearance."""
     slots: dict[SkolemFn, tuple[list, list]] = {}
@@ -375,7 +359,7 @@ def skolemize_part_description(
         raise ValueError("expected (object-class, attribute, object-class)")
     o = Var("O")
     return Prop(
-        ante=Conjunction((Atom(cls, (o,)),)),
+        ante=(Atom(cls, (o,)),),
         cons=part_cons(o, SkolemFn(cls.name, part.name), attr, part),
         generic=True,
     )
@@ -393,7 +377,7 @@ def _render_term(t: Term, fn_letters: dict[SkolemFn, str]) -> str:
     return str(t)
 
 
-def _render_conj(conj: Conjunction, fn_letters: dict[SkolemFn, str]) -> str:
+def _render_conj(conj: tuple[Atom, ...], fn_letters: dict[SkolemFn, str]) -> str:
     return ", ".join(
         f"{a.pred.name}({','.join(_render_term(t, fn_letters) for t in a.args)})"
         for a in conj

@@ -75,7 +75,7 @@ def _score(sg: SceneGraph, pred: PredicateSym, entities: tuple[str, ...]) -> flo
 def _cons_unit(prop: Prop):
     """Consequent as a single body unit: a bare atom, or a BodyGroup when the
     conjunction is skolemized or compound."""
-    atoms = prop.cons.atoms
+    atoms = prop.cons
     if len(atoms) == 1 and not any(
         isinstance(t, SkolemApp) for t in atoms[0].args
     ):
@@ -84,7 +84,7 @@ def _cons_unit(prop: Prop):
 
 
 def _ante_unit(prop: Prop):
-    atoms = prop.ante.atoms
+    atoms = prop.ante
     if len(atoms) == 1:
         return atoms[0]
     return BodyGroup(atoms)
@@ -112,9 +112,9 @@ def kb_to_program(kb, u: ReliabilityParams = ReliabilityParams()) -> WeightedPro
     for prop in props:
         cons = _cons_unit(prop)
         if prop.cons_negated:
-            prog.add(WeightedRule(w_d, None, prop.ante.atoms + (cons,), ()))
+            prog.add(WeightedRule(w_d, None, prop.ante + (cons,), ()))
         else:
-            prog.add(WeightedRule(w_d, None, prop.ante.atoms, (cons,)))
+            prog.add(WeightedRule(w_d, None, prop.ante, (cons,)))
 
     groups: dict = {}
     for prop in props:

@@ -21,7 +21,6 @@ from groundsim.harness import mean_ci95, run_sequence
 from groundsim.logic import (
     HAVE,
     Atom,
-    Conjunction,
     Const,
     Prop,
     Ques,
@@ -80,8 +79,8 @@ def _fact(name: str, s: float) -> WeightedRule:
 def _generic(ante: str, cons: str, neg: bool = False) -> Prop:
     o = Var("O")
     return Prop(
-        ante=Conjunction((Atom(cls_pred(ante), (o,)),)),
-        cons=Conjunction((Atom(cls_pred(cons), (o,)),)),
+        ante=(Atom(cls_pred(ante), (o,)),),
+        cons=(Atom(cls_pred(cons), (o,)),),
         generic=True,
         cons_negated=neg,
     )
@@ -97,8 +96,8 @@ def _conj_part_prop(cls: str, attrs: list[str], part: str, neg: bool = False) ->
         + (Atom(cls_pred(part), (fo,)),)
     )
     return Prop(
-        ante=Conjunction((Atom(cls_pred(cls), (o,)),)),
-        cons=Conjunction(atoms),
+        ante=(Atom(cls_pred(cls), (o,)),),
+        cons=atoms,
         generic=True,
         cons_negated=neg,
     )
@@ -423,8 +422,8 @@ def _logical_form_corpus(domain: DomainSpec):
         Ques(
             "wh",
             prop=Prop(
-                ante=Conjunction(()),
-                cons=Conjunction((Atom(cls_pred("P"), (Const(eid),)),)),
+                ante=(),
+                cons=(Atom(cls_pred("P"), (Const(eid),)),),
             ),
             var="P",
         )
@@ -434,8 +433,8 @@ def _logical_form_corpus(domain: DomainSpec):
         for neg in (False, True):
             forms.append(
                 Prop(
-                    ante=Conjunction(()),
-                    cons=Conjunction((Atom(cls_pred(cls), (Const(eid),)),)),
+                    ante=(),
+                    cons=(Atom(cls_pred(cls), (Const(eid),)),),
                     cons_negated=neg,
                 )
             )
@@ -443,8 +442,8 @@ def _logical_form_corpus(domain: DomainSpec):
             Ques(
                 "polar",
                 prop=Prop(
-                    ante=Conjunction(()),
-                    cons=Conjunction((Atom(cls_pred(cls), (Const(eid),)),)),
+                    ante=(),
+                    cons=(Atom(cls_pred(cls), (Const(eid),)),),
                 ),
             )
         )
@@ -466,13 +465,11 @@ def _logical_form_corpus(domain: DomainSpec):
             fo = SkolemApp(SkolemFn(eid, part), o)
             forms.append(
                 Prop(
-                    ante=Conjunction(()),
-                    cons=Conjunction(
-                        (
-                            Atom(HAVE, (o, fo)),
-                            Atom(attr_pred(attr), (fo,)),
-                            Atom(cls_pred(part), (fo,)),
-                        )
+                    ante=(),
+                    cons=(
+                        Atom(HAVE, (o, fo)),
+                        Atom(attr_pred(attr), (fo,)),
+                        Atom(cls_pred(part), (fo,)),
                     ),
                 )
             )

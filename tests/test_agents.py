@@ -134,7 +134,7 @@ def test_learner_hear_adds_neologisms(domain):
     learner = make_learner()
     utt = Utterance("teacher", "This is a brandy glass.", None, "o1")
     form = learner_hear(learner, utt)
-    assert form.cons.atoms[0].pred == cls_pred("brandyGlass")
+    assert form.cons[0].pred == cls_pred("brandyGlass")
     assert learner.lexicon.lookup_pred("brandyGlass") is not None
 
 

@@ -3,6 +3,9 @@ mode driven by scripted stdin."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,7 +70,7 @@ def test_invalid_strategy_rejected_by_parser(capsys):
 def test_config_file_overridden_by_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
-        json.dumps({"difficulty": "fineHard", "seeds": 3, "test_set_size": 5})
+        json.dumps({"difficulty": "fineHard", "seeds": 3, "strategies": ["minHelp"]})
     )
     config = config_from_args(
         parse_args(["run", "--config", str(cfg), "--difficulty", "fineEasy"])
@@ -75,7 +78,7 @@ def test_config_file_overridden_by_flags(tmp_path):
     # flag beats file; file beats default
     assert config.difficulty == "fineEasy"
     assert config.seeds == (0, 1, 2)
-    assert config.test_set_size == 5
+    assert config.strategies == ("minHelp",)
 
 
 def test_config_file_seed_list(tmp_path):
@@ -90,6 +93,16 @@ def test_config_file_with_n_distractors_is_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_distractors": 2}))
     with pytest.raises(SystemExit, match=r"unknown config keys: \['n_distractors'\]"):
+        main(["run", "--config", str(cfg), "--seeds", "1", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("test_set_size", 20), ("feature_seed", 0)])
+def test_config_file_with_a_fixed_setting_is_rejected(tmp_path, key, value):
+    # the test set size and the feature seed are fixed, not settings
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    with pytest.raises(SystemExit, match=rf"unknown config keys: \['{key}'\]"):
         main(["run", "--config", str(cfg), "--seeds", "1", "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
 
@@ -125,12 +138,12 @@ def test_config_file_without_strategies_is_an_error(tmp_path, mode):
     [
         ({"difficulty": "fineMedium"}, "invalid config: unknown difficulty: fineMedium"),
         ({"strategies": []}, "invalid config: strategies must be non-empty"),
-        ({"test_set_size": 0}, "invalid config: test_set_size must be an integer >= 1: 0"),
+        ({"seeds": []}, "invalid config: seeds must be non-empty"),
         ({"seeds": [0, 0]}, "invalid config: seeds must not repeat: (0, 0)"),
         ({"seeds": [-1]}, "invalid config: seeds must be integers >= 0: (-1,)"),
         ({"seeds": 2.5}, "invalid config: seeds must be integers >= 0: 2.5"),
         ({"seeds": True}, "invalid config: seeds must be integers >= 0: True"),
-        ({"feature_seed": -1}, "invalid config: feature_seed must be an integer >= 0: -1"),
+        ({"strategies": ["maxHelp"]}, "invalid config: unknown strategy combo: maxHelp"),
         (
             {"strategies": ["minHelp", "minHelp"]},
             "invalid config: strategies must not repeat: ('minHelp', 'minHelp')",
@@ -310,6 +323,22 @@ def test_interactive_generic_without_pending_diff(monkeypatch, capsys):
     assert "# episode 2" in capsys.readouterr().out
 
 
+def test_piped_session_echoes_each_teacher_line():
+    # a pipe, unlike a terminal, does not echo what it feeds to the prompt
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "groundsim.cli", "run", "--interactive"],
+        input="What is this?\nCorrect.\n",
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    lines = proc.stdout.splitlines()
+    assert "teacher> What is this?" in lines
+    assert any(line.startswith("learner> ") for line in lines)
+
+
 @pytest.mark.parametrize("flag", ["--out", "--dump-program"])
 def test_interactive_rejects_output_flags(tmp_path, monkeypatch, flag):
     def no_session(*args):
@@ -338,7 +367,8 @@ def test_interactive_replay_of_a_batch_run_learns_the_same(monkeypatch, capsys, 
     monkeypatch.setattr(harness, "new_learner", recording_new_learner)
     monkeypatch.setattr(cli, "new_learner", recording_new_learner)
     # exams only read the learner, so one test object per class is enough
-    config = ExperimentConfig(strategies=(strategy,), seeds=(0,), test_set_size=1)
+    monkeypatch.setattr(ExperimentConfig, "test_set_size", 1)
+    config = ExperimentConfig(strategies=(strategy,), seeds=(0,))
     result = harness.run_sequence(config, strategy, 0)
 
     teacher_lines, learner_lines = [], []

@@ -23,7 +23,6 @@ from groundsim.dialogue import (
 )
 from groundsim.logic import (
     Atom,
-    Conjunction,
     Const,
     Prop,
     Ques,
@@ -84,7 +83,7 @@ def test_parse_each_template(lexicon):
     assert isinstance(wh, Ques) and wh.kind == "wh" and wh.var == "P"
 
     inst = parse("This is a brandy glass.", lexicon, eid)
-    assert inst.cons.atoms[0] == Atom(cls_pred("brandyGlass"), (Const(eid),))
+    assert inst.cons[0] == Atom(cls_pred("brandyGlass"), (Const(eid),))
     assert not inst.cons_negated
     neg = parse("This is not a brandy glass.", lexicon, eid)
     assert neg.cons_negated
@@ -123,7 +122,7 @@ def test_parse_rejects_non_template(lexicon):
 def test_parse_introduces_neologisms():
     lex = Lexicon()
     prop = parse("This is a snifter glass.", lex, "o1")
-    assert prop.cons.atoms[0].pred == cls_pred("snifterGlass")
+    assert prop.cons[0].pred == cls_pred("snifterGlass")
     assert lex.lookup_surface("snifter glass", "noun").pred == cls_pred("snifterGlass")
     gen = parse("Snifter glasses have curved handles.", lex)
     assert gen.generic
@@ -162,8 +161,8 @@ def test_realize_errors(lexicon):
     with pytest.raises(RealizeError):
         realize(
             Prop(
-                ante=Conjunction(()),
-                cons=Conjunction((Atom(cls_pred("unknownThing"), (Const("o1"),)),)),
+                ante=(),
+                cons=(Atom(cls_pred("unknownThing"), (Const("o1"),)),),
             ),
             lexicon,
         )
@@ -171,8 +170,8 @@ def test_realize_errors(lexicon):
     with pytest.raises(RealizeError):
         realize(
             Prop(
-                ante=Conjunction(()),
-                cons=Conjunction((Atom(attr_pred("short"), (Const("o1"),)),)),
+                ante=(),
+                cons=(Atom(attr_pred("short"), (Const("o1"),)),),
             ),
             lexicon,
         )
@@ -206,11 +205,11 @@ def test_realize_needs_exactly_one_attribute_part_pair(lexicon):
     # a second attribute, or none, has no template sentence
     for sentence in ("Brandy glasses have short stems.", "This has a short stem."):
         form = parse(sentence, lexicon, "o1")
-        have, short, stem = form.cons.atoms
+        have, short, stem = form.cons
         conic = Atom(attr_pred("conic"), short.args)
         for cons in ((have, short, conic, stem), (have, conic, short, stem), (have, stem)):
             with pytest.raises(RealizeError):
-                realize(replace(form, cons=Conjunction(cons)), lexicon)
+                realize(replace(form, cons=cons), lexicon)
 
 
 # ---------------------------------------------------------------------------

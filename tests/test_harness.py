@@ -100,14 +100,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(strategies=())
     for values in (
-        {"test_set_size": 0},
-        {"test_set_size": 2.5},
         {"seeds": (-1,)},
         {"seeds": (0, 1.0)},
         {"seeds": (True,)},
         {"seeds": 2.5},
-        {"feature_seed": -1},
-        {"feature_seed": 0.5},
         {"seeds": (0, 0)},
         {"seeds": (3, 1, 3)},
         {"strategies": ("minHelp", "minHelp")},
@@ -140,8 +136,9 @@ def test_difficulty_presets():
 # test sets
 
 
-def test_make_test_set_composition():
-    config = ExperimentConfig(difficulty="fineEasy", test_set_size=4)
+def test_make_test_set_composition(monkeypatch):
+    monkeypatch.setattr(ExperimentConfig, "test_set_size", 4)
+    config = ExperimentConfig(difficulty="fineEasy")
     model = FeatureModel(DomainSpec.builtin_glasses(), seed=0)
     objs = make_test_set(model, config, seed=1)
     assert len(objs) == 4 * len(config.classes)
@@ -156,12 +153,15 @@ def test_make_test_set_composition():
 # sequences (single cheap cell: minHelp, one seed)
 
 
+SMALL_TEST_SET = 5  # test objects per class in the cheap cells below
+
+
 @pytest.fixture(scope="module")
 def minhelp_result():
-    config = ExperimentConfig(
-        difficulty="fineEasy", strategies=("minHelp",), seeds=(0,), test_set_size=5
-    )
-    return config, run_sequence(config, "minHelp", 0)
+    config = ExperimentConfig(difficulty="fineEasy", strategies=("minHelp",), seeds=(0,))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExperimentConfig, "test_set_size", SMALL_TEST_SET)
+        return config, run_sequence(config, "minHelp", 0)
 
 
 def test_sequence_exam_schedule(minhelp_result):
@@ -179,7 +179,7 @@ def test_sequence_exam_contents(minhelp_result):
         assert 0.0 <= exam.map <= 1.0
         assert set(exam.ap) == set(config.classes)
         for concept, ranked in exam.ranked.items():
-            assert len(ranked) == config.test_set_size * len(config.classes)
+            assert len(ranked) == SMALL_TEST_SET * len(config.classes)
             assert all(0.0 <= s <= 1.0 for s, _ in ranked)
 
 
@@ -244,14 +244,13 @@ def _classified_confusion(learner, test_set, config, domain):
     return harness._confusion_rates(test_set, preds, config)
 
 
-def _small_config():
-    return ExperimentConfig(
-        difficulty="fineEasy", strategies=("minHelp",), seeds=(0,), test_set_size=5
-    )
+def _small_config(monkeypatch):
+    monkeypatch.setattr(ExperimentConfig, "test_set_size", SMALL_TEST_SET)
+    return ExperimentConfig(difficulty="fineEasy", strategies=("minHelp",), seeds=(0,))
 
 
 def test_confusion_comes_from_an_exam_right_after_the_final_episode(monkeypatch):
-    config = _small_config()
+    config = _small_config(monkeypatch)
     res, exams = _run_spied(monkeypatch, config)
     assert config.n_total % config.n_exam == 0 and len(exams) == len(res.exams) > 0
     assert not res.capped
@@ -263,7 +262,7 @@ def test_confusion_comes_from_an_exam_right_after_the_final_episode(monkeypatch)
 @pytest.mark.parametrize("cap, exam_mistakes", [(3, []), (8, [5])])
 def test_capped_run_takes_the_confusion_from_one_more_exam(monkeypatch, cap, exam_mistakes):
     monkeypatch.setattr(harness, "EPISODE_CAP", cap)
-    config = _small_config()
+    config = _small_config(monkeypatch)
     res, exams = _run_spied(monkeypatch, config)
     assert res.episodes == cap and res.capped
     assert [e.mistakes for e in res.exams] == exam_mistakes  # none at the final episode
@@ -273,7 +272,7 @@ def test_capped_run_takes_the_confusion_from_one_more_exam(monkeypatch, cap, exa
 
 
 def test_run_spending_its_mistake_budget_at_the_cap_is_not_capped(monkeypatch):
-    config = _small_config()
+    config = _small_config(monkeypatch)
     full = run_sequence(config, "minHelp", 0)
     monkeypatch.setattr(harness, "EPISODE_CAP", full.episodes)
     res = run_sequence(config, "minHelp", 0)
@@ -283,7 +282,7 @@ def test_run_spending_its_mistake_budget_at_the_cap_is_not_capped(monkeypatch):
 def test_mistake_budget_off_the_exam_interval_takes_one_more_exam(monkeypatch):
     spec = {**DIFFICULTIES["fineEasy"], "n_total": 7}
     monkeypatch.setitem(harness.DIFFICULTIES, "fineEasy", spec)
-    config = _small_config()
+    config = _small_config(monkeypatch)
     res, exams = _run_spied(monkeypatch, config)
     assert [e.mistakes for e in res.exams] == [5] and len(exams) == 2
     assert not res.capped
@@ -346,11 +345,12 @@ def tiny_suite(tmp_path_factory):
         difficulty="fineEasy",
         strategies=("minHelp",),
         seeds=(0,),
-        test_set_size=5,
         out_dir=str(out),
         dump_programs=True,
     )
-    return config, run_suite(config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExperimentConfig, "test_set_size", SMALL_TEST_SET)
+        return config, run_suite(config)
 
 
 def test_suite_writes_expected_files(tiny_suite):
@@ -412,7 +412,7 @@ def test_fineHard_cell_outputs_match_golden_digests(tmp_path):
 def test_program_dumps_parse_back(tiny_suite):
     config, results = tiny_suite
     dumps = results["minHelp"][0].program_dumps
-    assert len(dumps) == config.test_set_size * len(config.classes)
+    assert len(dumps) == SMALL_TEST_SET * len(config.classes)
     text = open(os.path.join(config.out_dir, "programs", "minHelp_0.lp")).read()
     # strip per-object comment headers ("# query ...") and the blank lines
     # between dumps, keep "#hard|" rules; the rules read back to the same text

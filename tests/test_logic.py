@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from groundsim.logic import (
     HAVE,
     Atom,
-    Conjunction,
     Const,
     PredicateSym,
     Prop,
@@ -50,8 +49,8 @@ STEM = cls_pred("stem")
 
 def ground_prop(cls: str, eid: str = "o1", neg: bool = False) -> Prop:
     return Prop(
-        ante=Conjunction(()),
-        cons=Conjunction((Atom(cls_pred(cls), (Const(eid),)),)),
+        ante=(),
+        cons=(Atom(cls_pred(cls), (Const(eid),)),),
         cons_negated=neg,
     )
 
@@ -59,8 +58,8 @@ def ground_prop(cls: str, eid: str = "o1", neg: bool = False) -> Prop:
 def generic_prop(ante: str, cons: str, var: str = "O", neg: bool = False) -> Prop:
     v = Var(var)
     return Prop(
-        ante=Conjunction((Atom(cls_pred(ante), (v,)),)),
-        cons=Conjunction((Atom(cls_pred(cons), (v,)),)),
+        ante=(Atom(cls_pred(ante), (v,)),),
+        cons=(Atom(cls_pred(cons), (v,)),),
         generic=True,
         cons_negated=neg,
     )
@@ -99,19 +98,19 @@ def test_atoms_and_skolem_terms_print_as_program_text():
 
 def test_prop_requires_nonempty_consequent():
     with pytest.raises(ValueError):
-        Prop(ante=Conjunction(()), cons=Conjunction(()))
+        Prop(ante=(), cons=())
 
 
 def test_nongeneric_prop_must_be_ground():
     with pytest.raises(ValueError):
-        Prop(ante=Conjunction(()), cons=Conjunction((Atom(BRANDY, (Var("O"),)),)))
+        Prop(ante=(), cons=(Atom(BRANDY, (Var("O"),)),))
 
 
 def test_generic_prop_needs_shared_variable():
     with pytest.raises(ValueError):
         Prop(
-            ante=Conjunction((Atom(BRANDY, (Var("O"),)),)),
-            cons=Conjunction((Atom(STEM, (Var("X"),)),)),
+            ante=(Atom(BRANDY, (Var("O"),)),),
+            cons=(Atom(STEM, (Var("X"),)),),
             generic=True,
         )
 
@@ -129,14 +128,14 @@ def test_substitute_grounds_generic():
     p = generic_prop("brandyGlass", "haveShortStem")
     g = substitute(p, {"O": Const("o1")})
     assert not g.generic
-    assert g.ante.atoms[0].args == (Const("o1"),)
-    assert g.cons.atoms[0].args == (Const("o1"),)
+    assert g.ante[0].args == (Const("o1"),)
+    assert g.cons[0].args == (Const("o1"),)
 
 
 def test_substitute_reaches_skolem_argument():
     p = skolemize_part_description(BRANDY, SHORT, STEM)
     g = substitute(p, {"O": Const("o1")})
-    have_atom = g.cons.atoms[0]
+    have_atom = g.cons[0]
     assert have_atom.pred == HAVE
     assert have_atom.args[1] == SkolemApp(SkolemFn("brandyGlass", "stem"), Const("o1"))
     assert all(a.is_ground() for a in g.cons)
@@ -163,9 +162,7 @@ def test_instance_prop_and_what_is_build_the_template_forms():
 def test_instance_atom_reads_only_ground_one_atom_props():
     assert instance_atom(ground_prop("brandyGlass", neg=True)) == Atom(BRANDY, (Const("o1"),))
     assert instance_atom(what_is("o2").prop) == Atom(cls_pred("P"), (Const("o2"),))
-    has_part = Prop(
-        ante=Conjunction(()), cons=part_cons(Const("o1"), SkolemFn("o1", "stem"), SHORT, STEM)
-    )
+    has_part = Prop(ante=(), cons=part_cons(Const("o1"), SkolemFn("o1", "stem"), SHORT, STEM))
     for form in (has_part, generic_prop("brandyGlass", "burgundyGlass"), what_is("o1"), "Correct"):
         assert instance_atom(form) is None
 
@@ -173,7 +170,7 @@ def test_instance_atom_reads_only_ground_one_atom_props():
 def test_part_cons_is_the_consequent_of_a_part_description():
     o = Var("O")
     fo = SkolemApp(SkolemFn("brandyGlass", "stem"), o)
-    expected = Conjunction((Atom(HAVE, (o, fo)), Atom(SHORT, (fo,)), Atom(STEM, (fo,))))
+    expected = (Atom(HAVE, (o, fo)), Atom(SHORT, (fo,)), Atom(STEM, (fo,)))
     assert part_cons(o, SkolemFn("brandyGlass", "stem"), SHORT, STEM) == expected
     assert skolemize_part_description(BRANDY, SHORT, STEM).cons == expected
 
@@ -184,20 +181,18 @@ def test_part_properties_pairs_each_attribute_with_its_own_part():
     o = Const("o1")
     stem, bowl = SkolemApp(SkolemFn("o1", "stem"), o), SkolemApp(SkolemFn("o1", "bowl"), o)
     thin, wide, bowl_pred = attr_pred("thin"), attr_pred("wide"), cls_pred("bowl")
-    cons = Conjunction(
-        (
-            Atom(HAVE, (o, stem)),
-            Atom(SHORT, (stem,)),
-            Atom(HAVE, (o, bowl)),
-            Atom(wide, (bowl,)),
-            Atom(bowl_pred, (bowl,)),
-            Atom(STEM, (stem,)),
-            Atom(thin, (stem,)),
-        )
+    cons = (
+        Atom(HAVE, (o, stem)),
+        Atom(SHORT, (stem,)),
+        Atom(HAVE, (o, bowl)),
+        Atom(wide, (bowl,)),
+        Atom(bowl_pred, (bowl,)),
+        Atom(STEM, (stem,)),
+        Atom(thin, (stem,)),
     )
     assert part_properties(cons) == [(SHORT, STEM), (thin, STEM), (wide, bowl_pred)]
     # an attribute whose skolem term has no part atom pairs with nothing
-    assert part_properties(Conjunction((Atom(SHORT, (stem,)), Atom(BRANDY, (o,))))) == []
+    assert part_properties((Atom(SHORT, (stem,)), Atom(BRANDY, (o,)))) == []
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +208,8 @@ def test_swap_is_involutive():
 def test_swap_renames_skolem_function():
     p = skolemize_part_description(BRANDY, SHORT, STEM)
     q = swap_predicates(p, BRANDY, BURGUNDY)
-    assert q.ante.atoms[0].pred == BURGUNDY
-    fo = q.cons.atoms[0].args[1]
+    assert q.ante[0].pred == BURGUNDY
+    fo = q.cons[0].args[1]
     assert fo.fn == SkolemFn("burgundyGlass", "stem")
 
 
@@ -228,7 +223,7 @@ def test_neg_implicature_flips_consequent_of_swapped_form():
     psi = skolemize_part_description(BRANDY, SHORT, STEM)
     neg = derive_neg_implicature(psi, BRANDY, BURGUNDY)
     assert neg.cons_negated
-    assert neg.ante.atoms[0].pred == BURGUNDY
+    assert neg.ante[0].pred == BURGUNDY
     expected = replace(
         skolemize_part_description(BURGUNDY, SHORT, STEM), cons_negated=True
     )
@@ -263,11 +258,11 @@ def test_prop_key_ignores_conjunct_order():
     fo = SkolemApp(SkolemFn("brandyGlass", "stem"), o)
     atoms = (Atom(HAVE, (o, fo)), Atom(SHORT, (fo,)), Atom(STEM, (fo,)))
     p1 = Prop(
-        ante=Conjunction((Atom(BRANDY, (o,)),)),
-        cons=Conjunction(atoms),
+        ante=(Atom(BRANDY, (o,)),),
+        cons=atoms,
         generic=True,
     )
-    p2 = replace(p1, cons=Conjunction(atoms[::-1]))
+    p2 = replace(p1, cons=atoms[::-1])
     assert prop_key(p1) == prop_key(p2)
 
 
@@ -276,10 +271,8 @@ def test_prop_key_canonicalizes_skolem_identity():
     o = Var("O")
     fo = SkolemApp(SkolemFn("freshTag", "freshPart"), o)
     fresh = Prop(
-        ante=Conjunction((Atom(BRANDY, (o,)),)),
-        cons=Conjunction(
-            (Atom(HAVE, (o, fo)), Atom(SHORT, (fo,)), Atom(STEM, (fo,)))
-        ),
+        ante=(Atom(BRANDY, (o,)),),
+        cons=(Atom(HAVE, (o, fo)), Atom(SHORT, (fo,)), Atom(STEM, (fo,))),
         generic=True,
     )
     assert prop_key(fresh) == prop_key(skolemize_part_description(BRANDY, SHORT, STEM))
@@ -302,7 +295,7 @@ def test_canonicalize_renames_in_order_of_appearance():
     q = canonicalize(p)
     assert prop_to_text(p).startswith("G Z. ")
     assert prop_to_text(q).startswith("G O. ")
-    assert q.ante.atoms[0].args == (Var("O"),)
+    assert q.ante[0].args == (Var("O"),)
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +314,12 @@ def test_contradicts_ignores_partial_overlap():
     o = Var("O")
     fo = SkolemApp(SkolemFn("c", "bowl"), o)
     two = Prop(
-        ante=Conjunction((Atom(cls_pred("c"), (o,)),)),
-        cons=Conjunction(
-            (
-                Atom(HAVE, (o, fo)),
-                Atom(attr_pred("wide"), (fo,)),
-                Atom(attr_pred("round"), (fo,)),
-                Atom(cls_pred("bowl"), (fo,)),
-            )
+        ante=(Atom(cls_pred("c"), (o,)),),
+        cons=(
+            Atom(HAVE, (o, fo)),
+            Atom(attr_pred("wide"), (fo,)),
+            Atom(attr_pred("round"), (fo,)),
+            Atom(cls_pred("bowl"), (fo,)),
         ),
         generic=True,
     )
@@ -355,8 +346,8 @@ def test_prop_to_text_shapes():
     # two variables print in order of appearance, ante before cons
     x, y = Var("X"), Var("Y")
     two = Prop(
-        ante=Conjunction((Atom(rel_pred("near"), (y, x)),)),
-        cons=Conjunction((Atom(cls_pred("c"), (x,)),)),
+        ante=(Atom(rel_pred("near"), (y, x)),),
+        cons=(Atom(cls_pred("c"), (x,)),),
         generic=True,
     )
     assert prop_to_text(two) == "G Y X. near(Y,X) => c(X)"
@@ -367,8 +358,8 @@ def test_ques_to_text_shapes():
     wh = Ques(
         "wh",
         prop=Prop(
-            ante=Conjunction(()),
-            cons=Conjunction((Atom(cls_pred("P"), (Const("o1"),)),)),
+            ante=(),
+            cons=(Atom(cls_pred("P"), (Const("o1"),)),),
         ),
         var="P",
     )
