@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -226,31 +227,63 @@ def generate_scene(model: FeatureModel, target: str, rng, n_distractors: int) ->
 # exemplar base and few-shot classification
 
 
+@dataclass(frozen=True, eq=False)
+class _Pool:
+    """The stacked rows of a multiset of exemplars, with their bandwidth."""
+
+    bandwidth: float
+    matrix: np.ndarray  # rows in the order of the pool's sorted row ids
+
+
 class ExemplarBase:
-    """chi+/chi- feature sets per concept; mutated only between episodes."""
+    """chi+/chi- feature sets per concept; mutated only between episodes.
+
+    `add` stores a read-only copy of each distinct feature row once, so a
+    caller that later writes to its array changes no exemplar. Concepts
+    whose exemplars are the same multiset of rows share one pool: one
+    stacked matrix and one bandwidth, which the scorer turns into one
+    distance matrix per feature matrix."""
 
     def __init__(self):
         self.positive: dict[str, list[np.ndarray]] = {}
         self.negative: dict[str, list[np.ndarray]] = {}
-        self._cache: dict[str, tuple] = {}  # concept -> (bandwidth, pos mat, neg mat)
+        self._row_ids: dict[tuple, int] = {}  # (shape, bytes) of a row -> its id
+        self._rows: list[np.ndarray] = []  # row id -> read-only row
+        self._ids: dict[str, tuple[list[int], list[int]]] = {}  # concept -> pos, neg row ids
+        # concept -> (pool, pos columns, neg columns), until its exemplars change
+        self._cache: dict[str, tuple[_Pool, np.ndarray, np.ndarray]] = {}
+        # sorted row ids -> pool; a pool goes when no cached concept holds it
+        self._pools: WeakValueDictionary[tuple[int, ...], _Pool] = WeakValueDictionary()
 
     def add(self, concept: str, feature: np.ndarray, positive: bool):
+        row = np.array(feature, dtype=float)
+        key = (row.shape, row.tobytes())
+        rid = self._row_ids.get(key)
+        if rid is None:
+            rid = self._row_ids[key] = len(self._rows)
+            row.flags.writeable = False
+            self._rows.append(row)
         store = self.positive if positive else self.negative
-        store.setdefault(concept, []).append(np.asarray(feature, dtype=float))
+        store.setdefault(concept, []).append(self._rows[rid])
+        self._ids.setdefault(concept, ([], []))[0 if positive else 1].append(rid)
         self._cache.pop(concept, None)
 
-    def classifier_state(self, concept: str):
-        """(bandwidth, pos matrix, neg matrix), cached until the concept's
-        exemplars change."""
+    def _classifier(self, concept: str) -> tuple[_Pool, np.ndarray, np.ndarray]:
+        """(pool, pos columns, neg columns) of a concept with positives and
+        negatives, cached until its exemplars change."""
         cached = self._cache.get(concept)
         if cached is None:
-            pos, neg = self.positive.get(concept, []), self.negative.get(concept, [])
-            cached = (
-                _bandwidth(pos + neg),
-                np.stack(pos) if pos else None,
-                np.stack(neg) if neg else None,
+            pos_ids, neg_ids = self._ids[concept]
+            key = tuple(sorted(pos_ids + neg_ids))
+            pool = self._pools.get(key)
+            if pool is None:
+                rows = [self._rows[i] for i in key]
+                pool = self._pools[key] = _Pool(_bandwidth(rows), np.stack(rows))
+            cached = self._cache[concept] = (
+                pool,
+                np.searchsorted(key, pos_ids),
+                np.searchsorted(key, neg_ids),
             )
-            self._cache[concept] = cached
         return cached
 
     def process_correction(self, wrong: str, true: str, feature: np.ndarray):
@@ -271,39 +304,49 @@ def _bandwidth(exemplars: list[np.ndarray]) -> float:
 
 def score_fewshot(
     xb: ExemplarBase,
-    concept: str,
+    concepts: list[str],
     features: np.ndarray,
     gain: float = KERNEL_GAIN,
     bias: float = 0.0,
-) -> np.ndarray:
-    """Calibrated kernel-mean discriminant between chi+ and chi-, one score
-    per row of an (n, d) feature matrix.
+) -> dict[str, np.ndarray]:
+    """Calibrated kernel-mean discriminant between chi+ and chi-: concept ->
+    one score per row of an (n, d) feature matrix.
 
     Each row's margin is the mean Gaussian kernel value to the positives
     minus that to the negatives; the score is sigmoid(gain * margin - bias).
     A positive bias makes the detector conservative: confident denials stay
     confident while weak detections drop toward the 0.5 prior. Concepts
     with no exemplars score 0.5 and one-sided ones ONE_SIDED_SCORE (or its
-    complement) before the feature dimension is checked."""
+    complement) before the feature dimension is checked.
+
+    The squared distances to a pool's rows are computed once for all the
+    concepts that share it. Each concept then takes `exp` and the mean over
+    a C-contiguous copy of its own columns, in its own exemplar order: over
+    the shared matrix, or over a strided gather, the last bit can differ
+    from scoring the concept's rows alone."""
     features = np.asarray(features, dtype=float)
-    pos = xb.positive.get(concept, [])
-    neg = xb.negative.get(concept, [])
-    if not pos and not neg:
-        return np.full(len(features), 0.5)
-    if pos and not neg:
-        return np.full(len(features), ONE_SIDED_SCORE)
-    if neg and not pos:
-        return np.full(len(features), 1.0 - ONE_SIDED_SCORE)
-    if features.shape[1:] != pos[0].shape:
-        raise ValueError("feature dimension mismatch")
-    h, pos_mat, neg_mat = xb.classifier_state(concept)
+    d2_of: dict[_Pool, np.ndarray] = {}  # pool -> (n, pool rows) squared distances
+    scores = {}
+    for concept in concepts:
+        pos, neg = xb.positive.get(concept), xb.negative.get(concept)
+        if not pos or not neg:
+            fixed = 0.5 if not pos and not neg else ONE_SIDED_SCORE if pos else 1.0 - ONE_SIDED_SCORE
+            scores[concept] = np.full(len(features), fixed)
+            continue
+        if features.shape[1:] != pos[0].shape:
+            raise ValueError("feature dimension mismatch")
+        pool, pos_cols, neg_cols = xb._classifier(concept)
+        d2 = d2_of.get(pool)
+        if d2 is None:
+            d2 = d2_of[pool] = ((pool.matrix - features[:, None, :]) ** 2).sum(axis=-1)
+        h = pool.bandwidth
 
-    def kmean(x):
-        d2 = np.sum((x - features[:, None, :]) ** 2, axis=-1)
-        return np.mean(np.exp(-d2 / (2 * h * h)), axis=1)
+        def kmean(cols):
+            return np.exp(-d2.take(cols, axis=1) / (2 * h * h)).mean(axis=1)
 
-    margin = kmean(pos_mat) - kmean(neg_mat)
-    return 1.0 / (1.0 + np.exp(-(gain * margin - bias)))
+        margin = kmean(pos_cols) - kmean(neg_cols)
+        scores[concept] = 1.0 / (1.0 + np.exp(-(gain * margin - bias)))
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +380,13 @@ def build_scene_graph(
     """Score every entity against the known concepts; unknown concepts sit at
     the 0.5 prior; 'have' edges are bbox area ratios.
 
-    Each (concept, role) is scored over the whole scene in one
-    `score_fewshot` call: class concepts over the objects' class features
-    and over the parts' class features, attribute concepts over the parts'
-    attribute features. An entity's scores depend only on its own features
-    and the exemplar base, so each object's nodes and edges are those of
-    its own one-object scene."""
+    Each feature role is scored over the whole scene in one `score_fewshot`
+    call: class concepts over the objects' class features and over the
+    parts' class features, attribute concepts over the parts' attribute
+    features. Within a call, concepts that share an exemplar pool share one
+    distance matrix. An entity's scores depend only on its own features and
+    the exemplar base, so each object's nodes and edges are those of its
+    own one-object scene."""
     parts = [part for obj in scene for part in obj.parts]
     obj_scores = _score_rows(xb, class_concepts, [o.class_feature for o in scene], KERNEL_GAIN)
     part_scores = _score_rows(xb, class_concepts, [p.class_feature for p in parts], PART_GAIN)
@@ -371,8 +415,8 @@ def _score_rows(xb, concepts, rows, gain, bias=0.0) -> dict[str, list[float]]:
     """concept -> `score_fewshot` of each feature in rows, as floats."""
     if not rows:
         return {c: [] for c in concepts}
-    features = np.stack(rows)
-    return {c: score_fewshot(xb, c, features, gain, bias).tolist() for c in concepts}
+    scores = score_fewshot(xb, concepts, np.stack(rows), gain, bias)
+    return {c: s.tolist() for c, s in scores.items()}
 
 
 # ---------------------------------------------------------------------------

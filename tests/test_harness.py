@@ -290,6 +290,26 @@ def test_mistake_budget_off_the_exam_interval_takes_one_more_exam(monkeypatch):
     assert res.confusion == _classified_confusion(learner, test_set, config, domain)
 
 
+def test_exemplar_base_keeps_no_unused_pool_after_a_cell(monkeypatch):
+    monkeypatch.setattr(ExperimentConfig, "test_set_size", SMALL_TEST_SET)
+    config = ExperimentConfig(difficulty="fineEasy", strategies=("maxHelp_semNegScal",), seeds=(0,))
+    learners = []
+    real_new_learner = harness.new_learner
+
+    def spy_new_learner(*args):
+        learners.append(real_new_learner(*args))
+        return learners[-1]
+
+    monkeypatch.setattr(harness, "new_learner", spy_new_learner)
+    run_sequence(config, "maxHelp_semNegScal", 0)
+    xb = learners[0].xb
+    class_adds = sum(len(xb.positive.get(c, [])) + len(xb.negative.get(c, [])) for c in config.classes)
+    assert class_adds > 2 * len(config.classes)
+    used = {id(pool) for pool, _, _ in xb._cache.values()}
+    assert {id(pool) for pool in xb._pools.values()} == used
+    assert len(used) <= len(config.classes) + 2  # the classes, parts and attributes
+
+
 def test_exam_scene_marginals_equal_each_objects_own_scene():
     config = ExperimentConfig(difficulty="fineEasy")
     domain = DomainSpec.builtin_glasses()

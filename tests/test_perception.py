@@ -17,6 +17,8 @@ from groundsim.perception import (
     DomainSpec,
     ExemplarBase,
     FeatureModel,
+    PartInstance,
+    SceneObject,
     build_scene_graph,
     concept_diff,
     generate_scene,
@@ -24,6 +26,7 @@ from groundsim.perception import (
     relation_score,
     score_fewshot,
 )
+from groundsim.perception import _bandwidth
 
 
 @pytest.fixture(scope="module")
@@ -170,8 +173,10 @@ def test_exemplar_base_bookkeeping():
 
 
 def classify_fewshot(xb, concept, feature, gain=KERNEL_GAIN, bias=0.0) -> float:
-    """`score_fewshot` of one feature vector, passed as a one-row matrix."""
-    return float(score_fewshot(xb, concept, np.asarray(feature, dtype=float)[None], gain, bias)[0])
+    """`score_fewshot` of one concept and one feature vector, passed as a
+    one-row matrix."""
+    features = np.asarray(feature, dtype=float)[None]
+    return float(score_fewshot(xb, [concept], features, gain, bias)[concept][0])
 
 
 def test_classify_fewshot_priors_and_one_sided():
@@ -212,11 +217,11 @@ def test_classify_fewshot_dimension_mismatch():
     with pytest.raises(ValueError):
         classify_fewshot(xb, "stem", np.zeros(5))
     with pytest.raises(ValueError):
-        score_fewshot(xb, "stem", np.zeros((3, 5)))
+        score_fewshot(xb, ["stem"], np.zeros((3, 5)))
     # empty and one-sided sets return their fixed scores before the check
     xb.add("bowl", np.zeros(4), positive=True)
     assert classify_fewshot(xb, "bowl", np.zeros(5)) == ONE_SIDED_SCORE
-    assert score_fewshot(xb, "cup", np.zeros((2, 5))).tolist() == [0.5, 0.5]
+    assert score_fewshot(xb, ["cup"], np.zeros((2, 5)))["cup"].tolist() == [0.5, 0.5]
 
 
 def _reference_score(xb, concept, feature, gain, bias):
@@ -224,7 +229,7 @@ def _reference_score(xb, concept, feature, gain, bias):
     pos, neg = xb.positive.get(concept, []), xb.negative.get(concept, [])
     if not pos or not neg:
         return 0.5 if not pos and not neg else (ONE_SIDED_SCORE if pos else 1.0 - ONE_SIDED_SCORE)
-    h = xb.classifier_state(concept)[0]
+    h = _bandwidth(pos + neg)
 
     def kmean(exemplars):
         d2 = np.sum((np.stack(exemplars) - feature) ** 2, axis=-1)
@@ -249,7 +254,7 @@ def test_score_fewshot_equals_classify_fewshot_row_by_row(n_pos, n_neg, n_rows, 
         xb.add("c", rng.normal(size=16), positive=i < n_pos)
     features = rng.normal(size=(n_rows, 16)) * rng.uniform(0.1, 3.0)
     gain, bias = gain_bias
-    scores = score_fewshot(xb, "c", features, gain, bias)
+    scores = score_fewshot(xb, ["c"], features, gain, bias)["c"]
     assert scores.shape == (n_rows,)
     for row, score in zip(features, scores):
         assert score == classify_fewshot(xb, "c", row, gain, bias)
@@ -264,6 +269,116 @@ def test_classifier_cache_invalidated_on_add():
     xb.add("stem", np.full(4, 0.75), positive=True)
     after = classify_fewshot(xb, "stem", np.full(4, 0.75))
     assert after > before
+
+
+def _random_object(rng, eid, scale):
+    """A one-part scene object with random features in every role."""
+    part = PartInstance(
+        eid=f"{eid}_bowl",
+        kind="bowl",
+        bbox=BBox(0.2, 0.2, 0.2, 0.2),
+        attrs=(),
+        class_feature=rng.normal(size=16) * scale,
+        attr_feature=rng.normal(size=16) * scale,
+    )
+    return SceneObject(eid, "x", BBox(0.1, 0.1, 0.5, 0.5), rng.normal(size=16) * scale, [part])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_shared=st.integers(2, 7),
+    n_rows=st.integers(2, 30),
+    n_objects=st.integers(1, 160),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shared_pool_scores_equal_the_reference_in_every_role(n_shared, n_rows, n_objects, seed):
+    rng = np.random.default_rng(seed)
+    xb = ExemplarBase()
+    shared = [rng.normal(size=16) for _ in range(n_rows)]
+    members = [f"shared{i}" for i in range(n_shared)]
+    for concept in members:
+        # each member adds the same rows in its own order, with its own split
+        signs = rng.integers(0, 2, size=n_rows).astype(bool)
+        signs[:2] = True, False
+        order = rng.permutation(n_rows)
+        for j in order:
+            xb.add(concept, shared[j], positive=bool(signs[j]))
+    for i in range(int(rng.integers(2, 12))):
+        xb.add("own", rng.normal(size=16), positive=i % 2 == 0)
+    xb.add("posOnly", shared[0], positive=True)
+    xb.add("negOnly", rng.normal(size=16), positive=False)
+    concepts = [*members, "own", "posOnly", "negOnly", "unknown"]
+    assert len({id(xb._classifier(c)[0]) for c in members}) == 1
+    scale = rng.uniform(0.1, 3.0)
+    scene = [_random_object(rng, f"o{i}", scale) for i in range(n_objects)]
+    sg = build_scene_graph(scene, xb, concepts, concepts)
+    for obj in scene:
+        part = obj.parts[0]
+        for c in concepts:
+            obj_score = sg.nodes[obj.eid].class_scores[c]
+            assert obj_score == _reference_score(xb, c, obj.class_feature, KERNEL_GAIN, 0.0)
+            part_node = sg.nodes[part.eid]
+            assert part_node.class_scores[c] == _reference_score(
+                xb, c, part.class_feature, PART_GAIN, 0.0
+            )
+            assert part_node.attr_scores[c] == _reference_score(
+                xb, c, part.attr_feature, ATTR_GAIN, ATTR_BIAS
+            )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pool_bandwidth_equals_each_concepts_own(domain, seed):
+    xb = ExemplarBase()
+    init_priors(xb, FeatureModel(domain, seed=0), np.random.default_rng([seed, 3]))
+    for group in (domain.parts, domain.attributes):
+        # every concept of a group holds the same prior rows: one pool
+        assert len({id(xb._classifier(c)[0]) for c in group}) == 1
+        for c in group:
+            pos, neg = xb.positive[c], xb.negative[c]
+            assert xb._classifier(c)[0].bandwidth == _bandwidth(pos + neg)
+
+
+def test_adding_to_one_pool_member_rescores_only_that_member(model, domain, monkeypatch):
+    monkeypatch.setattr(perception, "PRIORS_PER_CLASS", 2)
+    rng = np.random.default_rng(5)
+    xb = ExemplarBase()
+    init_priors(xb, model, rng)
+    attrs = list(domain.attributes)
+    parts = [p for obj in generate_scene(model, "brandyGlass", rng, 3) for p in obj.parts]
+    features = np.stack([p.attr_feature for p in parts])
+    before = score_fewshot(xb, attrs, features, ATTR_GAIN, ATTR_BIAS)
+    xb.add("wide", features[0], positive=True)
+    after = score_fewshot(xb, attrs, features, ATTR_GAIN, ATTR_BIAS)
+    assert after["wide"][0] > before["wide"][0]
+    others = [a for a in attrs if a != "wide"]
+    for a in others:
+        assert np.array_equal(after[a], before[a])
+    pools = {id(xb._classifier(a)[0]) for a in others}
+    assert len(pools) == 1 and id(xb._classifier("wide")[0]) not in pools
+
+
+def test_writing_to_an_added_array_changes_no_score():
+    pos, neg, extra = np.zeros(4), np.full(4, 2.0), np.full(4, 0.5)
+    xb, fresh = ExemplarBase(), ExemplarBase()  # fresh gets copies nobody writes to
+    xb.add("stem", pos, positive=True)
+    xb.add("stem", neg, positive=False)
+    fresh.add("stem", pos.copy(), positive=True)
+    fresh.add("stem", neg.copy(), positive=False)
+    features = np.linspace(0.0, 2.0, 12).reshape(3, 4)
+
+    def same_scores():
+        a = score_fewshot(xb, ["stem"], features)["stem"]
+        return np.array_equal(a, score_fewshot(fresh, ["stem"], features)["stem"])
+
+    pos[:] = 9.0  # before the first score
+    assert same_scores()
+    neg += 1.0  # after a score; the next add restacks the concept
+    xb.add("stem", extra, positive=True)
+    fresh.add("stem", extra.copy(), positive=True)
+    extra[:] = -3.0
+    assert same_scores()
+    assert xb.positive["stem"][0].tolist() == [0.0] * 4
+    assert not xb.positive["stem"][0].flags.writeable
 
 
 # ---------------------------------------------------------------------------
