@@ -22,7 +22,6 @@ from .logic import (
     instance_prop,
     rel_pred,
 )
-from .memory import KBEntry, KnowledgeBase
 from .perception import SceneGraph
 from .program import (
     BodyGroup,
@@ -31,7 +30,7 @@ from .program import (
     ground,
     logit,
 )
-from .exact import CompiledProgram, MarginalTable, solve_exact, union_find
+from .exact import CompiledProgram, MarginalTable, solve_exact
 
 THETA_SURE = 0.5
 
@@ -91,8 +90,8 @@ def _ante_unit(prop: Prop):
 
 
 def kb_to_program(kb, u: ReliabilityParams = ReliabilityParams()) -> WeightedProgram:
-    """Lifted penalty constraints per the KB translation, for any iterable of
-    KB entries or props:
+    """Lifted penalty constraints per the KB translation, for the generic
+    props of the `KnowledgeBase` `kb`:
 
     - each entry: deductive constraint logit(U_d): :- Ante, not Cons
       (negated consequents cancel the default negation: :- Ante, Cons);
@@ -100,13 +99,7 @@ def kb_to_program(kb, u: ReliabilityParams = ReliabilityParams()) -> WeightedPro
       abductive constraint logit(U_a): :- Cons, not Ante_1, ..., not Ante_n.
       Negated consequents generate no abductive constraint.
     """
-    props = []
-    for entry in kb:
-        prop = entry.prop if isinstance(entry, KBEntry) else entry
-        if not prop.generic:
-            raise ValueError("KB translation expects generic props")
-        props.append(canonicalize(prop))
-
+    props = [canonicalize(entry.prop) for entry in kb]
     prog = WeightedProgram()
     w_d, w_a = logit(u.u_d), logit(u.u_a)
     for prop in props:
@@ -136,111 +129,88 @@ def build_program(sg: SceneGraph, kb, u: ReliabilityParams = ReliabilityParams()
     return scene_to_program(sg) + ground(kb_to_program(kb, u), objects, sg.object_parts)
 
 
-def _restrict(prog: WeightedProgram, queries: list[Atom]) -> WeightedProgram:
-    """Keep only rules in the connected components of the query atoms."""
-    rule_atoms = [r.atoms() for r in prog]
-    find = union_find(rule_atoms)
-    roots, missing = set(), []
-    for q in queries:
-        try:
-            roots.add(find(q))
-        except KeyError:
-            missing.append(q)
-    if missing:
-        raise UnknownPredicateError(f"atoms unknown to the program: {', '.join(map(str, missing))}")
-    return WeightedProgram([r for r, atoms in zip(prog, rule_atoms) if find(atoms[0]) in roots])
-
-
-def _object_scene(sg: SceneGraph, objects) -> SceneGraph:
-    """The scene cut down to `objects`, their parts and the edges out of
-    them, by direct lookups."""
-    object_parts = {o: sg.object_parts[o] for o in sorted(objects)}
-    nodes, edges = {}, {}
-    for o, parts in object_parts.items():
-        nodes[o] = sg.nodes[o]
-        for p in parts:
-            nodes[p] = sg.nodes[p]
-            edges[(o, p)] = sg.edges[(o, p)]
-    return SceneGraph(nodes, edges, object_parts)
-
-
 def _plan_key(sg: SceneGraph, queries: list[Atom]):
-    """(key, codes, entities, role, objects) for queries on the scene objects
-    `objects`. `entities` is each object in id order, each followed by its
+    """(key, codes, entities, role, scene) for queries on the scene objects
+    their atoms mention (an atom on a part belongs to the part's whole).
+    `scene` is `sg` cut down to those objects, their parts and the edges
+    out of them. `entities` is each object in id order, each followed by its
     parts, and `role` maps each entity to its index there; `codes` holds
     each query atom as (predicate, the entity index of each argument). The
     key holds the set of codes, the sort permutation of the entity ids
-    (which fixes the order of the program's atoms and rules) and the score
-    names of the entities' nodes and edges. So two sets of objects with one
-    key get the same restricted program up to the names of their entities,
-    rule for rule, whatever the order of their queries. Raises
-    UnknownPredicateError for a query argument that is not a constant or is
-    on no entity of the scene."""
+    (which fixes the order of the program's atoms and rules), the score
+    names of the entities' nodes and each object's edge score names. So two
+    sets of objects with one key get the same program up to the names of
+    their entities, rule for rule, whatever the order of their queries.
+    Raises UnknownPredicateError for a query argument that is not a
+    constant or is on no entity of the scene."""
     objects = set()
     for q in queries:
         for t in q.args:
             if not isinstance(t, Const):
                 raise UnknownPredicateError(f"query atom is not ground: {q}")
             objects.add(sg.whole_of.get(t.ident, t.ident))
-    entities, edges = [], []
+    nodes, edges, object_parts, edge_names = {}, {}, {}, []
     for o in sorted(objects):
-        parts = sg.object_parts.get(o)
+        parts = object_parts[o] = sg.object_parts.get(o)
         if parts is None:
             raise UnknownPredicateError(f"query atoms on an entity outside the scene: {o}")
-        entities += (o, *parts)
-        edges.append(tuple(tuple(sorted(sg.edges[(o, p)])) for p in parts))
+        nodes[o] = sg.nodes[o]
+        for p in parts:
+            nodes[p] = sg.nodes[p]
+            edges[(o, p)] = sg.edges[(o, p)]
+        edge_names.append(tuple(tuple(sorted(edges[(o, p)])) for p in parts))
+    entities = list(nodes)
     role = {e: i for i, e in enumerate(entities)}
     codes = [(q.pred, tuple(role[t.ident] for t in q.args)) for q in queries]
-    nodes = [sg.nodes[e] for e in entities]
     key = (
         frozenset(codes),
         tuple(sorted(range(len(entities)), key=entities.__getitem__)),
-        tuple((tuple(sorted(n.class_scores)), tuple(sorted(n.attr_scores))) for n in nodes),
-        tuple(edges),
+        tuple(
+            (tuple(sorted(n.class_scores)), tuple(sorted(n.attr_scores))) for n in nodes.values()
+        ),
+        tuple(edge_names),
     )
-    return key, codes, entities, role, objects
+    return key, codes, entities, role, SceneGraph(nodes, edges, object_parts)
 
 
 def marginals_for(
     sg: SceneGraph, kb, u: ReliabilityParams, queries: list[Atom]
 ) -> MarginalTable:
     """Exact marginals of the query atoms, and the log Z of their
-    components: those of `solve_exact(_restrict(build_program(sg, kb, u),
-    queries))`.
+    components, for the scene `sg` and the `KnowledgeBase` `kb`.
 
     The program is built on the scene cut down to the objects the queries
-    mention, their parts and the edges out of them: an atom on a part
-    belongs to the part's whole. Each lifted rule has one free variable and
+    mention (`_plan_key`). Each lifted rule has one free variable and
     `have` edges link an object only to its own parts, so no component spans
-    two objects, and the rules solved are those of the whole scene's
-    restricted program, in the same order.
+    two objects, and the components solved are those of the whole scene's
+    program that hold a query atom, rule for rule and in the same order.
 
-    The program is compiled once per plan key (`_plan_key`), in entity
-    indices: each soft fact is a slot (predicate, entity indices) and each
-    query code names the compiled atom it reads. A `KnowledgeBase` keeps
-    its plans in its memo until its revision or `u` changes; any other
-    iterable of entries or props gets a fresh cache, so it compiles on
-    every call. A query fills the slots with its entities' scores, so only
-    the solver's numeric half runs on a hit. Raises UnknownPredicateError
-    for a query atom the program lacks, including one on an entity outside
-    the scene or one that is not ground, and for one the solver sums out (a
-    stage-1 atom, such as a part's attribute in the body of a skolemized
-    generic's rules; see `exact`).
+    The program is compiled once per plan key and kept in the KB's memo
+    until its revision or `u` changes. Compiling splits it into components
+    (see `exact`); the plans kept are those whose outputs hold a query
+    atom, each cut down to its query atoms. Each soft fact is stored as a
+    slot (predicate, entity indices) and each query code names the compiled
+    atom it reads, so a query fills the slots with its entities' scores and
+    only the solver's numeric half runs on a hit. Raises
+    UnknownPredicateError for a query atom that is not ground or is on an
+    entity outside the scene, and for one that no kept plan outputs: an
+    atom the program lacks, or one the solver sums out (a stage-1 atom,
+    such as a part's attribute in the body of a skolemized generic's rules).
     """
-    key, codes, entities, role, objects = _plan_key(sg, queries)
-    plans = kb.memo(u, dict) if isinstance(kb, KnowledgeBase) else {}
+    key, codes, entities, role, scene = _plan_key(sg, queries)
+    plans = kb.memo(u, dict)
     planned = plans.get(key)
     if planned is None:
-        program = _restrict(build_program(_object_scene(sg, objects), kb, u), queries)
         wanted = set(queries)
-        compiled = [
-            replace(p, outputs=[(v, a) for v, a in p.outputs if a in wanted])
-            for p in CompiledProgram.compile(program).plans
-        ]
-        atoms = {a for p in compiled for _, a in p.outputs}
-        summed_out = ", ".join(str(q) for q in queries if q not in atoms)
-        if summed_out:
-            raise UnknownPredicateError(f"atoms the solver sums out: {summed_out}")
+        compiled = []
+        for p in CompiledProgram.compile(build_program(scene, kb, u)).plans:
+            outputs = [(v, a) for v, a in p.outputs if a in wanted]
+            if outputs:
+                compiled.append(replace(p, outputs=outputs))
+        solved = {a for p in compiled for _, a in p.outputs}
+        unsolved = ", ".join(str(q) for q in queries if q not in solved)
+        if unsolved:
+            raise UnknownPredicateError(f"atoms the program does not solve: {unsolved}")
         slots = [
             [(r.head.pred, tuple(role[c.ident] for c in r.head.args)) for r in p.facts]
             for p in compiled

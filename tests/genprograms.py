@@ -1,14 +1,16 @@
 """Random ground-program generators shared by the solver test modules, the
-marginals of every atom of a program, and a reader for the ground rules that
+marginals of every atom of a program, the uncached restriction of a program
+to its query atoms' components, and a reader for the ground rules that
 `program_to_text` writes (golden components and `--dump-program` files)."""
 
 import math
 
 import numpy as np
 
-from groundsim.exact import solve_exact
+from groundsim.exact import solve_exact, union_find
 from groundsim.logic import Atom, Const, attr_pred, cls_pred, rel_pred
 from groundsim.program import HARD, NoAdmissibleWorldError, WeightedProgram, WeightedRule, logit
+from groundsim.reasoner import UnknownPredicateError
 
 
 def all_marginals(prog: WeightedProgram) -> dict[Atom, float]:
@@ -25,6 +27,22 @@ def all_marginals(prog: WeightedProgram) -> dict[Atom, float]:
         else:
             probs[a] = math.exp(clamped.log_z - table.log_z)
     return probs
+
+
+def restrict(prog: WeightedProgram, queries: list[Atom]) -> WeightedProgram:
+    """Keep only rules in the connected components of the query atoms: the
+    uncached reference for the components `reasoner.marginals_for` solves."""
+    rule_atoms = [r.atoms() for r in prog]
+    find = union_find(rule_atoms)
+    roots, missing = set(), []
+    for q in queries:
+        try:
+            roots.add(find(q))
+        except KeyError:
+            missing.append(q)
+    if missing:
+        raise UnknownPredicateError(f"atoms unknown to the program: {', '.join(map(str, missing))}")
+    return WeightedProgram([r for r, atoms in zip(prog, rule_atoms) if find(atoms[0]) in roots])
 
 
 def read_ground_program(text: str) -> WeightedProgram:

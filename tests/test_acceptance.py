@@ -86,6 +86,14 @@ def _generic(ante: str, cons: str, neg: bool = False) -> Prop:
     )
 
 
+def _kb(*props: Prop) -> KnowledgeBase:
+    """A KnowledgeBase holding `props` in order, each stated in episode 1."""
+    kb = KnowledgeBase()
+    for prop in props:
+        kb.add(prop, EXPLICIT, 1)
+    return kb
+
+
 def _conj_part_prop(cls: str, attrs: list[str], part: str, neg: bool = False) -> Prop:
     """Generic with a conjoined attribute consequent over one skolemized part."""
     o = Var("O")
@@ -111,7 +119,7 @@ def _worked_example_program(s_stem: float, kb_prop: Prop) -> WeightedProgram:
             _fact("haveShortStem", s_stem),
         ]
     )
-    return prog + ground(kb_to_program([kb_prop]), ["o1"], {"o1": []})
+    return prog + ground(kb_to_program(_kb(kb_prop)), ["o1"], {"o1": []})
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +159,9 @@ def test_criterion_1_worked_examples():
 
 
 def test_criterion_2_translation_golden():
-    dump1 = program_to_text(kb_to_program([_generic("brandyGlass", "haveShortStem")]))
+    dump1 = program_to_text(kb_to_program(_kb(_generic("brandyGlass", "haveShortStem"))))
     dump2 = program_to_text(
-        kb_to_program([_generic("burgundyGlass", "haveShortStem", neg=True)])
+        kb_to_program(_kb(_generic("burgundyGlass", "haveShortStem", neg=True)))
     )
     golden1 = (GOLDEN / "kb_deductive_abductive.lp").read_bytes()
     golden2 = (GOLDEN / "kb_negated_consequent.lp").read_bytes()

@@ -1,4 +1,5 @@
-"""The demos run as scripts and print what their docstrings promise."""
+"""The demos run as scripts, print what their docstrings promise, and print
+exactly their golden output in `tests/golden/`."""
 
 import re
 import runpy
@@ -7,11 +8,15 @@ from pathlib import Path
 from groundsim.memory import NEG_IMPLICATURE
 
 DEMOS = Path(__file__).parent.parent / "demos"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_demo(name: str, capsys) -> str:
+    """The demo's stdout, checked byte for byte against its golden copy."""
     runpy.run_path(str(DEMOS / name), run_name="__main__")
-    return capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / name).with_suffix(".txt").read_bytes()
+    return out
 
 
 def test_dialogue_walkthrough_reaches_a_contrastive_exchange(capsys):

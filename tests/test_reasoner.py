@@ -1,5 +1,5 @@
-"""Reasoner: scene/KB translation into programs, query restriction,
-polar answering and multiple-choice classification."""
+"""Reasoner: scene/KB translation into programs, query plans, polar
+answering and multiple-choice classification."""
 
 import math
 from itertools import combinations
@@ -10,7 +10,7 @@ import pytest
 
 from groundsim import harness, reasoner
 from groundsim.agents import diff_generics, learner_integrate_generics
-from groundsim.exact import solve_exact
+from groundsim.exact import CompiledProgram, solve_exact
 from groundsim.harness import DIFFICULTIES, ExperimentConfig, run_sequence
 from groundsim.logic import (
     HAVE,
@@ -27,7 +27,6 @@ from groundsim.program import BodyGroup, HARD, ground, logit, program_to_text, r
 from groundsim.reasoner import (
     ReliabilityParams,
     UnknownPredicateError,
-    _restrict,
     answer_polar,
     build_program,
     classify,
@@ -36,7 +35,8 @@ from groundsim.reasoner import (
     polar_ques,
     scene_to_program,
 )
-from test_acceptance import _conj_part_prop, _fresh_learner, _generic
+from genprograms import restrict
+from test_acceptance import _conj_part_prop, _fresh_learner, _generic, _kb
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -80,10 +80,10 @@ def test_scene_to_program_is_deterministically_ordered():
 
 
 def test_kb_to_program_groups_shared_consequents():
-    kb = [
+    kb = _kb(
         _generic("brandyGlass", "haveShortStem"),
         _generic("snifter", "haveShortStem"),
-    ]
+    )
     rules = list(kb_to_program(kb))
     constraints = [r for r in rules if r.is_constraint()]
     # two deductive constraints + one shared abductive constraint
@@ -93,14 +93,14 @@ def test_kb_to_program_groups_shared_consequents():
 
 
 def test_kb_to_program_negated_consequent_skips_abduction():
-    rules = list(kb_to_program([_generic("burgundyGlass", "haveShortStem", neg=True)]))
+    rules = list(kb_to_program(_kb(_generic("burgundyGlass", "haveShortStem", neg=True))))
     assert len(rules) == 1
     assert rule_to_text(rules[0]) == "2.944439| :- burgundyGlass(O), haveShortStem(O)."
 
 
 def test_kb_to_program_uses_reliability_weights():
     u = ReliabilityParams(u_d=0.8, u_a=0.9)
-    rules = list(kb_to_program([_generic("brandyGlass", "haveShortStem")], u))
+    rules = list(kb_to_program(_kb(_generic("brandyGlass", "haveShortStem")), u))
     assert math.isclose(rules[0].weight, math.log(4), rel_tol=1e-9)
     assert math.isclose(rules[1].weight, math.log(9), rel_tol=1e-9)
 
@@ -109,7 +109,7 @@ def test_kb_to_program_skolemized_consequent_becomes_body_group():
     prop = skolemize_part_description(
         cls_pred("brandyGlass"), attr_pred("short"), cls_pred("stem")
     )
-    rules = list(kb_to_program([prop]))
+    rules = list(kb_to_program(_kb(prop)))
     assert isinstance(rules[0].neg_body[0], BodyGroup)
     assert rules[0].neg_body[0].aux_name == "aux_have_short_stem"
 
@@ -120,25 +120,10 @@ def test_kb_to_program_text_names_skolem_terms():
     )
     sk = "sk_brandyGlass_stem(O)"
     group = f"{{have(O,{sk}) & short({sk}) & stem({sk})}}"
-    assert program_to_text(kb_to_program([prop])).splitlines() == [
+    assert program_to_text(kb_to_program(_kb(prop))).splitlines() == [
         f"2.944439| :- brandyGlass(O), not {group}.",
         f"2.944439| :- {group}, not brandyGlass(O).",
     ]
-
-
-def test_kb_to_program_rejects_ground_props():
-    from test_logic import ground_prop
-
-    with pytest.raises(ValueError):
-        kb_to_program([ground_prop("brandyGlass")])
-
-
-def test_kb_to_program_accepts_entries_and_props():
-    kb = KnowledgeBase()
-    kb.add(_generic("brandyGlass", "haveShortStem"), EXPLICIT, 1)
-    assert len(kb_to_program(kb)) == len(
-        kb_to_program([_generic("brandyGlass", "haveShortStem")])
-    )
 
 
 def test_build_program_grounds_over_scene_objects():
@@ -149,7 +134,7 @@ def test_build_program_grounds_over_scene_objects():
     prop = skolemize_part_description(
         cls_pred("brandyGlass"), attr_pred("short"), cls_pred("stem")
     )
-    prog = build_program(sg, [prop])
+    prog = build_program(sg, _kb(prop))
     aux_defs = [r for r in prog if r.weight is HARD and r.head is not None]
     assert len(aux_defs) == 1
     assert aux_defs[0].head == Atom(cls_pred("aux_have_short_stem"), (Const("o1"),))
@@ -179,7 +164,7 @@ def _u():
 
 def test_marginals_for_restricts_to_query_component():
     sg = make_scene({"brandyGlass": 0.61, "burgundyGlass": 0.62, "haveShortStem": 0.9})
-    kb = [_generic("brandyGlass", "haveShortStem")]
+    kb = _kb(_generic("brandyGlass", "haveShortStem"))
     atom = Atom(cls_pred("burgundyGlass"), (Const("o1"),))
     table = marginals_for(sg, kb, _u(), [atom])
     # burgundy is independent of the brandy/stem component
@@ -190,12 +175,12 @@ def test_marginals_for_restricts_to_query_component():
 def test_marginals_for_unknown_atom_raises():
     sg = make_scene({"brandyGlass": 0.61})
     with pytest.raises(UnknownPredicateError):
-        marginals_for(sg, [], _u(), [Atom(cls_pred("nope"), (Const("o1"),))])
+        marginals_for(sg, _kb(), _u(), [Atom(cls_pred("nope"), (Const("o1"),))])
 
 
 def test_answer_polar_and_negation():
     sg = make_scene({"brandyGlass": 0.61, "burgundyGlass": 0.62, "haveShortStem": 0.9})
-    kb = [_generic("brandyGlass", "haveShortStem")]
+    kb = _kb(_generic("brandyGlass", "haveShortStem"))
     p = answer_polar(sg, kb, _u(), polar_ques("brandyGlass", "o1"))
     assert math.isclose(p, 0.9057320441988949, abs_tol=1e-9)
     p_neg = answer_polar(sg, kb, _u(), polar_ques("brandyGlass", "o1", negated=True))
@@ -207,34 +192,34 @@ def test_answer_polar_rejects_non_polar():
     from groundsim.logic import Ques
 
     with pytest.raises(ValueError):
-        answer_polar(sg, [], _u(), Ques("conceptDiff", pair=(cls_pred("a"), cls_pred("b"))))
+        answer_polar(sg, _kb(), _u(), Ques("conceptDiff", pair=(cls_pred("a"), cls_pred("b"))))
 
 
 def test_classify_argmax_and_threshold():
     sg = make_scene({"brandyGlass": 0.61, "burgundyGlass": 0.62})
-    assert classify(sg, [], _u(), ["brandyGlass", "burgundyGlass"], "o1") == "burgundyGlass"
+    assert classify(sg, _kb(), _u(), ["brandyGlass", "burgundyGlass"], "o1") == "burgundyGlass"
     # nothing clears the 0.5 prior strictly: not sure
     flat = make_scene({"brandyGlass": 0.5, "burgundyGlass": 0.5})
-    assert classify(flat, [], _u(), ["brandyGlass", "burgundyGlass"], "o1") is None
+    assert classify(flat, _kb(), _u(), ["brandyGlass", "burgundyGlass"], "o1") is None
 
 
 def test_classify_tie_breaks_lexicographically():
     sg = make_scene({"brandyGlass": 0.8, "burgundyGlass": 0.8})
-    assert classify(sg, [], _u(), ["burgundyGlass", "brandyGlass"], "o1") == "brandyGlass"
+    assert classify(sg, _kb(), _u(), ["burgundyGlass", "brandyGlass"], "o1") == "brandyGlass"
 
 
 def test_classify_requires_candidates():
     sg = make_scene({"brandyGlass": 0.61})
     with pytest.raises(ValueError):
-        classify(sg, [], _u(), [], "o1")
+        classify(sg, _kb(), _u(), [], "o1")
 
 
 def test_knowledge_changes_classification():
     # raw vision prefers burgundy; a confidently seen short stem plus the
     # brandy rule flips the decision
     sg = make_scene({"brandyGlass": 0.61, "burgundyGlass": 0.62, "haveShortStem": 0.9})
-    kb = [_generic("brandyGlass", "haveShortStem")]
-    assert classify(sg, [], _u(), ["brandyGlass", "burgundyGlass"], "o1") == "burgundyGlass"
+    kb = _kb(_generic("brandyGlass", "haveShortStem"))
+    assert classify(sg, _kb(), _u(), ["brandyGlass", "burgundyGlass"], "o1") == "burgundyGlass"
     assert classify(sg, kb, _u(), ["brandyGlass", "burgundyGlass"], "o1") == "brandyGlass"
 
 
@@ -307,41 +292,54 @@ def _moved(atom: Atom, old: str, new: str) -> Atom:
     return Atom(atom.pred, tuple(Const(new + t.ident[len(old) :]) for t in atom.args))
 
 
+def _spy_compile(monkeypatch) -> list:
+    """Record every program `marginals_for` compiles, as compiled."""
+    compiled = []
+
+    class SpyCompiledProgram(CompiledProgram):
+        @classmethod
+        def compile(cls, program):
+            compiled.append(CompiledProgram.compile(program))
+            return compiled[-1]
+
+    monkeypatch.setattr(reasoner, "CompiledProgram", SpyCompiledProgram)
+    return compiled
+
+
 def _spy_query_path(monkeypatch):
-    """Record the entities of every `ground` call and the rules of every
-    `_restrict` result that `marginals_for` builds."""
-    calls = {"ground": [], "restrict": []}
-    real_ground, real_restrict = reasoner.ground, reasoner._restrict
+    """Record the entities of every `ground` call, every program compiled
+    and every compiled program solved by `marginals_for`."""
+    calls = {"ground": [], "compile": _spy_compile(monkeypatch), "solve": []}
+    real_ground, real_solve = reasoner.ground, reasoner.solve_exact
 
     def spy_ground(prog, entities, parts):
         calls["ground"].append(list(entities))
         return real_ground(prog, entities, parts)
 
-    def spy_restrict(prog, queries):
-        out = real_restrict(prog, queries)
-        calls["restrict"].append(out.rules)
-        return out
+    def spy_solve(compiled):
+        calls["solve"].append(compiled)
+        return real_solve(compiled)
 
     monkeypatch.setattr(reasoner, "ground", spy_ground)
-    monkeypatch.setattr(reasoner, "_restrict", spy_restrict)
+    monkeypatch.setattr(reasoner, "solve_exact", spy_solve)
     return calls
 
 
 def _uncached(sg, kb, u, queries):
     """The marginals of the whole scene's program, built, restricted and
     solved with nothing reused."""
-    return solve_exact(_restrict(build_program(sg, kb, u), queries))
+    return solve_exact(restrict(build_program(sg, kb, u), queries))
 
 
 def _query_matches_uncached(sg, kb, u, queries, calls) -> tuple[int, int]:
     """Check `marginals_for` `==` `_uncached`; return how many times the
-    query grounded and how many times it restricted a program."""
+    query grounded and how many times it compiled a program."""
     expected = _uncached(sg, kb, u, queries)
-    grounds, restricts = len(calls["ground"]), len(calls["restrict"])
+    grounds, compiles = len(calls["ground"]), len(calls["compile"])
     table = marginals_for(sg, kb, u, queries)
     assert table.probs == {q: expected.probs[q] for q in queries}
     assert table.log_z == expected.log_z
-    return len(calls["ground"]) - grounds, len(calls["restrict"]) - restricts
+    return len(calls["ground"]) - grounds, len(calls["compile"]) - compiles
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
@@ -349,13 +347,16 @@ def test_marginals_for_matches_the_restricted_full_program(name, monkeypatch):
     sg, kb = make_multi_scene(), mixed_kb()
     u = ReliabilityParams(u_d=0.9, u_a=0.8)
     queries = QUERIES[name]
-    reference = _restrict(build_program(sg, kb, u), queries)
+    reference = restrict(build_program(sg, kb, u), queries)
     expected = solve_exact(reference)
     assert any(r.head is not None and r.pos_body for r in reference)  # the skolemized rules are in play
 
     calls = _spy_query_path(monkeypatch)
     table = marginals_for(sg, kb, u, queries)
-    assert calls["restrict"] == [reference.rules]
+    # one compile, whose kept plans are those of the restricted program
+    assert len(calls["compile"]) == 1
+    solved = [p.rules for p in calls["solve"][0].plans]
+    assert solved == [p.rules for p in CompiledProgram.compile(reference).plans]
     assert table.probs == {q: expected.probs[q] for q in queries}
     assert table.log_z == expected.log_z
     owners = sorted({t.ident.split("_")[0] for q in queries for t in q.args})
@@ -373,7 +374,7 @@ def test_marginals_for_matches_the_restricted_full_program(name, monkeypatch):
             [_moved(q, owners[0], first) for q in queries],
             [_moved(q, owners[0], second) for q in reversed(queries)],
         ]
-    # so nothing is grounded or restricted again
+    # so nothing is grounded or compiled again
     for m in moved:
         assert _query_matches_uncached(sg, kb, u, m, calls) == (0, 0)
     # a revision bump compiles again
@@ -386,13 +387,13 @@ def test_marginals_for_keeps_one_component_per_fact_without_kb(monkeypatch):
     sg, kb = make_multi_scene(), KnowledgeBase()
     atom = _cls("brandyGlass", "o2")
     assert _query_matches_uncached(sg, kb, _u(), [atom], calls) == (1, 1)
-    assert [[r.head for r in rules] for rules in calls["restrict"]] == [[atom]]
+    assert [[r.head for r in p.rules] for p in calls["solve"][0].plans] == [[atom]]
     table = marginals_for(sg, kb, _u(), [atom])
     assert math.isclose(table[atom], sg.nodes["o2"].class_scores["brandyGlass"], abs_tol=1e-12)
 
     # the same query on another object reuses the plan
     assert _query_matches_uncached(sg, kb, _u(), [_cls("brandyGlass", "o3")], calls) == (0, 0)
-    assert len(calls["restrict"]) == 1
+    assert len(calls["compile"]) == 1
     # a revision bump compiles again
     kb.add(_part_generic("brandyGlass", "short", "stem"), EXPLICIT, 1)
     assert _query_matches_uncached(sg, kb, _u(), [_cls("brandyGlass", "o3")], calls) == (1, 1)
@@ -421,9 +422,12 @@ def test_marginals_for_raises_for_atoms_the_program_lacks(unknown):
 @pytest.mark.parametrize(
     "unknown, message",
     [
-        (_cls("nope", "o1"), "atoms unknown to the program: nope(o1)"),
+        (_cls("nope", "o1"), "atoms the program does not solve: nope(o1)"),
         (Atom(cls_pred("brandyGlass"), (Var("X"),)), "query atom is not ground: brandyGlass(X)"),
-        (Atom(attr_pred("short"), (Const("o1_stem"),)), "atoms the solver sums out: short(o1_stem)"),
+        (
+            Atom(attr_pred("short"), (Const("o1_stem"),)),
+            "atoms the program does not solve: short(o1_stem)",
+        ),
     ],
 )
 def test_unknown_atom_errors_print_atoms_as_text(unknown, message):
@@ -431,6 +435,31 @@ def test_unknown_atom_errors_print_atoms_as_text(unknown, message):
     with pytest.raises(UnknownPredicateError) as err:
         marginals_for(sg, kb, _u(), [unknown])
     assert err.value.args == (message,)
+
+
+def test_one_error_lists_absent_and_summed_out_atoms_in_query_order():
+    sg, kb = make_multi_scene(), mixed_kb()
+    absent, summed_out = _cls("nope", "o1"), Atom(attr_pred("short"), (Const("o1_stem"),))
+    for queries, listed in (
+        ([absent, _cls("brandyGlass", "o1"), summed_out], "nope(o1), short(o1_stem)"),
+        ([summed_out, absent], "short(o1_stem), nope(o1)"),
+    ):
+        with pytest.raises(UnknownPredicateError) as err:
+            marginals_for(sg, kb, _u(), queries)
+        assert err.value.args == (f"atoms the program does not solve: {listed}",)
+
+
+def test_a_miss_without_kb_keeps_one_plan_per_query_atom(monkeypatch):
+    calls = _spy_query_path(monkeypatch)
+    sg, kb = make_multi_scene(), KnowledgeBase()
+    queries = [_cls(c, "o2") for c in CLASSES] + [Atom(attr_pred("short"), (Const("o2_stem"),))]
+    assert _query_matches_uncached(sg, kb, _u(), queries, calls) == (1, 1)
+    # every soft fact of o2, its two parts and their edges is a component of its own
+    (compiled,) = calls["compile"]
+    assert len(compiled.plans) == 5 + 2 * (5 + 3) + 2
+    (solved,) = calls["solve"]
+    kept = [([r.head for r in p.rules], [a for _, a in p.outputs]) for p in solved.plans]
+    assert sorted(kept, key=str) == sorted((([q], [q]) for q in queries), key=str)
 
 
 # ---------------------------------------------------------------------------
@@ -540,15 +569,6 @@ def test_objects_whose_entity_ids_interleave_get_their_own_plan(monkeypatch):
         assert _query_matches_uncached(sg, kb, u, queries, calls) == compiles
 
 
-def test_plain_kb_lists_are_solved_without_a_plan_cache(monkeypatch):
-    calls = _spy_query_path(monkeypatch)
-    sg, u = make_multi_scene(), _u()
-    props = [e.prop for e in mixed_kb()]
-    for o in ("o1", "o2", "o1"):
-        queries = [_cls(c, o) for c in CLASSES]
-        assert _query_matches_uncached(sg, props, u, queries, calls) == (1, 1)
-
-
 def test_unknown_atoms_raise_with_a_warm_cache():
     sg, kb = make_multi_scene(), mixed_kb()
     marginals_for(sg, kb, _u(), [_cls("brandyGlass", "o1")])
@@ -577,29 +597,24 @@ def test_unknown_atoms_raise_with_a_warm_cache():
 def test_every_query_of_a_cell_matches_the_uncached_path(difficulty, strategies, monkeypatch):
     """Each `marginals_for` call of a seed-0 cell is `==` to building,
     restricting and solving its objects' program afresh."""
-    real_marginals, real_restrict = reasoner.marginals_for, reasoner._restrict
-    queried, restricted, compiles = [], [], []
+    real_marginals = reasoner.marginals_for
+    compiled = _spy_compile(monkeypatch)
+    queried, compiles = [], []
 
     def checked_marginals(sg, kb, u, queries):
-        before = len(restricted)
+        before = len(compiled)
         table = real_marginals(sg, kb, u, queries)
-        if len(restricted) > before:
-            compiles.append((kb.revision, frozenset(reasoner._plan_key(sg, queries)[1])))
-        owners = {sg.whole_of.get(t.ident, t.ident) for q in queries for t in q.args}
-        scene = reasoner._object_scene(sg, owners)
-        expected = solve_exact(_restrict(build_program(scene, kb, u), queries))
+        _, codes, _, _, scene = reasoner._plan_key(sg, queries)
+        if len(compiled) > before:
+            compiles.append((kb.revision, frozenset(codes)))
+        expected = solve_exact(restrict(build_program(scene, kb, u), queries))
         assert table.probs == {q: expected.probs[q] for q in queries}
         assert table.log_z == expected.log_z
         queried.append(kb.revision)
         return table
 
-    def counted_restrict(prog, queries):
-        restricted.append(1)
-        return real_restrict(prog, queries)
-
     monkeypatch.setattr(reasoner, "marginals_for", checked_marginals)
     monkeypatch.setattr(harness, "marginals_for", checked_marginals)
-    monkeypatch.setattr(reasoner, "_restrict", counted_restrict)
     config = ExperimentConfig(difficulty=difficulty, strategies=strategies, seeds=(0,))
     for strategy in strategies:
         compiles.clear()
@@ -607,7 +622,7 @@ def test_every_query_of_a_cell_matches_the_uncached_path(difficulty, strategies,
         # one plan per KB revision and set of query atoms, whatever their order
         assert len(set(compiles)) == len(compiles)
     # plans are compiled per key and revision, not per query
-    assert len(restricted) * 10 < len(queried)
+    assert len(compiled) * 10 < len(queried)
 
 
 # ---------------------------------------------------------------------------
@@ -635,11 +650,11 @@ def test_plans_are_reused_until_the_kb_or_u_changes(monkeypatch):
         """Marginals on `kb` (twice), checked against a fresh KB with the
         same entries; the first of the two queries on `kb` must compile
         `expected_compiles` plans and the second none."""
-        before = len(calls["restrict"])
+        before = len(calls["compile"])
         got = marginals_for(sg, kb, u, queries)
-        assert len(calls["restrict"]) - before == expected_compiles
+        assert len(calls["compile"]) - before == expected_compiles
         again = marginals_for(sg, kb, u, queries)
-        assert len(calls["restrict"]) - before == expected_compiles
+        assert len(calls["compile"]) - before == expected_compiles
         fresh = KnowledgeBase()
         for e in kb:
             fresh.add(e.prop, EXPLICIT, 0)
