@@ -36,11 +36,15 @@ conditioning identity of weighted model counting (Sang, Beame & Kautz,
 Each component's solve has two halves: `plan` does everything that depends
 only on the rules (classification, blocks, bits, index and mask arrays, the
 soft constraints' terms), and `run` does the arithmetic that depends on the
-soft fact weights. A `CompiledProgram` holds a program's plans and fact
-weights; a caller that solves one structure with many weight vectors
-compiles it once and passes `solve_exact` the compiled program with each
-weight vector (see `reasoner.marginals_for`). The solver is property-tested
-against the reference on every atom, through that ratio for stage-1 atoms.
+soft fact weights. `run` takes a matrix of weights, one row per solve, and
+sums each row in the order a solve of that row alone would sum it, so a
+row's results are the same, to the bit, in a batch of any size. A
+`CompiledProgram` holds a program's plans and rows of fact weights; a
+caller that solves one structure with many weight vectors compiles it once
+and passes `solve_exact` the compiled program with all of them, one table
+per row (see `reasoner.marginals_each`). The solver is property-tested
+against the reference on every atom, through that ratio for stage-1 atoms,
+and every row of a batch against the row solved alone.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from .program import (
 )
 
 ENUM_BOUND = 22
+_TABLE_CELLS = 1 << 16  # table cells per slice of weight rows in run; bounds its memory
 
 
 @dataclass
@@ -196,22 +201,40 @@ def solve_exact_reference(program: WeightedProgram) -> MarginalTable:
 # production solver
 
 
-def solve_exact(program: WeightedProgram | CompiledProgram) -> MarginalTable:
+def solve_exact(
+    program: WeightedProgram | CompiledProgram,
+) -> MarginalTable | list[MarginalTable]:
     """log Z and the exact marginals of the stage-2 and derived atoms,
     component by component: `run` on each component's `plan` with the
     weights of its soft facts. A `WeightedProgram` is compiled first, and
     raises EnumerationBoundError for a component with a block or a stage-2
-    table of more than `ENUM_BOUND` atoms; a `CompiledProgram` was checked
-    when it was compiled."""
-    if not isinstance(program, CompiledProgram):
-        program = CompiledProgram.compile(program)
-    probs: dict[Atom, float] = {}
-    log_z = 0.0
-    for p, weights in zip(program.plans, program.weights):
-        t = run(p, weights)
-        probs.update(t.probs)
-        log_z += t.log_z
-    return MarginalTable(probs, log_z=log_z)
+    table of more than `ENUM_BOUND` atoms; its one `MarginalTable` is
+    returned. A `CompiledProgram` was checked when it was compiled, and is
+    solved for all of its weight rows at once: one table per row."""
+    if isinstance(program, CompiledProgram):
+        return _solve_rows(program)
+    (table,) = _solve_rows(CompiledProgram.compile(program))
+    return table
+
+
+def _solve_rows(program: CompiledProgram) -> list[MarginalTable]:
+    """One table per weight row of `program`: `run` of each plan on its
+    columns of the rows."""
+    weights = np.asarray(program.weights, dtype=float)
+    log_z = np.zeros(len(weights))
+    atoms, columns = [], []
+    lo = 0
+    for p in program.plans:
+        lz, marginals = run(p, weights[:, lo : lo + len(p.facts)])
+        lo += len(p.facts)
+        log_z += lz
+        atoms += [a for _, a in p.outputs]
+        columns.append(marginals)
+    rows = np.concatenate(columns, axis=1) if columns else np.empty((len(weights), 0))
+    return [
+        MarginalTable(dict(zip(atoms, row)), log_z=z)
+        for row, z in zip(rows.tolist(), log_z.tolist())
+    ]
 
 
 def _split_components(rules: list[WeightedRule]) -> list[list[WeightedRule]]:
@@ -253,36 +276,44 @@ def _connected(atom_lists: list[list[Atom]]) -> list[list[int]]:
 @dataclass
 class _Block:
     """One stage-1 block: its atoms, the bit configuration each of its 2^n
-    assignments switches on, and the (truth over those assignments, atom)
-    pairs of its atoms with a soft fact."""
+    assignments switches on, and the (truth over those assignments, weight
+    column) pairs of its atoms with a soft fact."""
 
     atoms: list[Atom]
     config: np.ndarray
-    weighted: list[tuple[np.ndarray, Atom]]
+    weighted: list[tuple[np.ndarray, int]]
 
 
 @dataclass
 class Plan:
     """The structural half of the solve of one component, whose rules are
     `rules`: everything but the soft fact weights. `run` fills in those
-    weights, one per rule of `facts`, in order.
+    weights, one column per rule of `facts`, in order.
 
+    Each atom with a soft fact gets one weight column, the sum of its facts'
+    weights: `first` is the fact column each sum starts from, and `more`
+    the (weight column, fact column) pairs that add further facts, in order.
     Stage 2 enumerates `q_atoms` with the k bits; `aconf` is each stage-2
-    row's bit configuration, `weighted` the (truth, atom) pairs of the
-    q_atoms with a soft fact, `mask` the rows the hard facts and hard
+    row's bit configuration, `weighted` the (truth, weight column) pairs of
+    the q_atoms with a soft fact, `mask` the rows the hard facts and hard
     constraints admit, `soft` one log-weight term per soft constraint, and
-    `outputs` the (truth, atom) pairs of the q_atoms and derived atoms."""
+    `outputs` the (indices of the stage-2 rows where it holds, atom) pairs
+    of the q_atoms and derived atoms. `run` takes `slice_rows` weight rows
+    at a time, which keeps the widest table within `_TABLE_CELLS` cells."""
 
     rules: list[WeightedRule]
     facts: list[WeightedRule]
+    first: np.ndarray
+    more: list[tuple[int, int]]
     blocks: list[_Block]
     q_atoms: list[Atom]
     k: int
     aconf: np.ndarray
-    weighted: list[tuple[np.ndarray, Atom]]
+    weighted: list[tuple[np.ndarray, int]]
     mask: np.ndarray
     soft: list[np.ndarray]
     outputs: list[tuple[np.ndarray, Atom]]
+    slice_rows: int
 
 
 def plan(rules: list[WeightedRule]) -> Plan:
@@ -341,7 +372,14 @@ def plan(rules: list[WeightedRule]) -> Plan:
         raise EnumerationBoundError(
             f"an enumeration of {widest} atoms exceeds enumeration bound {ENUM_BOUND}"
         )
-    has_fact = {r.head for r in c.facts}
+    column: dict[Atom, int] = {}  # atom with a soft fact -> its weight column
+    first, more = [], []
+    for i, r in enumerate(c.facts):
+        if r.head in column:
+            more.append((column[r.head], i))
+        else:
+            column[r.head] = len(first)
+            first.append(i)
 
     blocks = []
     for atoms, block in block_rules:
@@ -351,7 +389,7 @@ def plan(rules: list[WeightedRule]) -> Plan:
         for part, j in block:
             body = np.logical_and.reduce([sval[b] for b in part])
             config |= body.astype(np.int64) << j
-        weighted = [(sval[a], a) for a in atoms if a in has_fact]
+        weighted = [(sval[a], column[a]) for a in atoms if a in column]
         blocks.append(_Block(atoms, config, weighted))
 
     nq = len(q_atoms)
@@ -382,22 +420,26 @@ def plan(rules: list[WeightedRule]) -> Plan:
     return Plan(
         rules=rules,
         facts=c.facts,
+        first=np.array(first, dtype=np.int64),
+        more=more,
         blocks=blocks,
         q_atoms=q_atoms,
         k=k,
         aconf=aconf,
-        weighted=[(val2[a], a) for a in q_atoms if a in has_fact],
+        weighted=[(val2[a], column[a]) for a in q_atoms if a in column],
         mask=mask,
         soft=soft,
-        outputs=[(val2[a], a) for a in q_atoms + c.derived],
+        outputs=[(np.flatnonzero(val2[a]), a) for a in q_atoms + c.derived],
+        slice_rows=max(1, _TABLE_CELLS // (1 << widest)),
     )
 
 
 @dataclass
 class CompiledProgram:
     """A program as `solve_exact` solves it: the plan of each connected
-    component, in order, and the weights of each plan's soft facts. Another
-    weight vector on the same structure is `CompiledProgram(plans, weights)`.
+    component, in order, and rows of soft fact weights, each holding the
+    weights of every plan's facts, plan after plan. Other weights on the
+    same structure are `CompiledProgram(plans, weights)`, one row per solve.
     Like a `WeightedProgram`, it has a length (its rules) and an atom
     universe."""
 
@@ -407,7 +449,7 @@ class CompiledProgram:
     @classmethod
     def compile(cls, program: WeightedProgram) -> "CompiledProgram":
         plans = [plan(rules) for rules in _split_components(program.rules)]
-        return cls(plans, [[r.weight for r in p.facts] for p in plans])
+        return cls(plans, [[r.weight for p in plans for r in p.facts]])
 
     def __len__(self):
         return sum(len(p.rules) for p in self.plans)
@@ -428,10 +470,11 @@ def _fact_weights(facts) -> dict[Atom, float]:
     return fw
 
 
-def run(plan: Plan, fact_weights: list[float]) -> MarginalTable:
-    """The numeric half of a component's solve: log Z and the marginals of
-    `plan.outputs`, the stage-2 atoms and the derived atoms. `fact_weights`
-    holds one weight per rule of `plan.facts`.
+def run(plan: Plan, fact_weights) -> tuple[np.ndarray, np.ndarray]:
+    """The numeric half of a component's solve, for an (n, len(plan.facts))
+    matrix of soft fact weights, one row per solve: log Z of each row, and
+    the (n, len(plan.outputs)) marginals of the stage-2 atoms and the
+    derived atoms.
 
     Stage 1 enumerates each block on its own (in scene programs, one part:
     its `have` atom and its class and attribute atoms) into its fact mass by
@@ -441,61 +484,101 @@ def run(plan: Plan, fact_weights: list[float]) -> MarginalTable:
     weighs each configuration by that mass and sums the stage-1 atoms out.
     With no stage-1 atoms, k = 0 and stage 2 is a plain enumeration of the
     component's base atoms.
-    """
-    size = 1 << plan.k
-    fw = _fact_weights(zip((r.head for r in plan.facts), fact_weights))
 
-    # stage 1: each block's fact mass by bit configuration, OR-folded
-    mass = np.zeros(size)
-    mass[0] = 1.0
-    shift1 = 0.0
-    for block in plan.blocks:
-        logw = np.zeros(len(block.config))
-        for s, a in block.weighted:
-            logw += np.where(s, fw[a], 0.0)
-        shift = logw.max()
-        shift1 += shift
-        ew = np.exp(logw - shift)
-        mass = _or_fold(mass, np.bincount(block.config, weights=ew, minlength=size))
+    Each row is summed in the order a solve of that row alone would sum it,
+    so a row's results do not depend on the other rows. Rows go through in
+    slices of `plan.slice_rows`.
+    """
+    weights = np.asarray(fact_weights, dtype=float)
+    if len(weights) <= plan.slice_rows:
+        return _run_rows(plan, weights)
+    slices = [
+        _run_rows(plan, weights[lo : lo + plan.slice_rows])
+        for lo in range(0, len(weights), plan.slice_rows)
+    ]
+    return (
+        np.concatenate([log_z for log_z, _ in slices]),
+        np.concatenate([marginals for _, marginals in slices]),
+    )
+
+
+def _run_rows(plan: Plan, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = len(weights)
+    fw = weights.take(plan.first, axis=1)  # (n, atoms with a soft fact)
+    for col, i in plan.more:
+        fw[:, col] += weights[:, i]
+
+    logw2 = np.zeros((n, len(plan.aconf)))
+    log_z = 0.0
+    if plan.blocks:
+        # stage 1: each block's fact mass by bit configuration, OR-folded
+        size = 1 << plan.k
+        mass = np.zeros((n, size))
+        mass[:, 0] = 1.0
+        # row r counts into bins r * size + config, so each bin adds in row order
+        offsets = np.arange(0, n * size, size)[:, None]
+        for block in plan.blocks:
+            logw = np.zeros((n, len(block.config)))
+            for s, col in block.weighted:
+                logw += np.where(s, fw[:, col : col + 1], 0.0)
+            shift = np.maximum.reduce(logw, axis=1)
+            log_z += shift
+            ew = np.exp(logw - shift[:, None])
+            bins = (block.config + offsets).ravel()
+            counts = np.bincount(bins, weights=ew.ravel(), minlength=n * size)
+            mass = _or_fold(mass, counts.reshape(n, size))
+        with np.errstate(divide="ignore"):
+            logw2 += np.log(mass).take(plan.aconf, axis=1)  # -inf where unreachable
 
     # stage 2: the other base atoms x bit configurations
-    aconf = plan.aconf
-    logw2 = np.zeros(len(aconf))
-    if plan.blocks:
-        with np.errstate(divide="ignore"):
-            logw2 += np.log(mass)[aconf]  # -inf where a config is unreachable
-    for v, a in plan.weighted:
-        logw2 += np.where(v, fw[a], 0.0)
+    for v, col in plan.weighted:
+        logw2 += np.where(v, fw[:, col : col + 1], 0.0)
     for term in plan.soft:
         logw2 += term
-
     logw2 = np.where(plan.mask, logw2, -np.inf)
-    m2 = logw2.max()
-    if m2 == -np.inf:
+    m2 = np.maximum.reduce(logw2, axis=1)
+    if m2.min() == -np.inf:
         raise NoAdmissibleWorldError("hard core admits no world")
-    p = np.exp(logw2 - m2)
-    z = p.sum()
-    probs = {a: float(p[v].sum() / z) for v, a in plan.outputs}
-    return MarginalTable(probs, log_z=float(m2 + np.log(z) + shift1))
+    p = np.exp(logw2 - m2[:, None])
+    z = np.add.reduce(p, axis=1)
+    marginals = np.empty((n, len(plan.outputs)))
+    for j, (where, _) in enumerate(plan.outputs):
+        marginals[:, j] = np.add.reduce(p.take(where, axis=1), axis=1)
+    return m2 + np.log(z) + log_z, marginals / z[:, None]
 
 
 _FOLD_CHUNK = 1 << 16  # products per bincount in _or_fold; bounds its memory
 
 
 def _or_fold(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[u | v] = sum of a[u] * b[v]: the table of the OR of two
-    independent aux configurations.
+    """out[r, u | v] = sum of a[r, u] * b[r, v], for each row r: the table of
+    the OR of two independent aux configurations.
 
     Only nonzero entries are paired and only non-negative products are added,
     with no Moebius inversion: stage-2 log-weights span over 100 nats, and a
-    tiny mass found by subtraction could turn into a wrong marginal.
+    tiny mass found by subtraction could turn into a wrong marginal. Rows
+    fold together only when their nonzero entries sit in the same places,
+    so that each row is chunked, and summed, as it would be alone.
     """
-    u = np.flatnonzero(a)
-    v = np.flatnonzero(b)
-    out = np.zeros(len(a))
+    n, size = a.shape
+    if n > 1 and not (
+        ((a != 0) == (a[0] != 0)).all() and ((b != 0) == (b[0] != 0)).all()
+    ):
+        return np.concatenate([_or_fold(a[r : r + 1], b[r : r + 1]) for r in range(n)])
+    u = np.flatnonzero(a[0])
+    v = np.flatnonzero(b[0])
+    out = np.zeros((n, size))
     step = max(1, _FOLD_CHUNK // max(1, len(v)))
-    for lo in range(0, len(u), step):
-        uu = u[lo : lo + step]
-        target = (uu[:, None] | v).ravel()
-        out += np.bincount(target, weights=(a[uu, None] * b[v]).ravel(), minlength=len(a))
+    # rows per bincount, so one holds at most about _FOLD_CHUNK products
+    per = max(1, _FOLD_CHUNK // max(1, min(step, len(u)) * len(v)))
+    for r in range(0, n, per):
+        aa, bb = a[r : r + per], b[r : r + per]
+        m = len(aa)
+        offsets = np.arange(0, m * size, size)[:, None]
+        for lo in range(0, len(u), step):
+            uu = u[lo : lo + step]
+            bins = ((uu[:, None] | v).ravel() + offsets).ravel()
+            products = (aa[:, uu, None] * bb[:, None, v]).ravel()
+            counts = np.bincount(bins, weights=products, minlength=m * size)
+            out[r : r + m] += counts.reshape(m, size)
     return out

@@ -35,11 +35,12 @@ from .perception import (
     DomainSpec,
     ExemplarBase,
     FeatureModel,
+    SceneScores,
     generate_scene,
     init_priors,
 )
 from .program import program_to_text
-from .reasoner import best_class, build_program, marginals_for
+from .reasoner import best_class, build_program, marginals_each
 
 DIFFICULTIES = {
     "fineEasy": {
@@ -195,9 +196,14 @@ def _property_scores(sg, eid: str, domain: DomainSpec) -> dict:
     return out
 
 
+def _concepts(config, domain) -> tuple[list[str], list[str]]:
+    """The class concepts (the target classes and the parts) and the
+    attribute concepts a learner perceives."""
+    return list(config.classes) + list(domain.parts), list(domain.attributes)
+
+
 def _perceive(learner, scene, config, domain):
-    class_concepts = list(config.classes) + list(domain.parts)
-    return learner_perceive(learner, scene, class_concepts, list(domain.attributes))
+    return learner_perceive(learner, scene, *_concepts(config, domain))
 
 
 def new_learner(domain: DomainSpec, model: FeatureModel, strategy: str, seed: int) -> LearnerState:
@@ -341,20 +347,27 @@ def make_test_set(model: FeatureModel, config: ExperimentConfig, seed: int):
     return out
 
 
-def run_exam(learner: LearnerState, test_set, config, domain, mistakes: int) -> ExamResult:
+def run_exam(
+    learner: LearnerState, test_scene: SceneScores, config, domain, mistakes: int
+) -> ExamResult:
     """Polar-mode confidences for every (test object, concept); read-only.
 
-    The whole test set is perceived as one scene, then each object's class
-    atoms are solved on their own: scores depend only on the entity and the
-    exemplar base, and `marginals_for` grounds only the queried object, so
-    every table equals that of the object's own one-object scene."""
+    `test_scene` holds the test set, perceived against `learner.xb` as one
+    scene and kept from exam to exam, so an exam scores again only the
+    concepts whose exemplars changed since the last one. Each object's class
+    atoms are then solved on their own, all objects in one `marginals_each`
+    call: scores depend only on the entity and the exemplar base, and each
+    query grounds only its own object, so every table equals that of the
+    object's own one-object scene."""
+    sg = test_scene.graph(*_concepts(config, domain))
+    query_lists = [
+        [Atom(cls_pred(c), (Const(obj.eid),)) for c in config.classes] for obj in test_scene.scene
+    ]
+    tables = marginals_each(sg, learner.kb, learner.u, query_lists)
     ranked = {c: [] for c in config.classes}
-    sg = _perceive(learner, test_set, config, domain)
-    for obj in test_set:
-        atoms = {c: Atom(cls_pred(c), (Const(obj.eid),)) for c in config.classes}
-        table = marginals_for(sg, learner.kb, learner.u, list(atoms.values()))
-        for c in config.classes:
-            ranked[c].append((table[atoms[c]], obj.cls == c))
+    for obj, atoms, table in zip(test_scene.scene, query_lists, tables):
+        for c, atom in zip(config.classes, atoms):
+            ranked[c].append((table[atom], obj.cls == c))
     ap = {}
     for c in config.classes:
         has_pos = any(pos for _, pos in ranked[c])
@@ -400,6 +413,7 @@ def run_sequence(config: ExperimentConfig, strategy: str, seed: int) -> Sequence
     rng = np.random.default_rng([seed, 1])
     targets = class_queue(config.classes, rng)
     test_set = make_test_set(model, config, seed)
+    test_scene = SceneScores(test_set, learner.xb)
 
     transcript = []
     exams = []
@@ -415,14 +429,14 @@ def run_sequence(config: ExperimentConfig, strategy: str, seed: int) -> Sequence
         if made_mistake:
             mistakes += 1
             if mistakes % config.n_exam == 0:
-                exams.append(run_exam(learner, test_set, config, domain, mistakes))
+                exams.append(run_exam(learner, test_scene, config, domain, mistakes))
                 exam_episode = episode
 
     # the final exam, unless the run ended between exams
     if exam_episode == episode:
         final = exams[-1]
     else:
-        final = run_exam(learner, test_set, config, domain, mistakes)
+        final = run_exam(learner, test_scene, config, domain, mistakes)
     confusion = confusion_from_exam(final, test_set, config)
     dumps = dump_exam_programs(learner, test_set, config, domain) if config.dump_programs else None
     return SequenceResult(

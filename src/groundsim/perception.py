@@ -378,7 +378,13 @@ def build_scene_graph(
     attr_concepts: list[str],
 ) -> SceneGraph:
     """Score every entity against the known concepts; unknown concepts sit at
-    the 0.5 prior; 'have' edges are bbox area ratios.
+    the 0.5 prior; 'have' edges are bbox area ratios. See `SceneScores`."""
+    return SceneScores(scene, xb).graph(class_concepts, attr_concepts)
+
+
+class SceneScores:
+    """The perception of one scene against one exemplar base, kept from one
+    `graph` call to the next: a test set perceived at every exam.
 
     Each feature role is scored over the whole scene in one `score_fewshot`
     call: class concepts over the objects' class features and over the
@@ -386,29 +392,58 @@ def build_scene_graph(
     features. Within a call, concepts that share an exemplar pool share one
     distance matrix. An entity's scores depend only on its own features and
     the exemplar base, so each object's nodes and edges are those of its
-    own one-object scene."""
-    parts = [part for obj in scene for part in obj.parts]
-    obj_scores = _score_rows(xb, class_concepts, [o.class_feature for o in scene], KERNEL_GAIN)
-    part_scores = _score_rows(xb, class_concepts, [p.class_feature for p in parts], PART_GAIN)
-    attr_scores = _score_rows(
-        xb, attr_concepts, [p.attr_feature for p in parts], ATTR_GAIN, ATTR_BIAS
-    )
-    nodes: dict[str, SceneNode] = {}
-    edges = {}
-    object_parts = {}
-    k = 0  # row of the next part
-    for i, obj in enumerate(scene):
-        nodes[obj.eid] = SceneNode(class_scores={c: obj_scores[c][i] for c in class_concepts})
-        object_parts[obj.eid] = []
-        for part in obj.parts:
-            nodes[part.eid] = SceneNode(
-                class_scores={c: part_scores[c][k] for c in class_concepts},
-                attr_scores={a: attr_scores[a][k] for a in attr_concepts},
-            )
-            edges[(obj.eid, part.eid)] = {"have": relation_score(obj.bbox, part.bbox)}
-            object_parts[obj.eid].append(part.eid)
-            k += 1
-    return SceneGraph(nodes=nodes, edges=edges, object_parts=object_parts)
+    own one-object scene.
+
+    Each role's scores of a concept are kept with the concept's exemplar
+    stamp, (len(positive), len(negative)): exemplar sets only grow, so the
+    stamp names the set, and `graph` scores again only the concepts whose
+    stamp moved. `score_fewshot` scores each concept on its own, so a kept
+    score equals a fresh one."""
+
+    def __init__(self, scene: list[SceneObject], xb: ExemplarBase):
+        self.scene = scene
+        self.xb = xb
+        parts = [part for obj in scene for part in obj.parts]
+        self._roles = {  # role -> (features, gain, bias)
+            "object": ([o.class_feature for o in scene], KERNEL_GAIN, 0.0),
+            "part": ([p.class_feature for p in parts], PART_GAIN, 0.0),
+            "attr": ([p.attr_feature for p in parts], ATTR_GAIN, ATTR_BIAS),
+        }
+        self._kept: dict[tuple[str, str], tuple[tuple[int, int], list[float]]] = {}
+
+    def _scores(self, role: str, concepts: list[str]) -> dict[str, list[float]]:
+        """concept -> its score of each row of `role`, scored again only when
+        the concept's exemplars changed since it was last scored."""
+        xb = self.xb
+        stamps = {c: (len(xb.positive.get(c, ())), len(xb.negative.get(c, ()))) for c in concepts}
+        moved = [c for c in concepts if self._kept.get((role, c), (None,))[0] != stamps[c]]
+        if moved:
+            fresh = _score_rows(xb, moved, *self._roles[role])
+            for c in moved:
+                self._kept[(role, c)] = (stamps[c], fresh[c])
+        return {c: self._kept[(role, c)][1] for c in concepts}
+
+    def graph(self, class_concepts: list[str], attr_concepts: list[str]) -> SceneGraph:
+        """The scene graph of the scene against the exemplar base as it is now."""
+        obj_scores = self._scores("object", class_concepts)
+        part_scores = self._scores("part", class_concepts)
+        attr_scores = self._scores("attr", attr_concepts)
+        nodes: dict[str, SceneNode] = {}
+        edges = {}
+        object_parts = {}
+        k = 0  # row of the next part
+        for i, obj in enumerate(self.scene):
+            nodes[obj.eid] = SceneNode(class_scores={c: obj_scores[c][i] for c in class_concepts})
+            object_parts[obj.eid] = []
+            for part in obj.parts:
+                nodes[part.eid] = SceneNode(
+                    class_scores={c: part_scores[c][k] for c in class_concepts},
+                    attr_scores={a: attr_scores[a][k] for a in attr_concepts},
+                )
+                edges[(obj.eid, part.eid)] = {"have": relation_score(obj.bbox, part.bbox)}
+                object_parts[obj.eid].append(part.eid)
+                k += 1
+        return SceneGraph(nodes=nodes, edges=edges, object_parts=object_parts)
 
 
 def _score_rows(xb, concepts, rows, gain, bias=0.0) -> dict[str, list[float]]:

@@ -177,10 +177,20 @@ def marginals_for(
     sg: SceneGraph, kb, u: ReliabilityParams, queries: list[Atom]
 ) -> MarginalTable:
     """Exact marginals of the query atoms, and the log Z of their
-    components, for the scene `sg` and the `KnowledgeBase` `kb`.
+    components, for the scene `sg` and the `KnowledgeBase` `kb`: the one
+    table of `marginals_each` for the one query list `queries`."""
+    return marginals_each(sg, kb, u, [queries])[0]
 
-    The program is built on the scene cut down to the objects the queries
-    mention (`_plan_key`). Each lifted rule has one free variable and
+
+def marginals_each(
+    sg: SceneGraph, kb, u: ReliabilityParams, query_lists: list[list[Atom]]
+) -> list[MarginalTable]:
+    """`marginals_for` of each query list, in order, solved together: the
+    lists with one plan key go through the solver's numeric half at once,
+    one weight row per list, and each row is solved as it would be alone.
+
+    The program of a list is built on the scene cut down to the objects the
+    list mentions (`_plan_key`). Each lifted rule has one free variable and
     `have` edges link an object only to its own parts, so no component spans
     two objects, and the components solved are those of the whole scene's
     program that hold a query atom, rule for rule and in the same order.
@@ -190,41 +200,53 @@ def marginals_for(
     (see `exact`); the plans kept are those whose outputs hold a query
     atom, each cut down to its query atoms. Each soft fact is stored as a
     slot (predicate, entity indices) and each query code names the compiled
-    atom it reads, so a query fills the slots with its entities' scores and
+    atom it reads, so a list fills the slots with its entities' scores and
     only the solver's numeric half runs on a hit. Raises
     UnknownPredicateError for a query atom that is not ground or is on an
     entity outside the scene, and for one that no kept plan outputs: an
     atom the program lacks, or one the solver sums out (a stage-1 atom,
     such as a part's attribute in the body of a skolemized generic's rules).
     """
-    key, codes, entities, role, scene = _plan_key(sg, queries)
     plans = kb.memo(u, dict)
-    planned = plans.get(key)
-    if planned is None:
-        wanted = set(queries)
-        compiled = []
-        for p in CompiledProgram.compile(build_program(scene, kb, u)).plans:
-            outputs = [(v, a) for v, a in p.outputs if a in wanted]
-            if outputs:
-                compiled.append(replace(p, outputs=outputs))
-        solved = {a for p in compiled for _, a in p.outputs}
-        unsolved = ", ".join(str(q) for q in queries if q not in solved)
-        if unsolved:
-            raise UnknownPredicateError(f"atoms the program does not solve: {unsolved}")
-        slots = [
-            [(r.head.pred, tuple(role[c.ident] for c in r.head.args)) for r in p.facts]
-            for p in compiled
+    groups: dict = {}  # plan key -> [(position, queries, codes, entities)]
+    for i, queries in enumerate(query_lists):
+        key, codes, entities, role, scene = _plan_key(sg, queries)
+        if key not in plans:
+            plans[key] = _compile(scene, kb, u, queries, codes, role)
+        groups.setdefault(key, []).append((i, queries, codes, entities))
+    tables: list = [None] * len(query_lists)
+    for key, members in groups.items():
+        compiled, slots, atom_of = plans[key]
+        weights = [
+            [logit(_score(sg, pred, tuple(entities[j] for j in idx))) for pred, idx in slots]
+            for _, _, _, entities in members
         ]
-        planned = plans[key] = (compiled, slots, dict(zip(codes, queries)))
-    compiled, slots, atom_of = planned
-    weights = [
-        [logit(_score(sg, pred, tuple(entities[i] for i in idx))) for pred, idx in fact_slots]
-        for fact_slots in slots
+        solved = solve_exact(CompiledProgram(compiled, weights))
+        for (i, queries, codes, _), table in zip(members, solved):
+            tables[i] = MarginalTable(
+                {q: table.probs[atom_of[code]] for q, code in zip(queries, codes)},
+                log_z=table.log_z,
+            )
+    return tables
+
+
+def _compile(scene: SceneGraph, kb, u: ReliabilityParams, queries, codes, role):
+    """(kept plans, fact slots, compiled atom of each query code) of the
+    program on `scene`, for `marginals_each`."""
+    wanted = set(queries)
+    compiled = []
+    for p in CompiledProgram.compile(build_program(scene, kb, u)).plans:
+        outputs = [(v, a) for v, a in p.outputs if a in wanted]
+        if outputs:
+            compiled.append(replace(p, outputs=outputs))
+    solved = {a for p in compiled for _, a in p.outputs}
+    unsolved = ", ".join(str(q) for q in queries if q not in solved)
+    if unsolved:
+        raise UnknownPredicateError(f"atoms the program does not solve: {unsolved}")
+    slots = [
+        (r.head.pred, tuple(role[c.ident] for c in r.head.args)) for p in compiled for r in p.facts
     ]
-    table = solve_exact(CompiledProgram(compiled, weights))
-    return MarginalTable(
-        {q: table.probs[atom_of[code]] for q, code in zip(queries, codes)}, log_z=table.log_z
-    )
+    return compiled, slots, dict(zip(codes, queries))
 
 
 def answer_polar(sg: SceneGraph, kb, u: ReliabilityParams, ques: Ques) -> float:

@@ -207,16 +207,19 @@ def test_a_compiled_program_solves_and_measures_like_its_program():
         compiled = CompiledProgram.compile(prog)
         assert len(compiled) == len(prog)
         assert compiled.atom_universe() == prog.atom_universe()
-        assert solve_exact(compiled) == solve_exact(prog)
+        # a compiled program gives one table per weight row
+        assert solve_exact(compiled) == [solve_exact(prog)]
         # the compiled structure with another program's fact weights solves
-        # that program
+        # that program, and with both rows, both programs
         shifted = WeightedProgram(
             [WeightedRule(r.weight - 0.7, r.head) if r.is_fact() and r.weight is not HARD else r
              for r in prog]
         )
         weights = CompiledProgram.compile(shifted).weights
         assert weights != compiled.weights
-        assert solve_exact(CompiledProgram(compiled.plans, weights)) == solve_exact(shifted)
+        assert solve_exact(CompiledProgram(compiled.plans, weights)) == [solve_exact(shifted)]
+        both = CompiledProgram(compiled.plans, compiled.weights + weights)
+        assert solve_exact(both) == [solve_exact(prog), solve_exact(shifted)]
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +427,124 @@ def test_golden_fine_hard_component():
     assert abs(table.log_z - expected["log_z"]) <= 1e-9
 
 
+def _solve_peak(program) -> int:
+    """The peak bytes traced while `solve_exact` solves `program` a second
+    time."""
+    solve_exact(program)
+    tracemalloc.start()
+    try:
+        solve_exact(program)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_golden_component_solve_memory():
     # the 20 stage-1 atoms are folded block by block; enumerating their 2^20
     # joint assignments at once took 67 MiB
     prog, _ = _golden_component()
-    solve_exact(prog)
-    tracemalloc.start()
-    try:
-        solve_exact(prog)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert _solve_peak(prog) < 4 * 2**20
+
+
+def test_golden_component_rows_solve_in_bounded_memory():
+    # 100 weight rows, as in a fineHard exam, go through in slices of rows;
+    # all at once they took 12 MiB
+    prog, _ = _golden_component()
+    compiled = CompiledProgram.compile(prog)
+    assert _solve_peak(CompiledProgram(compiled.plans, compiled.weights * 100)) < 4 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# weight rows solved at once, each as it would be alone
+
+
+def _weight_rows(rng, n_facts: int, n_rows: int) -> np.ndarray:
+    """Random soft fact weights, one row per solve. Every third row is
+    extreme, so that stage-1 configurations whose mass underflows to 0 differ
+    from row to row."""
+    rows = rng.normal(scale=3.0, size=(n_rows, n_facts))
+    rows[::3] *= rng.choice([1.0, 300.0], size=(len(rows[::3]), n_facts))
+    return rows
+
+
+def _assert_rows_solve_alone(compiled: CompiledProgram, rows: np.ndarray):
+    """`run` of each plan over all rows, and `solve_exact` over all rows,
+    `==` to each row solved on its own."""
+    lo = 0
+    for p in compiled.plans:
+        block = rows[:, lo : lo + len(p.facts)]
+        lo += len(p.facts)
+        try:
+            log_z, marginals = exact.run(p, block)
+        except NoAdmissibleWorldError:
+            failed = 0
+            for row in block:
+                try:
+                    exact.run(p, row[None, :])
+                except NoAdmissibleWorldError:
+                    failed += 1
+            assert failed
+            return
+        assert log_z.shape == (len(rows),) and marginals.shape == (len(rows), len(p.outputs))
+        for i, row in enumerate(block):
+            alone_z, alone = exact.run(p, row[None, :])
+            assert log_z[i] == alone_z[0]
+            assert marginals[i].tolist() == alone[0].tolist()
+    tables = solve_exact(CompiledProgram(compiled.plans, rows.tolist()))
+    alone = [solve_exact(CompiledProgram(compiled.plans, [row])) for row in rows.tolist()]
+    assert tables == [table for (table,) in alone]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=7))
+def test_part_program_rows_solve_as_alone(seed, n_rows):
+    rng = np.random.default_rng(seed)
+    compiled = CompiledProgram.compile(random_part_program(rng))
+    n_facts = sum(len(p.facts) for p in compiled.plans)
+    _assert_rows_solve_alone(compiled, _weight_rows(rng, n_facts, n_rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=7))
+def test_general_program_rows_solve_as_alone(seed, n_rows):
+    rng = np.random.default_rng(seed)
+    compiled = CompiledProgram.compile(random_general_program(rng))
+    n_facts = sum(len(p.facts) for p in compiled.plans)
+    _assert_rows_solve_alone(compiled, _weight_rows(rng, n_facts, n_rows))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_golden_component_rows_solve_as_alone(seed):
+    # 40 rows: more than one slice of rows (`Plan.slice_rows`) of its 2^12
+    # stage-2 table
+    prog, _ = _golden_component()
+    compiled = CompiledProgram.compile(prog)
+    rng = np.random.default_rng(seed)
+    rows = np.asarray(compiled.weights) + _weight_rows(rng, len(compiled.weights[0]), 40)
+    _assert_rows_solve_alone(compiled, rows)
+
+
+def test_row_solves_cover_shared_and_per_row_folds(monkeypatch):
+    # the property tests above fold rows together when their nonzero
+    # stage-1 masses sit in the same places, and row by row otherwise, and
+    # the golden component's rows go through in more than one slice
+    folds = {"shared": 0, "per row": 0}
+    original = exact._or_fold
+
+    def spy(a, b):
+        if len(a) > 1:
+            same = ((a != 0) == (a[0] != 0)).all() and ((b != 0) == (b[0] != 0)).all()
+            folds["shared" if same else "per row"] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(exact, "_or_fold", spy)
+    prog, _ = _golden_component()
+    compiled = CompiledProgram.compile(prog)
+    (p,) = compiled.plans
+    assert p.slice_rows < 40
+    rng = np.random.default_rng(0)
+    n_facts = len(compiled.weights[0])
+    for noise in (rng.normal(size=(40, n_facts)), _weight_rows(rng, n_facts, 40)):
+        _assert_rows_solve_alone(compiled, np.asarray(compiled.weights) + noise)
+    assert folds["shared"] and folds["per row"]

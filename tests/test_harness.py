@@ -32,7 +32,16 @@ from groundsim.agents import (
 )
 from groundsim.logic import Atom, Const, cls_pred
 from groundsim.memory import EXPLICIT, NEG_IMPLICATURE, EpisodicMemory, KnowledgeBase, Lexicon
-from groundsim.perception import DomainSpec, ExemplarBase, FeatureModel, generate_scene, init_priors
+from groundsim import perception
+from groundsim.perception import (
+    DomainSpec,
+    ExemplarBase,
+    FeatureModel,
+    SceneScores,
+    build_scene_graph,
+    generate_scene,
+    init_priors,
+)
 from groundsim.program import program_to_text
 from groundsim.reasoner import classify, marginals_for
 from genprograms import read_ground_program
@@ -255,8 +264,8 @@ def test_confusion_comes_from_an_exam_right_after_the_final_episode(monkeypatch)
     assert config.n_total % config.n_exam == 0 and len(exams) == len(res.exams) > 0
     assert not res.capped
     # the learner is unchanged since the last exam, so classifying again agrees
-    learner, test_set, _, domain, _ = exams[-1]
-    assert res.confusion == _classified_confusion(learner, test_set, config, domain)
+    learner, test_scene, _, domain, _ = exams[-1]
+    assert res.confusion == _classified_confusion(learner, test_scene.scene, config, domain)
 
 
 @pytest.mark.parametrize("cap, exam_mistakes", [(3, []), (8, [5])])
@@ -267,8 +276,8 @@ def test_capped_run_takes_the_confusion_from_one_more_exam(monkeypatch, cap, exa
     assert res.episodes == cap and res.capped
     assert [e.mistakes for e in res.exams] == exam_mistakes  # none at the final episode
     assert len(exams) == len(res.exams) + 1
-    learner, test_set, _, domain, _ = exams[-1]
-    assert res.confusion == _classified_confusion(learner, test_set, config, domain)
+    learner, test_scene, _, domain, _ = exams[-1]
+    assert res.confusion == _classified_confusion(learner, test_scene.scene, config, domain)
 
 
 def test_run_spending_its_mistake_budget_at_the_cap_is_not_capped(monkeypatch):
@@ -286,8 +295,8 @@ def test_mistake_budget_off_the_exam_interval_takes_one_more_exam(monkeypatch):
     res, exams = _run_spied(monkeypatch, config)
     assert [e.mistakes for e in res.exams] == [5] and len(exams) == 2
     assert not res.capped
-    learner, test_set, _, domain, _ = exams[-1]
-    assert res.confusion == _classified_confusion(learner, test_set, config, domain)
+    learner, test_scene, _, domain, _ = exams[-1]
+    assert res.confusion == _classified_confusion(learner, test_scene.scene, config, domain)
 
 
 def test_exemplar_base_keeps_no_unused_pool_after_a_cell(monkeypatch):
@@ -340,6 +349,55 @@ def test_exam_scene_marginals_equal_each_objects_own_scene():
         assert table.probs == expected.probs and table.log_z == expected.log_z
         moved += table.probs != marginals_for(alone, KnowledgeBase(), learner.u, atoms).probs
     assert moved == len(test_set)
+
+
+def test_exams_score_again_only_the_concepts_whose_exemplars_changed(monkeypatch):
+    config = ExperimentConfig(difficulty="fineEasy")
+    domain = DomainSpec.builtin_glasses()
+    model = FeatureModel(domain, seed=0)
+    learner = harness.new_learner(domain, model, "semOnly", 0)
+    test_set = make_test_set(model, config, seed=0)
+    test_scene = SceneScores(test_set, learner.xb)
+    class_concepts, attr_concepts = harness._concepts(config, domain)
+    scenes, scored = [], []  # each exam's scene; the concepts of each score_fewshot call
+    real_graph, real_score = SceneScores.graph, perception.score_fewshot
+
+    def spy_graph(self, *concepts):
+        scenes.append(real_graph(self, *concepts))
+        return scenes[-1]
+
+    def spy_score(xb, concepts, *args):
+        scored.append(list(concepts))
+        return real_score(xb, concepts, *args)
+
+    monkeypatch.setattr(SceneScores, "graph", spy_graph)
+    monkeypatch.setattr(perception, "score_fewshot", spy_score)
+
+    def exam_scene():
+        scored.clear()
+        harness.run_exam(learner, test_scene, config, domain, 0)
+        fresh = build_scene_graph(test_set, learner.xb, class_concepts, attr_concepts)
+        sg = scenes[-1]
+        assert list(sg.nodes) == list(fresh.nodes)
+        for eid, node in sg.nodes.items():
+            assert node.class_scores == fresh.nodes[eid].class_scores, eid
+            assert node.attr_scores == fresh.nodes[eid].attr_scores, eid
+        assert sg.edges == fresh.edges and sg.object_parts == fresh.object_parts
+        return scored[: len(scored) - 3]  # the exam's calls, not the fresh scene's
+
+    # the first exam scores every concept: class concepts over the objects
+    # and the parts, attribute concepts over the parts
+    assert exam_scene() == [class_concepts, class_concepts, attr_concepts]
+    rng = np.random.default_rng(9)
+    for cls, part_kind, attr in (("brandyGlass", "bowl", "round"), ("burgundyGlass", "bowl", "wide")):
+        obj = model.sample_object(cls, "x", rng)
+        bowl = next(p for p in obj.parts if p.kind == part_kind)
+        learner.xb.add(cls, obj.class_feature, positive=True)
+        learner.xb.add(part_kind, bowl.class_feature, positive=True)
+        learner.xb.add(attr, bowl.attr_feature, positive=attr in bowl.attrs)
+        assert exam_scene() == [[cls, part_kind], [cls, part_kind], [attr]]
+        # no add since the last exam: nothing is scored again
+        assert exam_scene() == []
 
 
 def test_average_confusion():
@@ -412,21 +470,33 @@ def test_confusion_json_rows_normalized(tiny_suite):
         assert abs(sum(row.values()) - 1.0) <= 1e-9
 
 
-def test_fineHard_cell_outputs_match_golden_digests(tmp_path):
-    # the files of `groundsim run --difficulty fineHard --strategy
-    # maxHelp_semNegScal --seeds 1 --dump-program`, in `sha256sum` format
+def _assert_fineHard_cell_matches(tmp_path, seed: int, digests: str):
+    """The files of the fineHard `maxHelp_semNegScal` cell of `seed`, run
+    with `--dump-program`, against their digests in `sha256sum` format."""
     config = ExperimentConfig(
         difficulty="fineHard",
         strategies=("maxHelp_semNegScal",),
-        seeds=(0,),
+        seeds=(seed,),
         out_dir=str(tmp_path),
         dump_programs=True,
     )
     run_suite(config)
-    golden = Path(__file__).parent / "golden" / "fineHard_cell.sha256"
+    golden = Path(__file__).parent / "golden" / digests
     for line in golden.read_text().splitlines():
         digest, name = line.split()
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_fineHard_cell_outputs_match_golden_digests(tmp_path):
+    # `groundsim run --difficulty fineHard --strategy maxHelp_semNegScal
+    # --seeds 1 --dump-program`
+    _assert_fineHard_cell_matches(tmp_path, 0, "fineHard_cell.sha256")
+
+
+def test_longest_fineHard_cell_outputs_match_golden_digests(tmp_path):
+    # seed 3 (`--config` holding {"seeds": [3]}): 1770 episodes, the longest
+    # fineHard cell, with scalar implicatures cancelled and many KB revisions
+    _assert_fineHard_cell_matches(tmp_path, 3, "fineHard_cell_seed3.sha256")
 
 
 def test_program_dumps_parse_back(tiny_suite):

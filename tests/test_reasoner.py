@@ -10,7 +10,7 @@ import pytest
 
 from groundsim import harness, reasoner
 from groundsim.agents import diff_generics, learner_integrate_generics
-from groundsim.exact import CompiledProgram, solve_exact
+from groundsim.exact import CompiledProgram, MarginalTable, solve_exact
 from groundsim.harness import DIFFICULTIES, ExperimentConfig, run_sequence
 from groundsim.logic import (
     HAVE,
@@ -31,6 +31,7 @@ from groundsim.reasoner import (
     build_program,
     classify,
     kb_to_program,
+    marginals_each,
     marginals_for,
     polar_ques,
     scene_to_program,
@@ -293,7 +294,7 @@ def _moved(atom: Atom, old: str, new: str) -> Atom:
 
 
 def _spy_compile(monkeypatch) -> list:
-    """Record every program `marginals_for` compiles, as compiled."""
+    """Record every program a query compiles, as compiled."""
     compiled = []
 
     class SpyCompiledProgram(CompiledProgram):
@@ -308,7 +309,8 @@ def _spy_compile(monkeypatch) -> list:
 
 def _spy_query_path(monkeypatch):
     """Record the entities of every `ground` call, every program compiled
-    and every compiled program solved by `marginals_for`."""
+    and every compiled program solved by `marginals_for` or
+    `marginals_each`, one weight row per query list."""
     calls = {"ground": [], "compile": _spy_compile(monkeypatch), "solve": []}
     real_ground, real_solve = reasoner.ground, reasoner.solve_exact
 
@@ -329,6 +331,12 @@ def _uncached(sg, kb, u, queries):
     """The marginals of the whole scene's program, built, restricted and
     solved with nothing reused."""
     return solve_exact(restrict(build_program(sg, kb, u), queries))
+
+
+def _uncached_table(sg, kb, u, queries) -> MarginalTable:
+    """`_uncached` read for the query atoms, as `marginals_for` returns it."""
+    expected = _uncached(sg, kb, u, queries)
+    return MarginalTable({q: expected.probs[q] for q in queries}, log_z=expected.log_z)
 
 
 def _query_matches_uncached(sg, kb, u, queries, calls) -> tuple[int, int]:
@@ -517,6 +525,23 @@ def test_an_object_with_other_score_names_gets_its_own_plan(monkeypatch):
     assert _query_matches_uncached(sg, kb, u, queries["o3"], calls) == (1, 1)
 
 
+def test_one_batch_solves_each_plan_key_once_and_keeps_the_input_order(monkeypatch):
+    calls = _spy_query_path(monkeypatch)
+    sg, kb, u = make_multi_scene(), mixed_kb(), _u()
+    del sg.nodes["o3_stem"].attr_scores["short"]
+    # o1 and o2 share a plan key, o3 has its own
+    lists = [[_cls(c, o) for c in CLASSES] for o in ("o1", "o3", "o2", "o1")]
+    lists[2].reverse()
+    tables = marginals_each(sg, kb, u, lists)
+    assert len(calls["compile"]) == 2
+    # one solve per plan key, with one weight row per query list
+    assert [len(compiled.weights) for compiled in calls["solve"]] == [3, 1]
+    for queries, table in zip(lists, tables):
+        assert list(table.probs) == queries
+        assert table == marginals_for(sg, kb, u, queries)
+        assert table == _uncached_table(sg, kb, u, queries)
+
+
 def _renamed(sg: SceneGraph, renames: dict) -> SceneGraph:
     """`sg` with the entities `renames` names given their new ids."""
 
@@ -595,32 +620,44 @@ def test_unknown_atoms_raise_with_a_warm_cache():
     ],
 )
 def test_every_query_of_a_cell_matches_the_uncached_path(difficulty, strategies, monkeypatch):
-    """Each `marginals_for` call of a seed-0 cell is `==` to building,
+    """Each query list of a seed-0 cell, asked alone (`marginals_for`) or
+    with the rest of an exam's (`marginals_each`), is `==` to building,
     restricting and solving its objects' program afresh."""
-    real_marginals = reasoner.marginals_for
+    real_each = reasoner.marginals_each
     compiled = _spy_compile(monkeypatch)
-    queried, compiles = [], []
+    queried, compiles, batches = [], [], []
 
-    def checked_marginals(sg, kb, u, queries):
-        before = len(compiled)
-        table = real_marginals(sg, kb, u, queries)
-        _, codes, _, _, scene = reasoner._plan_key(sg, queries)
-        if len(compiled) > before:
-            compiles.append((kb.revision, frozenset(codes)))
-        expected = solve_exact(restrict(build_program(scene, kb, u), queries))
-        assert table.probs == {q: expected.probs[q] for q in queries}
-        assert table.log_z == expected.log_z
-        queried.append(kb.revision)
-        return table
+    def checked_each(sg, kb, u, query_lists):
+        batches.append(len(query_lists))
+        before, known = len(compiled), set(kb.memo(u, dict))
+        new = {}  # plan key -> its codes, for the keys this call must compile
+        for queries in query_lists:
+            key, codes, _, _, _ = reasoner._plan_key(sg, queries)
+            if key not in known:
+                new.setdefault(key, frozenset(codes))
+        tables = real_each(sg, kb, u, query_lists)
+        assert len(compiled) - before == len(new)
+        compiles.extend((kb.revision, codes) for codes in new.values())
+        for queries, table in zip(query_lists, tables):
+            scene = reasoner._plan_key(sg, queries)[4]
+            expected = solve_exact(restrict(build_program(scene, kb, u), queries))
+            assert table.probs == {q: expected.probs[q] for q in queries}
+            assert table.log_z == expected.log_z
+            queried.append(kb.revision)
+        return tables
 
-    monkeypatch.setattr(reasoner, "marginals_for", checked_marginals)
-    monkeypatch.setattr(harness, "marginals_for", checked_marginals)
+    # `marginals_for` asks through `reasoner.marginals_each`, exams through
+    # `harness.marginals_each`
+    monkeypatch.setattr(reasoner, "marginals_each", checked_each)
+    monkeypatch.setattr(harness, "marginals_each", checked_each)
     config = ExperimentConfig(difficulty=difficulty, strategies=strategies, seeds=(0,))
     for strategy in strategies:
         compiles.clear()
         run_sequence(config, strategy, 0)
         # one plan per KB revision and set of query atoms, whatever their order
         assert len(set(compiles)) == len(compiles)
+    # the episodes' queries one by one, and each exam's test objects at once
+    assert set(batches) == {1, config.test_set_size * len(config.classes)}
     # plans are compiled per key and revision, not per query
     assert len(compiled) * 10 < len(queried)
 
