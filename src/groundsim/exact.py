@@ -26,11 +26,12 @@ solves each by one method in two stages:
   outnumber its stage-1 atoms, for which staging would widen stage 2.
 
 `solve_exact` returns log Z and the marginals of the stage-2 atoms and the
-derived atoms; queries read class atoms of objects, which are stage-2
-atoms. A stage-1 atom's marginal is the ratio of two partition functions,
-exp(log Z(program + the atom as a hard fact) - log Z(program)), the
-conditioning identity of weighted model counting (Sang, Beame & Kautz,
-2005): the hard fact moves the atom to stage 2.
+derived atoms, one table per row of soft fact weights; queries read class
+atoms of objects, which are stage-2 atoms. A stage-1 atom's marginal is the
+ratio of two partition functions, exp(log Z(program + the atom as a hard
+fact) - log Z(program)), the conditioning identity of weighted model
+counting (Sang, Beame & Kautz, 2005): the hard fact moves the atom to
+stage 2.
 
 `ENUM_BOUND` caps every single enumeration: each block and the stage-2 table.
 Each component's solve has two halves: `plan` does everything that depends
@@ -39,10 +40,11 @@ soft constraints' terms), and `run` does the arithmetic that depends on the
 soft fact weights. `run` takes a matrix of weights, one row per solve, and
 sums each row in the order a solve of that row alone would sum it, so a
 row's results are the same, to the bit, in a batch of any size. A
-`CompiledProgram` holds a program's plans and rows of fact weights; a
-caller that solves one structure with many weight vectors compiles it once
-and passes `solve_exact` the compiled program with all of them, one table
-per row (see `reasoner.marginals_each`). The solver is property-tested
+`CompiledProgram` holds a program's plans and rows of fact weights (a
+compiled `WeightedProgram` has one row, its own weights); a caller that
+solves one structure with many weight vectors compiles it once and passes
+`solve_exact` the compiled program with all of them as rows (see
+`reasoner.marginals_each`). The solver is property-tested
 against the reference on every atom, through that ratio for stage-1 atoms,
 and every row of a batch against the row solved alone.
 """
@@ -201,40 +203,27 @@ def solve_exact_reference(program: WeightedProgram) -> MarginalTable:
 # production solver
 
 
-def solve_exact(
-    program: WeightedProgram | CompiledProgram,
-) -> MarginalTable | list[MarginalTable]:
-    """log Z and the exact marginals of the stage-2 and derived atoms,
-    component by component: `run` on each component's `plan` with the
-    weights of its soft facts. A `WeightedProgram` is compiled first, and
-    raises EnumerationBoundError for a component with a block or a stage-2
-    table of more than `ENUM_BOUND` atoms; its one `MarginalTable` is
-    returned. A `CompiledProgram` was checked when it was compiled, and is
-    solved for all of its weight rows at once: one table per row."""
-    if isinstance(program, CompiledProgram):
-        return _solve_rows(program)
-    (table,) = _solve_rows(CompiledProgram.compile(program))
-    return table
-
-
-def _solve_rows(program: CompiledProgram) -> list[MarginalTable]:
-    """One table per weight row of `program`: `run` of each plan on its
-    columns of the rows."""
+def solve_exact(program: WeightedProgram | CompiledProgram) -> list[MarginalTable]:
+    """log Z and the exact marginals of the stage-2 and derived atoms, one
+    table per weight row, component by component: `run` on each
+    component's `plan` with its columns of the rows. A `WeightedProgram` is
+    compiled first, into one row, and raises EnumerationBoundError for a
+    component with a block or a stage-2 table of more than `ENUM_BOUND`
+    atoms; a `CompiledProgram` was checked when it was compiled."""
+    if not isinstance(program, CompiledProgram):
+        program = CompiledProgram.compile(program)
     weights = np.asarray(program.weights, dtype=float)
     log_z = np.zeros(len(weights))
-    atoms, columns = [], []
+    probs: list[dict[Atom, float]] = [{} for _ in range(len(weights))]
     lo = 0
     for p in program.plans:
         lz, marginals = run(p, weights[:, lo : lo + len(p.facts)])
         lo += len(p.facts)
         log_z += lz
-        atoms += [a for _, a in p.outputs]
-        columns.append(marginals)
-    rows = np.concatenate(columns, axis=1) if columns else np.empty((len(weights), 0))
-    return [
-        MarginalTable(dict(zip(atoms, row)), log_z=z)
-        for row, z in zip(rows.tolist(), log_z.tolist())
-    ]
+        atoms = [a for _, a in p.outputs]
+        for table, row in zip(probs, marginals.tolist()):
+            table.update(zip(atoms, row))
+    return [MarginalTable(t, log_z=z) for t, z in zip(probs, log_z.tolist())]
 
 
 def _split_components(rules: list[WeightedRule]) -> list[list[WeightedRule]]:
@@ -296,10 +285,11 @@ class Plan:
     Stage 2 enumerates `q_atoms` with the k bits; `aconf` is each stage-2
     row's bit configuration, `weighted` the (truth, weight column) pairs of
     the q_atoms with a soft fact, `mask` the rows the hard facts and hard
-    constraints admit, `soft` one log-weight term per soft constraint, and
-    `outputs` the (indices of the stage-2 rows where it holds, atom) pairs
-    of the q_atoms and derived atoms. `run` takes `slice_rows` weight rows
-    at a time, which keeps the widest table within `_TABLE_CELLS` cells."""
+    constraints admit (None when they admit every row), `soft` one
+    log-weight term per soft constraint, and `outputs` the (indices of the
+    stage-2 rows where it holds, atom) pairs of the q_atoms and derived
+    atoms. `run` takes `slice_rows` weight rows at a time, which keeps the
+    widest table within `_TABLE_CELLS` cells."""
 
     rules: list[WeightedRule]
     facts: list[WeightedRule]
@@ -310,7 +300,7 @@ class Plan:
     k: int
     aconf: np.ndarray
     weighted: list[tuple[np.ndarray, int]]
-    mask: np.ndarray
+    mask: np.ndarray | None
     soft: list[np.ndarray]
     outputs: list[tuple[np.ndarray, Atom]]
     slice_rows: int
@@ -427,7 +417,7 @@ def plan(rules: list[WeightedRule]) -> Plan:
         k=k,
         aconf=aconf,
         weighted=[(val2[a], column[a]) for a in q_atoms if a in column],
-        mask=mask,
+        mask=None if mask.all() else mask,
         soft=soft,
         outputs=[(np.flatnonzero(val2[a]), a) for a in q_atoms + c.derived],
         slice_rows=max(1, _TABLE_CELLS // (1 << widest)),
@@ -535,9 +525,10 @@ def _run_rows(plan: Plan, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         logw2 += np.where(v, fw[:, col : col + 1], 0.0)
     for term in plan.soft:
         logw2 += term
-    logw2 = np.where(plan.mask, logw2, -np.inf)
+    if plan.mask is not None:
+        logw2 = np.where(plan.mask, logw2, -np.inf)
     m2 = np.maximum.reduce(logw2, axis=1)
-    if m2.min() == -np.inf:
+    if -np.inf in m2.tolist():
         raise NoAdmissibleWorldError("hard core admits no world")
     p = np.exp(logw2 - m2[:, None])
     z = np.add.reduce(p, axis=1)

@@ -17,11 +17,11 @@ def all_marginals(prog: WeightedProgram) -> dict[Atom, float]:
     """The marginal of every atom of `prog`: those `solve_exact` returns, and
     for each atom it sums out, Z(prog + the atom as a hard fact) / Z(prog),
     which is 0 when the clamped program admits no world."""
-    table = solve_exact(prog)
+    (table,) = solve_exact(prog)
     probs = dict(table.probs)
     for a in prog.atom_universe() - set(probs):
         try:
-            clamped = solve_exact(prog + WeightedProgram([WeightedRule(HARD, a)]))
+            (clamped,) = solve_exact(prog + WeightedProgram([WeightedRule(HARD, a)]))
         except NoAdmissibleWorldError:
             probs[a] = 0.0
         else:

@@ -139,7 +139,7 @@ def test_criterion_1_worked_examples():
     for s_stem, prop, want_b, want_g in cases:
         prog = _worked_example_program(s_stem, prop)
         start = time.perf_counter()
-        table = solve_exact(prog)
+        (table,) = solve_exact(prog)
         elapsed = time.perf_counter() - start
         ref = solve_exact_reference(prog)
         case_ok = (
@@ -385,7 +385,7 @@ def test_criterion_8_solver_properties():
     atom = Atom(cls_pred("gamma"), (Const("o"),))
     for _ in range(1000):
         s = float(rng.uniform(1e-3, 1.0 - 1e-3))
-        table = solve_exact(WeightedProgram([WeightedRule(logit(s), atom)]))
+        (table,) = solve_exact(WeightedProgram([WeightedRule(logit(s), atom)]))
         max_fact_err = max(max_fact_err, abs(table[atom] - s))
     facts_ok = max_fact_err <= 1e-9
 
@@ -396,7 +396,7 @@ def test_criterion_8_solver_properties():
         prog = _random_acyclic_program(rng)
         variables, factors = build_factor_graph(prog)
         all_acyclic = all_acyclic and is_acyclic(variables, factors)
-        exact = solve_exact(prog)
+        (exact,) = solve_exact(prog)
         bp = solve_bp(prog)
         for a in exact.probs:
             max_bp_err = max(max_bp_err, abs(exact[a] - bp[a]))

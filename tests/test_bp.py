@@ -47,7 +47,7 @@ def test_tree_with_constraint_matches_exact():
     )
     # two factors over the same pair close a cycle; loopy BP is approximate
     variables, factors = build_factor_graph(prog)
-    exact = solve_exact(prog)
+    (exact,) = solve_exact(prog)
     bp = solve_bp(prog)
     tol = 1e-8 if is_acyclic(variables, factors) else 0.1
     for atom in exact.probs:
@@ -149,7 +149,7 @@ def test_random_trees_match_exact():
         prog = random_tree_program(rng)
         variables, factors = build_factor_graph(prog)
         assert is_acyclic(variables, factors)
-        exact = solve_exact(prog)
+        (exact,) = solve_exact(prog)
         bp = solve_bp(prog)
         assert bp.converged
         for atom in exact.probs:
@@ -169,7 +169,7 @@ def test_loopy_graph_stays_close_to_exact():
                     float(rng.normal() * 0.8), None, (base_atom(i),), (base_atom(j),)
                 )
             )
-        exact = solve_exact(prog)
+        (exact,) = solve_exact(prog)
         bp = solve_bp(prog)
         for atom in exact.probs:
             assert abs(bp[atom] - exact[atom]) <= 0.08

@@ -51,12 +51,12 @@ def fact(i: int, s: float) -> WeightedRule:
 
 
 def test_single_fact_marginal_is_sigmoid():
-    table = solve_exact(WeightedProgram([fact(0, 0.73)]))
+    (table,) = solve_exact(WeightedProgram([fact(0, 0.73)]))
     assert math.isclose(table[base_atom(0)], 0.73, abs_tol=1e-12)
 
 
 def test_independent_facts_are_independent():
-    table = solve_exact(WeightedProgram([fact(0, 0.3), fact(1, 0.9)]))
+    (table,) = solve_exact(WeightedProgram([fact(0, 0.3), fact(1, 0.9)]))
     assert math.isclose(table[base_atom(0)], 0.3, abs_tol=1e-12)
     assert math.isclose(table[base_atom(1)], 0.9, abs_tol=1e-12)
 
@@ -66,7 +66,7 @@ def test_hard_constraint_conditions():
     prog = WeightedProgram(
         [fact(0, 0.7), fact(1, 0.6), WeightedRule(HARD, None, (base_atom(0),), ())]
     )
-    table = solve_exact(prog)
+    (table,) = solve_exact(prog)
     assert table[base_atom(0)] == 0.0
     assert math.isclose(table[base_atom(1)], 0.6, abs_tol=1e-12)
 
@@ -80,7 +80,7 @@ def test_soft_constraint_discounts_odds():
             WeightedRule(logit(0.95), None, (base_atom(0),), (base_atom(1),)),
         ]
     )
-    table = solve_exact(prog)
+    (table,) = solve_exact(prog)
     # worlds: {} 1, {a1} 1, {a0} eps=1/19, {a0,a1} 1  (relative weights)
     eps = 1.0 / 19.0
     z = 3.0 + eps
@@ -92,13 +92,13 @@ def test_definite_rule_derives_aux():
     prog = WeightedProgram(
         [fact(0, 0.8), WeightedRule(HARD, aux_atom(0), (base_atom(0),), ())]
     )
-    table = solve_exact(prog)
+    (table,) = solve_exact(prog)
     assert math.isclose(table[aux_atom(0)], 0.8, abs_tol=1e-12)
 
 
 def test_hard_fact_forces_atom():
     prog = WeightedProgram([fact(0, 0.1), WeightedRule(HARD, base_atom(0))])
-    assert solve_exact(prog)[base_atom(0)] == 1.0
+    assert solve_exact(prog)[0][base_atom(0)] == 1.0
 
 
 def test_no_admissible_world_raises():
@@ -169,7 +169,7 @@ def test_chained_definite_rules_rejected(entry, chain):
 
 
 def test_empty_program():
-    table = solve_exact(WeightedProgram())
+    (table,) = solve_exact(WeightedProgram())
     assert table.probs == {} and table.log_z == 0.0
 
 
@@ -193,10 +193,10 @@ def test_log_z_adds_over_components():
     p2 = WeightedProgram(
         [fact(1, 0.4), WeightedRule(1.3, None, (base_atom(1),), ())]
     )
-    combined = solve_exact(p1 + p2)
+    (combined,) = solve_exact(p1 + p2)
     assert math.isclose(
         combined.log_z,
-        solve_exact(p1).log_z + solve_exact(p2).log_z,
+        solve_exact(p1)[0].log_z + solve_exact(p2)[0].log_z,
         rel_tol=1e-12,
     )
 
@@ -208,7 +208,7 @@ def test_a_compiled_program_solves_and_measures_like_its_program():
         assert len(compiled) == len(prog)
         assert compiled.atom_universe() == prog.atom_universe()
         # a compiled program gives one table per weight row
-        assert solve_exact(compiled) == [solve_exact(prog)]
+        assert solve_exact(compiled) == solve_exact(prog)
         # the compiled structure with another program's fact weights solves
         # that program, and with both rows, both programs
         shifted = WeightedProgram(
@@ -217,9 +217,9 @@ def test_a_compiled_program_solves_and_measures_like_its_program():
         )
         weights = CompiledProgram.compile(shifted).weights
         assert weights != compiled.weights
-        assert solve_exact(CompiledProgram(compiled.plans, weights)) == [solve_exact(shifted)]
+        assert solve_exact(CompiledProgram(compiled.plans, weights)) == solve_exact(shifted)
         both = CompiledProgram(compiled.plans, compiled.weights + weights)
-        assert solve_exact(both) == [solve_exact(prog), solve_exact(shifted)]
+        assert solve_exact(both) == solve_exact(prog) + solve_exact(shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def test_solve_exact_matches_reference(seed):
         with pytest.raises(NoAdmissibleWorldError):
             solve_exact(prog)
         return
-    table = solve_exact(prog)
+    (table,) = solve_exact(prog)
     probs = all_marginals(prog)
     assert set(probs) == set(ref.probs)
     for atom in ref.probs:
@@ -260,7 +260,7 @@ def test_two_stage_path_matches_reference():
         prog.add(WeightedRule(logit(0.95), None, (base_atom(9),), (aux_atom(0),)))
         prog.add(WeightedRule(logit(0.95), None, (aux_atom(1),), (base_atom(9),)))
         ref = solve_exact_reference(prog)
-        table = solve_exact(prog)
+        (table,) = solve_exact(prog)
         probs = all_marginals(prog)
         for atom in ref.probs:
             assert abs(probs[atom] - ref[atom]) <= 1e-9
@@ -272,7 +272,7 @@ def test_two_stage_path_matches_reference():
 def test_part_programs_match_reference(seed):
     prog = random_part_program(np.random.default_rng(seed))
     ref = solve_exact_reference(prog)
-    table = solve_exact(prog)
+    (table,) = solve_exact(prog)
     probs = all_marginals(prog)
     assert set(probs) == set(ref.probs)
     for atom in ref.probs:
@@ -327,7 +327,7 @@ def test_general_programs_match_reference(seed):
         with pytest.raises(NoAdmissibleWorldError):
             solve_exact(prog)
         return
-    table = solve_exact(prog)
+    (table,) = solve_exact(prog)
     probs = all_marginals(prog)
     assert set(probs) == set(ref.probs)
     for atom in ref.probs:
@@ -384,7 +384,7 @@ def test_enumeration_bound_applies_per_block(monkeypatch):
     prog = random_part_program(np.random.default_rng(3), attr_counts=(4, 4))
     ref = solve_exact_reference(prog)
     monkeypatch.setattr(exact, "ENUM_BOUND", 6)
-    table = solve_exact(prog)
+    (table,) = solve_exact(prog)
     probs = all_marginals(prog)
     for atom in ref.probs:
         assert abs(probs[atom] - ref[atom]) <= 1e-9
@@ -415,7 +415,7 @@ def test_golden_fine_hard_component():
     prog, expected = _golden_component()
     # the reader gives back the rules the file was written from
     assert program_to_text(prog) == (GOLDEN / "component_fineHard.lp").read_text()
-    table = solve_exact(prog)
+    (table,) = solve_exact(prog)
     # the solver returns the 5 stage-2 and 7 derived atoms and sums out the
     # 20 stage-1 atoms, whose marginals come from clamping each one
     derived = {r.head for r in prog.rules if r.head is not None and r.pos_body}

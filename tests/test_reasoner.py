@@ -330,7 +330,8 @@ def _spy_query_path(monkeypatch):
 def _uncached(sg, kb, u, queries):
     """The marginals of the whole scene's program, built, restricted and
     solved with nothing reused."""
-    return solve_exact(restrict(build_program(sg, kb, u), queries))
+    (table,) = solve_exact(restrict(build_program(sg, kb, u), queries))
+    return table
 
 
 def _uncached_table(sg, kb, u, queries) -> MarginalTable:
@@ -356,7 +357,7 @@ def test_marginals_for_matches_the_restricted_full_program(name, monkeypatch):
     u = ReliabilityParams(u_d=0.9, u_a=0.8)
     queries = QUERIES[name]
     reference = restrict(build_program(sg, kb, u), queries)
-    expected = solve_exact(reference)
+    (expected,) = solve_exact(reference)
     assert any(r.head is not None and r.pos_body for r in reference)  # the skolemized rules are in play
 
     calls = _spy_query_path(monkeypatch)
@@ -640,7 +641,7 @@ def test_every_query_of_a_cell_matches_the_uncached_path(difficulty, strategies,
         compiles.extend((kb.revision, codes) for codes in new.values())
         for queries, table in zip(query_lists, tables):
             scene = reasoner._plan_key(sg, queries)[4]
-            expected = solve_exact(restrict(build_program(scene, kb, u), queries))
+            (expected,) = solve_exact(restrict(build_program(scene, kb, u), queries))
             assert table.probs == {q: expected.probs[q] for q in queries}
             assert table.log_z == expected.log_z
             queried.append(kb.revision)
