@@ -1,13 +1,15 @@
 """Random ground-program generators shared by the solver test modules, the
-marginals of every atom of a program, the uncached restriction of a program
-to its query atoms' components, and a reader for the ground rules that
-`program_to_text` writes (golden components and `--dump-program` files)."""
+marginals of every atom of a program, the exact ones by variable elimination,
+the uncached restriction of a program to its query atoms' components, and a
+reader for the ground rules that `program_to_text` writes (golden components,
+the corpus of compiled programs and `--dump-program` files)."""
 
 import math
 
 import numpy as np
 
-from groundsim.exact import solve_exact, union_find
+from groundsim.bp import build_factor_graph
+from groundsim.exact import MarginalTable, solve_exact, union_find
 from groundsim.logic import Atom, Const, attr_pred, cls_pred, rel_pred
 from groundsim.program import HARD, NoAdmissibleWorldError, WeightedProgram, WeightedRule, logit
 from groundsim.reasoner import UnknownPredicateError
@@ -27,6 +29,46 @@ def all_marginals(prog: WeightedProgram) -> dict[Atom, float]:
         else:
             probs[a] = math.exp(clamped.log_z - table.log_z)
     return probs
+
+
+def variable_elimination(prog: WeightedProgram) -> MarginalTable:
+    """log Z and the marginal of every atom of `prog` by exact variable
+    elimination (Zhang & Poole, 1994) over the factor graph that
+    `bp.build_factor_graph` builds; it shares no arithmetic with `exact.run`.
+
+    Each factor is shifted by its maximum and exponentiated; `bp`'s finite
+    stand-in for log 0 becomes an exact 0. Each atom also gets a selector
+    factor, ones, or (0, 1) to clamp the atom true. The factors of each
+    connected component are contracted to a scalar by `np.einsum`, in the
+    one order `np.einsum_path`'s greedy search picks: with no atom clamped
+    for Z, and with each atom clamped for its marginal, Z(atom true) / Z."""
+    variables, factors = build_factor_graph(prog)
+    find = union_find([f.vars for f in factors])
+    components: dict = {}
+    for f in factors:
+        components.setdefault(find(f.vars[0]), []).append(f)
+    log_z, probs = 0.0, {}
+    for group in components.values():
+        atoms = list(dict.fromkeys(v for f in group for v in f.vars))
+        operands = []
+        for f in group:
+            shift = f.table.max()
+            log_z += shift
+            operands += [np.exp(f.table - shift), [atoms.index(v) for v in f.vars]]
+        for i in range(len(atoms)):
+            operands += [np.ones(2), [i]]
+        path, _ = np.einsum_path(*operands, [], optimize="greedy")
+        z = float(np.einsum(*operands, [], optimize=path))
+        if z == 0.0:
+            raise NoAdmissibleWorldError("hard core admits no world")
+        log_z += math.log(z)
+        selectors = len(operands) - 2 * len(atoms)
+        for i, a in enumerate(atoms):
+            clamped = list(operands)
+            clamped[selectors + 2 * i] = np.array([0.0, 1.0])
+            probs[a] = float(np.einsum(*clamped, [], optimize=path)) / z
+    assert set(probs) == set(variables)
+    return MarginalTable(probs, log_z=log_z)
 
 
 def restrict(prog: WeightedProgram, queries: list[Atom]) -> WeightedProgram:

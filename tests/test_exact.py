@@ -17,7 +17,9 @@ from genprograms import (
     random_general_program,
     random_part_program,
     random_program,
+    random_tree_program,
     read_ground_program,
+    variable_elimination,
 )
 from groundsim import exact
 from groundsim.bp import solve_bp
@@ -411,20 +413,25 @@ def _atom_text(a) -> str:
 
 def test_golden_fine_hard_component():
     # 25 base + 7 derived atoms: above the reference enumerator's bound, so
-    # this frozen table is the only oracle for a component of this size
+    # variable elimination is the independent check for a component of this
+    # size
     prog, expected = _golden_component()
     # the reader gives back the rules the file was written from
     assert program_to_text(prog) == (GOLDEN / "component_fineHard.lp").read_text()
     (table,) = solve_exact(prog)
     # the solver returns the 5 stage-2 and 7 derived atoms and sums out the
-    # 20 stage-1 atoms, whose marginals come from clamping each one
+    # 20 stage-1 atoms
     derived = {r.head for r in prog.rules if r.head is not None and r.pos_body}
     assert len(derived) == 7 and derived <= set(table.probs) and len(table.probs) == 12
-    got = {_atom_text(a): p for a, p in all_marginals(prog).items()}
+    for a, p in table.probs.items():
+        assert abs(p - expected["marginals"][_atom_text(a)]) <= 1e-9, a
+    assert abs(table.log_z - expected["log_z"]) <= 1e-9
+    ve = variable_elimination(prog)
+    got = {_atom_text(a): p for a, p in ve.probs.items()}
     assert set(got) == set(expected["marginals"])
     for name, p in expected["marginals"].items():
         assert abs(got[name] - p) <= 1e-9, name
-    assert abs(table.log_z - expected["log_z"]) <= 1e-9
+    assert abs(ve.log_z - expected["log_z"]) <= 1e-9
 
 
 def _solve_peak(program) -> int:
@@ -452,6 +459,80 @@ def test_golden_component_rows_solve_in_bounded_memory():
     prog, _ = _golden_component()
     compiled = CompiledProgram.compile(prog)
     assert _solve_peak(CompiledProgram(compiled.plans, compiled.weights * 100)) < 4 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# variable elimination: checked against the reference on the generators, then
+# the oracle for the programs the system compiles
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_variable_elimination_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    for make in (random_program, random_tree_program, random_part_program, random_general_program):
+        prog = make(rng)
+        try:
+            ref = solve_exact_reference(prog)
+        except NoAdmissibleWorldError:
+            with pytest.raises(NoAdmissibleWorldError):
+                variable_elimination(prog)
+            continue
+        ve = variable_elimination(prog)
+        assert set(ve.probs) == set(ref.probs)
+        for atom in ref.probs:
+            assert abs(ve[atom] - ref[atom]) <= 1e-9
+        assert abs(ve.log_z - ref.log_z) <= 1e-9
+
+
+def _corpus() -> dict[str, WeightedProgram]:
+    """The programs `CompiledProgram.compile` compiled, one per plan key, in
+    the seed-0 `maxHelp_semNegScal` cells of fineEasy and fineHard."""
+    corpus = {}
+    for difficulty in ("fineEasy", "fineHard"):
+        text = (GOLDEN / f"corpus_{difficulty}.lp").read_text()
+        for i, chunk in enumerate(text.split("\n\n")):
+            corpus[f"{difficulty}-{i}"] = read_ground_program(chunk)
+    return corpus
+
+
+def _reweighted(compiled: CompiledProgram, row) -> WeightedProgram:
+    """The rules of `compiled` with the soft fact weights of `row`."""
+    weights = iter(row)
+    return WeightedProgram(
+        [
+            WeightedRule(next(weights), r.head) if r.is_fact() and r.weight is not HARD else r
+            for p in compiled.plans
+            for r in p.rules
+        ]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_corpus()))
+def test_corpus_matches_variable_elimination(name):
+    # the program's own weights and two more rows, solved in one batch
+    compiled = CompiledProgram.compile(_corpus()[name])
+    noise = np.random.default_rng(0).normal(scale=2.0, size=(3, len(compiled.weights[0])))
+    noise[0] = 0.0
+    rows = np.asarray(compiled.weights) + noise
+    tables = solve_exact(CompiledProgram(compiled.plans, rows.tolist()))
+    for row, table in zip(rows, tables):
+        ve = variable_elimination(_reweighted(compiled, row))
+        assert table.probs and abs(table.log_z - ve.log_z) <= 1e-9
+        for atom, p in table.probs.items():
+            assert abs(p - ve[atom]) <= 1e-9, atom
+
+
+def test_corpus_covers_the_widest_components():
+    # 7 fineHard plans, and components up to the golden component's 32 atoms
+    corpus = _corpus()
+    assert sum(name.startswith("fineHard") for name in corpus) == 7
+    widest = max(
+        len({a for r in rules for a in r.atoms()})
+        for prog in corpus.values()
+        for rules in exact._split_components(prog.rules)
+    )
+    assert widest == 32
 
 
 # ---------------------------------------------------------------------------

@@ -470,12 +470,12 @@ def test_confusion_json_rows_normalized(tiny_suite):
         assert abs(sum(row.values()) - 1.0) <= 1e-9
 
 
-def _assert_fineHard_cell_matches(tmp_path, seed: int, digests: str):
-    """The files of the fineHard `maxHelp_semNegScal` cell of `seed`, run
+def _assert_cell_matches(tmp_path, difficulty: str, strategies: tuple, seed: int, digests: str):
+    """The files of the `difficulty` cells of `strategies` and `seed`, run
     with `--dump-program`, against their digests in `sha256sum` format."""
     config = ExperimentConfig(
-        difficulty="fineHard",
-        strategies=("maxHelp_semNegScal",),
+        difficulty=difficulty,
+        strategies=strategies,
         seeds=(seed,),
         out_dir=str(tmp_path),
         dump_programs=True,
@@ -490,13 +490,21 @@ def _assert_fineHard_cell_matches(tmp_path, seed: int, digests: str):
 def test_fineHard_cell_outputs_match_golden_digests(tmp_path):
     # `groundsim run --difficulty fineHard --strategy maxHelp_semNegScal
     # --seeds 1 --dump-program`
-    _assert_fineHard_cell_matches(tmp_path, 0, "fineHard_cell.sha256")
+    _assert_cell_matches(tmp_path, "fineHard", ("maxHelp_semNegScal",), 0, "fineHard_cell.sha256")
 
 
 def test_longest_fineHard_cell_outputs_match_golden_digests(tmp_path):
     # seed 3 (`--config` holding {"seeds": [3]}): 1770 episodes, the longest
     # fineHard cell, with scalar implicatures cancelled and many KB revisions
-    _assert_fineHard_cell_matches(tmp_path, 3, "fineHard_cell_seed3.sha256")
+    _assert_cell_matches(
+        tmp_path, "fineHard", ("maxHelp_semNegScal",), 3, "fineHard_cell_seed3.sha256"
+    )
+
+
+def test_fineEasy_cells_outputs_match_golden_digests(tmp_path):
+    # `groundsim run --difficulty fineEasy --seeds 1 --dump-program`: all
+    # five strategies, 17 files
+    _assert_cell_matches(tmp_path, "fineEasy", tuple(STRATEGY_COMBOS), 0, "fineEasy_seed0.sha256")
 
 
 def test_program_dumps_parse_back(tiny_suite):
