@@ -1,37 +1,30 @@
 """Exact marginal inference by world enumeration.
 
 Worlds are subsets of base atoms; each auxiliary atom is the OR of the
-bodies of its HARD definite rules, which hold only base atoms (`_classify`
-rejects any other program, for every solver); worlds violating HARD
-constraints are discarded; a world's weight is the sum of the weights of
-the soft rules it satisfies, normalized into a log-linear distribution.
+bodies of its HARD definite rules, which hold only base atoms in no
+constraint and no hard fact (`_classify` rejects any other program, for
+every solver); worlds violating HARD constraints are discarded; a world's
+weight is the sum of the weights of the soft rules it satisfies, normalized
+into a log-linear distribution.
 
 `enumerate_worlds` is a deliberately plain pure-Python reference. `solve_exact`
 is the production path: it splits the program into connected components and
 solves each by one method in two stages:
 
-- stage 1 sums out the stage-1 atoms: base atoms in definite bodies and
-  in no constraint or hard fact. Each group of definite rules with one head
-  and the same other body atoms gets a bit, the OR over its rules of the AND
-  of their stage-1 atoms. The stage-1 atoms split into blocks, the connected
-  components of the rules' stage-1 parts, which in scene programs means one
-  block per part. Each block enumerates only its own assignments into one
-  row of mass over bit configurations, and the rows combine by an OR-fold
-  (`_or_fold`) that adds only non-negative products;
-- stage 2 enumerates the other base atoms with every bit configuration and
-  derives the heads in one pass over the rules, so bodies that mix stage-1
-  and other atoms, and constrained or forced body atoms are all covered. A
-  component without stage-1 atoms has no blocks and no bits, and stage 2
-  enumerates all of its base atoms. So does a component whose groups
-  outnumber its stage-1 atoms, for which staging would widen stage 2.
+- stage 1 sums out the stage-1 atoms, the base atoms in definite bodies.
+  Each derived atom gets a bit, the OR over its rules of the AND of their
+  bodies. The stage-1 atoms split into blocks, the connected components of
+  the rules' bodies, which in scene programs means one block per part. Each
+  block enumerates only its own assignments into one row of mass over bit
+  configurations, and the rows combine by an OR-fold (`_or_fold`) that adds
+  only non-negative products;
+- stage 2 enumerates the other base atoms with every bit configuration, and
+  derived atom j is bit j. A component without definite rules has no blocks
+  and no bits, and stage 2 enumerates all of its base atoms.
 
 `solve_exact` returns log Z and the marginals of the stage-2 atoms and the
 derived atoms, one table per row of soft fact weights; queries read class
-atoms of objects, which are stage-2 atoms. A stage-1 atom's marginal is the
-ratio of two partition functions, exp(log Z(program + the atom as a hard
-fact) - log Z(program)), the conditioning identity of weighted model
-counting (Sang, Beame & Kautz, 2005): the hard fact moves the atom to
-stage 2.
+atoms of objects, which are stage-2 atoms.
 
 `ENUM_BOUND` caps every single enumeration: each block and the stage-2 table.
 Each component's solve has two halves: `plan` does everything that depends
@@ -44,9 +37,11 @@ row's results are the same, to the bit, in a batch of any size. A
 compiled `WeightedProgram` has one row, its own weights); a caller that
 solves one structure with many weight vectors compiles it once and passes
 `solve_exact` the compiled program with all of them as rows (see
-`reasoner.marginals_each`). The solver is property-tested
-against the reference on every atom, through that ratio for stage-1 atoms,
-and every row of a batch against the row solved alone.
+`reasoner.marginals_each`). The solver is property-tested against the
+reference, and against variable elimination on the programs the system
+compiles, by its outputs and log Z over several rows of fact weights (log Z
+as a function of every fact weight pins down the atoms it sums out), and
+every row of a batch against the row solved alone.
 """
 
 from __future__ import annotations
@@ -116,10 +111,18 @@ def _classify(rules: list[WeightedRule]) -> _Classified:
             universe.add(r.head)
         for a in (*r.pos_body, *r.neg_body):
             universe.add(a)
-    for a in heads:
-        for r in c.facts + c.hard_facts:
-            if r.head == a:
-                raise ProgramError(f"atom {a} is both a fact and a definite head")
+    both = sorted(heads & {r.head for r in c.facts + c.hard_facts}, key=_atom_sort_key)
+    if both:
+        raise ProgramError(f"atom {both[0]} is both a fact and a definite head")
+    outside = {r.head for r in c.hard_facts}
+    for r in c.constraints:
+        outside.update(r.pos_body)
+        outside.update(r.neg_body)
+    for r in c.definite:
+        if any(b in outside for b in r.pos_body):
+            raise ProgramError(
+                f"definite rule for {r.head} has a body atom in a constraint or a hard fact"
+            )
     c.derived = sorted(heads, key=_atom_sort_key)
     c.base = sorted(universe - heads, key=_atom_sort_key)
     return c
@@ -156,7 +159,7 @@ def _reference_worlds(program: WeightedProgram):
     weights = []
     for bits in itertools.product([False, True], repeat=len(c.base)):
         truth = dict(zip(c.base, bits))
-        if any(not truth[a] for a in forced if a in truth):
+        if any(not truth[a] for a in forced):
             continue
         for a in c.derived:
             truth[a] = False
@@ -282,14 +285,14 @@ class Plan:
     Each atom with a soft fact gets one weight column, the sum of its facts'
     weights: `first` is the fact column each sum starts from, and `more`
     the (weight column, fact column) pairs that add further facts, in order.
-    Stage 2 enumerates `q_atoms` with the k bits; `aconf` is each stage-2
-    row's bit configuration, `weighted` the (truth, weight column) pairs of
-    the q_atoms with a soft fact, `mask` the rows the hard facts and hard
-    constraints admit (None when they admit every row), `soft` one
-    log-weight term per soft constraint, and `outputs` the (indices of the
-    stage-2 rows where it holds, atom) pairs of the q_atoms and derived
-    atoms. `run` takes `slice_rows` weight rows at a time, which keeps the
-    widest table within `_TABLE_CELLS` cells."""
+    Stage 2 enumerates `q_atoms` with the k bits, one per derived atom;
+    `aconf` is each stage-2 row's bit configuration, `weighted` the (truth,
+    weight column) pairs of the q_atoms with a soft fact, `mask` the rows
+    the hard facts and hard constraints admit (None when they admit every
+    row), `soft` one log-weight term per soft constraint, and `outputs` the
+    (indices of the stage-2 rows where it holds, atom) pairs of the q_atoms
+    and derived atoms. `run` takes `slice_rows` weight rows at a time, which
+    keeps the widest table within `_TABLE_CELLS` cells."""
 
     rules: list[WeightedRule]
     facts: list[WeightedRule]
@@ -310,52 +313,21 @@ def plan(rules: list[WeightedRule]) -> Plan:
     """Split one component into stage-1 blocks and a stage-2 table, and
     build their index and mask arrays.
 
-    Stage-1 atoms are the base atoms in definite bodies and in no constraint
-    or hard fact. The definite rules with the same head and the same other
-    body atoms form a group with one bit: the OR over the group's rules of
-    the AND of their stage-1 atoms. Bits go in the order of their heads, so a
-    scene program's bit j is its derived atom j. Blocks are the connected
-    components of the stage-1 parts of the rules. When the groups outnumber
-    the stage-1 atoms, nothing is staged, so stage 2 never enumerates more
-    atoms than the component's base atoms. Stage 2 derives each head in one
-    pass as the OR of its plain rules' bodies and its groups' bits.
+    Stage-1 atoms are the base atoms in definite bodies, which `_classify`
+    keeps out of every constraint and hard fact. Derived atom j is bit j:
+    the OR over its rules of the AND of their bodies. Blocks are the
+    connected components of the rules' bodies.
     """
     c = _classify(rules)
-    outside = {r.head for r in c.hard_facts}
-    for r in c.constraints:
-        outside.update(r.pos_body)
-        outside.update(r.neg_body)
-    stage1 = {b for r in c.definite for b in r.pos_body if b not in outside}
-    groups = {
-        (r.head, tuple(b for b in r.pos_body if b not in stage1))
-        for r in c.definite
-        if any(b in stage1 for b in r.pos_body)
-    }
-    if len(groups) > len(stage1):
-        # more bits than stage-1 atoms would widen stage 2 beyond the base
-        # atoms: enumerate those atoms in stage 2 instead
-        stage1 = set()
-
-    staged = []  # (stage-1 part, group) per definite rule with a stage-1 atom
-    plain = []  # the definite rules without one, as they are
-    for r in c.definite:
-        part = [b for b in r.pos_body if b in stage1]
-        rest = tuple(b for b in r.pos_body if b not in stage1)
-        if part:
-            staged.append((part, (r.head, rest)))
-        else:
-            plain.append((r.head, r.pos_body))
-    rank = {a: j for j, a in enumerate(c.derived)}
-    # sorted() is stable: groups of one head keep the order of their first rule
-    order = sorted(dict.fromkeys(g for _, g in staged), key=lambda g: rank[g[0]])
-    bit = {g: j for j, g in enumerate(order)}
-    rules2 = [(head, (j, *rest)) for j, (head, rest) in enumerate(order)] + plain
-    k = len(order)
+    stage1 = {b for r in c.definite for b in r.pos_body}
+    bit = {a: j for j, a in enumerate(c.derived)}
+    k = len(c.derived)
 
     block_rules = []
-    for group in _connected([part for part, _ in staged]):
-        atoms = sorted({b for i in group for b in staged[i][0]}, key=_atom_sort_key)
-        block_rules.append((atoms, [(staged[i][0], bit[staged[i][1]]) for i in group]))
+    for group in _connected([r.pos_body for r in c.definite]):
+        group_rules = [c.definite[i] for i in group]
+        atoms = sorted({b for r in group_rules for b in r.pos_body}, key=_atom_sort_key)
+        block_rules.append((atoms, [(r.pos_body, bit[r.head]) for r in group_rules]))
     q_atoms = [a for a in c.base if a not in stage1]
     widest = max([len(q_atoms) + k] + [len(atoms) for atoms, _ in block_rules])
     if widest > ENUM_BOUND:
@@ -385,13 +357,9 @@ def plan(rules: list[WeightedRule]) -> Plan:
     nq = len(q_atoms)
     idx2 = np.arange(1 << (nq + k), dtype=np.int64)
     aconf = idx2 >> nq
-    val2: dict[Atom | int, np.ndarray] = {j: _bit(aconf, j) for j in range(k)}
-    for i, a in enumerate(q_atoms):
-        val2[a] = _bit(idx2, i)
-    for a in c.derived:
-        val2[a] = np.zeros(len(idx2), dtype=bool)
-    for head, body_keys in rules2:
-        val2[head] |= np.logical_and.reduce([val2[b] for b in body_keys])
+    val2 = {a: _bit(idx2, i) for i, a in enumerate(q_atoms)}
+    for j, a in enumerate(c.derived):
+        val2[a] = _bit(aconf, j)
 
     mask = np.ones(len(idx2), dtype=bool)
     for r in c.hard_facts:

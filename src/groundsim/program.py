@@ -1,11 +1,11 @@
 """Weighted normal-logic programs: rule representation, a text dump, grounding.
 
 Supported fragment (all the reasoner ever constructs): weighted ground facts,
-HARD definite auxiliary rules whose bodies hold no auxiliary atom, and
-weighted/HARD integrity constraints. `exact._classify` enforces it for every
-solver. A consequent with skolem terms is carried through lifted rules as a
-BodyGroup and compiled at grounding time into one auxiliary atom plus HARD
-definite rules, one per candidate part, over that part's base atoms.
+HARD definite aux rules whose bodies hold only base atoms in no constraint
+and no hard fact, and weighted/HARD integrity constraints; `exact._classify`
+enforces it for every solver. A skolemized consequent is carried through
+lifted rules as a BodyGroup and compiled at grounding time into one aux
+atom plus HARD definite rules, one per candidate part, over the part's atoms.
 
 The text format (`program_to_text`) is write-only: `--dump-program` writes
 it for audit, and no run reads a program back from text.
@@ -40,7 +40,7 @@ class NoAdmissibleWorldError(ProgramError):
 class EnumerationBoundError(ProgramError):
     """A component too large to enumerate within the solver's bound: one of
     its stage-1 blocks, or its stage-2 table (the base atoms outside stage 1
-    plus one bit per rule group), has more atoms than the bound."""
+    plus one bit per derived atom), has more atoms than the bound."""
 
 
 def logit(s: float) -> float:

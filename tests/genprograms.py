@@ -1,34 +1,18 @@
 """Random ground-program generators shared by the solver test modules, the
-marginals of every atom of a program, the exact ones by variable elimination,
-the uncached restriction of a program to its query atoms' components, and a
-reader for the ground rules that `program_to_text` writes (golden components,
-the corpus of compiled programs and `--dump-program` files)."""
+marginals of every atom of a program by variable elimination, the uncached
+restriction of a program to its query atoms' components, and a reader for
+the ground rules that `program_to_text` writes (golden components, the
+corpus of compiled programs and `--dump-program` files)."""
 
 import math
 
 import numpy as np
 
 from groundsim.bp import build_factor_graph
-from groundsim.exact import MarginalTable, solve_exact, union_find
+from groundsim.exact import MarginalTable, union_find
 from groundsim.logic import Atom, Const, attr_pred, cls_pred, rel_pred
 from groundsim.program import HARD, NoAdmissibleWorldError, WeightedProgram, WeightedRule, logit
 from groundsim.reasoner import UnknownPredicateError
-
-
-def all_marginals(prog: WeightedProgram) -> dict[Atom, float]:
-    """The marginal of every atom of `prog`: those `solve_exact` returns, and
-    for each atom it sums out, Z(prog + the atom as a hard fact) / Z(prog),
-    which is 0 when the clamped program admits no world."""
-    (table,) = solve_exact(prog)
-    probs = dict(table.probs)
-    for a in prog.atom_universe() - set(probs):
-        try:
-            (clamped,) = solve_exact(prog + WeightedProgram([WeightedRule(HARD, a)]))
-        except NoAdmissibleWorldError:
-            probs[a] = 0.0
-        else:
-            probs[a] = math.exp(clamped.log_z - table.log_z)
-    return probs
 
 
 def variable_elimination(prog: WeightedProgram) -> MarginalTable:
@@ -50,23 +34,24 @@ def variable_elimination(prog: WeightedProgram) -> MarginalTable:
     log_z, probs = 0.0, {}
     for group in components.values():
         atoms = list(dict.fromkeys(v for f in group for v in f.vars))
+        label = {a: i for i, a in enumerate(atoms)}
         operands = []
         for f in group:
             shift = f.table.max()
             log_z += shift
-            operands += [np.exp(f.table - shift), [atoms.index(v) for v in f.vars]]
-        for i in range(len(atoms)):
-            operands += [np.ones(2), [i]]
+            operands += [np.exp(f.table - shift), [label[v] for v in f.vars]]
+        selectors = [np.ones(2) for _ in atoms]
+        for i, selector in enumerate(selectors):
+            operands += [selector, [i]]
         path, _ = np.einsum_path(*operands, [], optimize="greedy")
         z = float(np.einsum(*operands, [], optimize=path))
         if z == 0.0:
             raise NoAdmissibleWorldError("hard core admits no world")
         log_z += math.log(z)
-        selectors = len(operands) - 2 * len(atoms)
-        for i, a in enumerate(atoms):
-            clamped = list(operands)
-            clamped[selectors + 2 * i] = np.array([0.0, 1.0])
-            probs[a] = float(np.einsum(*clamped, [], optimize=path)) / z
+        for a, selector in zip(atoms, selectors):
+            selector[0] = 0.0  # clamp the atom true
+            probs[a] = float(np.einsum(*operands, [], optimize=path)) / z
+            selector[0] = 1.0
     assert set(probs) == set(variables)
     return MarginalTable(probs, log_z=log_z)
 
@@ -122,7 +107,8 @@ def aux_atom(i: int) -> Atom:
 
 def random_program(rng: np.random.Generator, max_base: int = 6) -> WeightedProgram:
     """Arbitrary program within the supported fragment: soft facts, HARD
-    definite aux rules and soft/HARD constraints over base and aux atoms."""
+    definite aux rules and soft/HARD constraints over aux atoms and the base
+    atoms in no aux body."""
     n = int(rng.integers(1, max_base + 1))
     atoms = [base_atom(i) for i in range(n)]
     prog = WeightedProgram()
@@ -131,7 +117,7 @@ def random_program(rng: np.random.Generator, max_base: int = 6) -> WeightedProgr
             prog.add(WeightedRule(float(rng.normal() * 2.0), a))
 
     n_aux = int(rng.integers(0, 3))
-    aux = []
+    aux, in_bodies = [], set()
     for j in range(n_aux):
         head = aux_atom(j)
         aux.append(head)
@@ -140,9 +126,10 @@ def random_program(rng: np.random.Generator, max_base: int = 6) -> WeightedProgr
             body = tuple(
                 atoms[k] for k in rng.choice(n, size=size, replace=False)
             )
+            in_bodies.update(body)
             prog.add(WeightedRule(HARD, head, body, ()))
 
-    pool = atoms + aux
+    pool = aux + [a for a in atoms if a not in in_bodies]
     for _ in range(int(rng.integers(0, 4))):
         size = int(rng.integers(1, min(3, len(pool)) + 1))
         picked = [pool[k] for k in rng.choice(len(pool), size=size, replace=False)]
@@ -236,12 +223,10 @@ def random_part_program(
 
 
 def random_general_program(rng: np.random.Generator, max_base: int = 6) -> WeightedProgram:
-    """Programs off the scene shape: constraints over aux atoms and
-    definite-body atoms alike, and hard facts on body atoms. One draw in four
-    is wide instead: 23-26 aux atoms, more than `ENUM_BOUND`, with one rule
-    each over a few base atoms, where constraints and the hard fact touch only
-    aux atoms and `a0`."""
-    wide = rng.random() < 0.25
+    """Programs off the scene shape: up to four aux atoms over a few body
+    atoms, so that bits can outnumber the stage-1 atoms, with overlapping
+    bodies and several rules per head; constraints over aux atoms and over
+    base atoms in no body, and sometimes a hard fact on one of those."""
     n = int(rng.integers(2, max_base + 1))
     atoms = [base_atom(i) for i in range(n)]
     prog = WeightedProgram()
@@ -249,17 +234,16 @@ def random_general_program(rng: np.random.Generator, max_base: int = 6) -> Weigh
         if rng.random() < 0.85:
             prog.add(WeightedRule(float(rng.normal() * 2.0), a))
 
-    aux = [aux_atom(j) for j in range(int(rng.integers(23, 27) if wide else rng.integers(1, 5)))]
-    bodies = []
-    for j, head in enumerate(aux):
-        for _ in range(1 if wide else int(rng.integers(1, 3))):
-            body = [atoms[k] for k in rng.choice(n, size=int(rng.integers(1, 3)), replace=True)]
-            if wide:
-                body[0] = atoms[j % n]  # every base atom sits in some body
-            bodies.append(tuple(dict.fromkeys(body)))
-            prog.add(WeightedRule(HARD, head, bodies[-1], ()))
+    body_atoms = atoms[: int(rng.integers(1, n + 1))]
+    aux = [aux_atom(j) for j in range(int(rng.integers(1, 5)))]
+    for head in aux:
+        for _ in range(int(rng.integers(1, 3))):
+            picks = rng.choice(len(body_atoms), size=int(rng.integers(1, 3)), replace=True)
+            body = tuple(dict.fromkeys(body_atoms[k] for k in picks))
+            prog.add(WeightedRule(HARD, head, body, ()))
 
-    pool = aux + atoms[:1] if wide else aux + atoms
+    free = atoms[len(body_atoms) :]
+    pool = aux + free
     for _ in range(int(rng.integers(1, 5))):
         size = int(rng.integers(1, min(3, len(pool)) + 1))
         picked = [pool[k] for k in rng.choice(len(pool), size=size, replace=False)]
@@ -267,8 +251,6 @@ def random_general_program(rng: np.random.Generator, max_base: int = 6) -> Weigh
         neg = tuple(a for a in picked if a not in pos)
         weight = HARD if rng.random() < 0.1 else float(rng.normal() * 2.0)
         prog.add(WeightedRule(weight, None, pos, neg))
-    if rng.random() < 0.4:
-        in_bodies = [a for body in bodies for a in body if a in atoms]
-        forced = atoms[0] if wide else in_bodies[int(rng.integers(0, len(in_bodies)))]
-        prog.add(WeightedRule(HARD, forced))
+    if free and rng.random() < 0.4:
+        prog.add(WeightedRule(HARD, free[int(rng.integers(0, len(free)))]))
     return prog

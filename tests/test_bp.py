@@ -4,7 +4,6 @@ exactness on trees, behavior on loopy graphs."""
 import numpy as np
 
 from genprograms import (
-    all_marginals,
     aux_atom,
     base_atom,
     random_part_program,
@@ -12,7 +11,7 @@ from genprograms import (
     random_tree_program,
 )
 from groundsim.bp import build_factor_graph, is_acyclic, solve_bp
-from groundsim.exact import solve_exact
+from groundsim.exact import solve_exact, solve_exact_reference
 from groundsim.program import (
     HARD,
     WeightedProgram,
@@ -64,7 +63,7 @@ def test_completion_factor_handles_definite_rules():
             WeightedRule(logit(0.95), None, (), (aux_atom(0),)),
         ]
     )
-    exact = all_marginals(prog)
+    exact = solve_exact_reference(prog).probs
     bp = solve_bp(prog)
     # the completion factor spans both bodies, graph stays a tree
     variables, factors = build_factor_graph(prog)
@@ -81,7 +80,7 @@ def test_headless_aux_is_pinned_false():
     )
     prog.add(WeightedRule(HARD, aux_atom(0), (base_atom(1),), ()))
     prog.add(fact(1, 0.0001))
-    exact = all_marginals(prog)
+    exact = solve_exact_reference(prog).probs
     bp = solve_bp(prog)
     variables, factors = build_factor_graph(prog)
     tol = 1e-7 if is_acyclic(variables, factors) else 0.05

@@ -1,4 +1,5 @@
-"""Exact solver: reference enumerator vs production path, staged
+"""Exact solver: reference enumerator and variable elimination vs production
+path, on random programs and a corpus of compiled ones, staged
 marginalization, component splitting, fragment validation."""
 
 import json
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genprograms import (
-    all_marginals,
     aux_atom,
     base_atom,
     random_general_program,
@@ -24,7 +24,6 @@ from genprograms import (
 from groundsim import exact
 from groundsim.bp import solve_bp
 from groundsim.exact import (
-    ENUM_BOUND,
     CompiledProgram,
     enumerate_worlds,
     solve_exact,
@@ -125,6 +124,14 @@ def test_enumeration_bound_enforced(monkeypatch):
     monkeypatch.setattr(exact, "ENUM_BOUND", 4)
     with pytest.raises(EnumerationBoundError):
         solve_exact(big)
+    # stage 2 holds one bit per aux atom: 5 aux atoms over 3 base atoms are
+    # wider than the bound, which raises and never truncates
+    many_heads = WeightedProgram([fact(i, 0.5) for i in range(3)])
+    for j in range(5):
+        body = (base_atom(j % 3), base_atom((j + 1) % 3))
+        many_heads.add(WeightedRule(HARD, aux_atom(j), body, ()))
+    with pytest.raises(EnumerationBoundError):
+        solve_exact(many_heads)
 
 
 def test_unsupported_fragments_rejected():
@@ -155,6 +162,16 @@ CHAINS = {
         fact(0, 0.5),
         WeightedRule(HARD, aux_atom(0), (base_atom(0), aux_atom(0)), ()),
     ],
+    "body_atom_in_constraint": [
+        fact(0, 0.5),
+        WeightedRule(HARD, aux_atom(0), (base_atom(0),), ()),
+        WeightedRule(1.0, None, (base_atom(0),), (aux_atom(0),)),
+    ],
+    "body_atom_in_hard_fact": [
+        fact(0, 0.5),
+        WeightedRule(HARD, aux_atom(0), (base_atom(0), base_atom(1)), ()),
+        WeightedRule(HARD, base_atom(1)),
+    ],
 }
 
 
@@ -165,7 +182,8 @@ CHAINS = {
     ids=["solve_exact", "compile", "solve_exact_reference", "solve_bp"],
 )
 def test_chained_definite_rules_rejected(entry, chain):
-    # an aux body holds no aux atom: every solver checks that in one place
+    # an aux body holds only base atoms in no constraint and no hard fact:
+    # every solver checks that in one place
     with pytest.raises(ProgramError):
         entry(WeightedProgram(CHAINS[chain]))
 
@@ -228,23 +246,51 @@ def test_a_compiled_program_solves_and_measures_like_its_program():
 # production solver vs reference oracle
 
 
+def _reweighted(compiled: CompiledProgram, row) -> WeightedProgram:
+    """The rules of `compiled` with the soft fact weights of `row`."""
+    weights = iter(row)
+    return WeightedProgram(
+        [
+            WeightedRule(next(weights), r.head) if r.is_fact() and r.weight is not HARD else r
+            for p in compiled.plans
+            for r in p.rules
+        ]
+    )
+
+
+def _assert_matches(prog: WeightedProgram, oracle, rng, n_rows: int = 3):
+    """`solve_exact`'s outputs and log Z, for the program's own soft fact
+    weights and n_rows - 1 random rows solved in one batch, each within 1e-9
+    of `oracle` (the reference or variable elimination) on the program with
+    that row's weights. The outputs are every atom but the body atoms, which
+    the solver sums out; log Z as a function of every fact weight pins those
+    down too."""
+    compiled = CompiledProgram.compile(prog)
+    noise = rng.normal(scale=2.0, size=(n_rows, len(compiled.weights[0])))
+    noise[0] = 0.0
+    rows = np.asarray(compiled.weights) + noise
+    in_bodies = {b for r in prog.rules if r.head is not None for b in r.pos_body}
+    tables = solve_exact(CompiledProgram(compiled.plans, rows.tolist()))
+    for row, table in zip(rows, tables):
+        expected = oracle(_reweighted(compiled, row))
+        assert set(table.probs) == set(expected.probs) - in_bodies
+        for atom, p in table.probs.items():
+            assert abs(p - expected[atom]) <= 1e-9, atom
+        assert abs(table.log_z - expected.log_z) <= 1e-9
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
 def test_solve_exact_matches_reference(seed):
     rng = np.random.default_rng(seed)
     prog = random_program(rng)
     try:
-        ref = solve_exact_reference(prog)
+        solve_exact_reference(prog)
     except NoAdmissibleWorldError:
         with pytest.raises(NoAdmissibleWorldError):
             solve_exact(prog)
         return
-    (table,) = solve_exact(prog)
-    probs = all_marginals(prog)
-    assert set(probs) == set(ref.probs)
-    for atom in ref.probs:
-        assert abs(probs[atom] - ref[atom]) <= 1e-9
-    assert abs(table.log_z - ref.log_z) <= 1e-9
+    _assert_matches(prog, solve_exact_reference, rng)
 
 
 def test_two_stage_path_matches_reference():
@@ -261,25 +307,14 @@ def test_two_stage_path_matches_reference():
         prog.add(fact(9, float(rng.uniform(0.05, 0.95))))
         prog.add(WeightedRule(logit(0.95), None, (base_atom(9),), (aux_atom(0),)))
         prog.add(WeightedRule(logit(0.95), None, (aux_atom(1),), (base_atom(9),)))
-        ref = solve_exact_reference(prog)
-        (table,) = solve_exact(prog)
-        probs = all_marginals(prog)
-        for atom in ref.probs:
-            assert abs(probs[atom] - ref[atom]) <= 1e-9
-        assert abs(table.log_z - ref.log_z) <= 1e-9
+        _assert_matches(prog, solve_exact_reference, rng)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
 def test_part_programs_match_reference(seed):
-    prog = random_part_program(np.random.default_rng(seed))
-    ref = solve_exact_reference(prog)
-    (table,) = solve_exact(prog)
-    probs = all_marginals(prog)
-    assert set(probs) == set(ref.probs)
-    for atom in ref.probs:
-        assert abs(probs[atom] - ref[atom]) <= 1e-9
-    assert abs(table.log_z - ref.log_z) <= 1e-9
+    rng = np.random.default_rng(seed)
+    _assert_matches(random_part_program(rng), solve_exact_reference, rng)
 
 
 def test_part_programs_cover_two_stage_edge_shapes(monkeypatch):
@@ -322,45 +357,32 @@ def test_part_programs_cover_two_stage_edge_shapes(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
 def test_general_programs_match_reference(seed):
-    prog = random_general_program(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    prog = random_general_program(rng)
     try:
-        ref = solve_exact_reference(prog)
+        solve_exact_reference(prog)
     except NoAdmissibleWorldError:
         with pytest.raises(NoAdmissibleWorldError):
             solve_exact(prog)
         return
-    (table,) = solve_exact(prog)
-    probs = all_marginals(prog)
-    assert set(probs) == set(ref.probs)
-    for atom in ref.probs:
-        assert abs(probs[atom] - ref[atom]) <= 1e-9
-    assert abs(table.log_z - ref.log_z) <= 1e-9
+    _assert_matches(prog, solve_exact_reference, rng)
 
 
 def test_general_programs_cover_their_shapes(monkeypatch):
     # the property test above draws from these shapes, none of which the
-    # scene programs have; the wide draws have more aux atoms than the
-    # enumeration bound over a few base atoms, some component's groups
-    # outnumber its stage-1 atoms so that nothing is staged, and no solve
-    # enumerates more atoms in stage 2 than the component has base atoms
+    # scene programs have: components whose bits outnumber their stage-1
+    # atoms, so that stage 2 enumerates more atoms than the component has
+    # base atoms, constraints on base atoms, and hard facts
     widths = []
-    unstaged = 0
     original = exact.run
 
     def spy(plan, fact_weights):
-        nonlocal unstaged
         n_base = len(plan.q_atoms) + sum(len(block.atoms) for block in plan.blocks)
         widths.append((len(plan.q_atoms) + plan.k, n_base))
-        # a body atom in no constraint and no hard fact is a stage-1 atom,
-        # unless the fallback left it in stage 2
-        outside = {a for r in plan.rules if r.is_constraint() for a in r.atoms()}
-        outside |= {r.head for r in plan.rules if r.is_fact() and r.weight is HARD}
-        in_bodies = {b for r in plan.rules if r.head is not None for b in r.pos_body}
-        unstaged += plan.k == 0 and bool(in_bodies - outside)
         return original(plan, fact_weights)
 
     monkeypatch.setattr(exact, "run", spy)
-    constrained = forced = wide = 0
+    constrained = forced = 0
     for seed in range(40):
         prog = random_general_program(np.random.default_rng(seed))
         try:
@@ -368,29 +390,18 @@ def test_general_programs_cover_their_shapes(monkeypatch):
         except NoAdmissibleWorldError:
             pass
         aux = {r.head for r in prog.rules if r.head is not None and r.pos_body}
-        in_constraint = {
-            a for r in prog.rules if r.is_constraint() for a in (*r.pos_body, *r.neg_body)
-        }
-        hard_facts = {r.head for r in prog.rules if r.is_fact() and r.weight is HARD}
-        bodies = [set(r.pos_body) for r in prog.rules if r.head in aux]
-        constrained += any((b - aux) & in_constraint for b in bodies)
-        forced += any(b & hard_facts for b in bodies)
-        wide += len(aux) > ENUM_BOUND
-    assert constrained and forced and wide and unstaged
-    assert all(stage2 <= n_base for stage2, n_base in widths)
+        constrained += any(set(r.atoms()) - aux for r in prog.rules if r.is_constraint())
+        forced += any(r.is_fact() and r.weight is HARD for r in prog.rules)
+    assert constrained and forced
+    assert any(stage2 > n_base for stage2, n_base in widths)
 
 
 def test_enumeration_bound_applies_per_block(monkeypatch):
     # two parts of 5 stage-1 atoms each: 11 base atoms in all, but no block
     # and no stage-2 table exceeds the bound
     prog = random_part_program(np.random.default_rng(3), attr_counts=(4, 4))
-    ref = solve_exact_reference(prog)
     monkeypatch.setattr(exact, "ENUM_BOUND", 6)
-    (table,) = solve_exact(prog)
-    probs = all_marginals(prog)
-    for atom in ref.probs:
-        assert abs(probs[atom] - ref[atom]) <= 1e-9
-    assert abs(table.log_z - ref.log_z) <= 1e-9
+    _assert_matches(prog, variable_elimination, np.random.default_rng(3))
 
     one_big_block = random_part_program(np.random.default_rng(3), attr_counts=(6,))
     with pytest.raises(EnumerationBoundError):
@@ -496,31 +507,9 @@ def _corpus() -> dict[str, WeightedProgram]:
     return corpus
 
 
-def _reweighted(compiled: CompiledProgram, row) -> WeightedProgram:
-    """The rules of `compiled` with the soft fact weights of `row`."""
-    weights = iter(row)
-    return WeightedProgram(
-        [
-            WeightedRule(next(weights), r.head) if r.is_fact() and r.weight is not HARD else r
-            for p in compiled.plans
-            for r in p.rules
-        ]
-    )
-
-
 @pytest.mark.parametrize("name", sorted(_corpus()))
 def test_corpus_matches_variable_elimination(name):
-    # the program's own weights and two more rows, solved in one batch
-    compiled = CompiledProgram.compile(_corpus()[name])
-    noise = np.random.default_rng(0).normal(scale=2.0, size=(3, len(compiled.weights[0])))
-    noise[0] = 0.0
-    rows = np.asarray(compiled.weights) + noise
-    tables = solve_exact(CompiledProgram(compiled.plans, rows.tolist()))
-    for row, table in zip(rows, tables):
-        ve = variable_elimination(_reweighted(compiled, row))
-        assert table.probs and abs(table.log_z - ve.log_z) <= 1e-9
-        for atom, p in table.probs.items():
-            assert abs(p - ve[atom]) <= 1e-9, atom
+    _assert_matches(_corpus()[name], variable_elimination, np.random.default_rng(0))
 
 
 def test_corpus_covers_the_widest_components():
