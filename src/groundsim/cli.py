@@ -24,6 +24,7 @@ from .harness import (
     mean_ci95,
     new_learner,
     run_suite,
+    suite_results,
 )
 from .perception import DomainSpec, FeatureModel, generate_scene
 
@@ -99,7 +100,8 @@ def run_batch(config: ExperimentConfig) -> int:
             os.makedirs(config.out_dir, exist_ok=True)
         except OSError as err:
             raise SystemExit(f"invalid --out: {config.out_dir}: {err.strerror}") from None
-    results = run_suite(config)
+    cells = run_suite(config)
+    results = suite_results(config, cells)
     for strategy in config.strategies:
         finals = [r.exams[-1].map for r in results[strategy] if r.exams]
         if finals:
@@ -113,7 +115,10 @@ def run_batch(config: ExperimentConfig) -> int:
             print(f"{strategy:20s} episode cap reached in seeds {', '.join(capped)}")
     if config.out_dir:
         print(f"results written to {config.out_dir}")
-    return 0
+    failed = [c for c in cells if c.status == "failed"]
+    for c in failed:
+        print(f"failed cell ({c.strategy}, seed={c.seed}): {c.error}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------

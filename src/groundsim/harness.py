@@ -138,7 +138,20 @@ class SequenceResult:
     transcript: list[str]
     episodes: int
     capped: bool  # stopped at EPISODE_CAP before the mistake budget ran out
+    removed_provenances: list[frozenset[str]]  # of each KB entry removed, in order
     program_dumps: list[str] | None = None  # final-exam query programs, text format
+
+
+@dataclass
+class Cell:
+    """One (strategy, seed) cell as a job returns it: picklable, so a worker
+    process can send it back."""
+
+    strategy: str
+    seed: int
+    status: str  # "ok", "capped" (stopped at EPISODE_CAP) or "failed"
+    result: SequenceResult | None  # None when failed
+    error: str | None = None  # the exception of a failed cell
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +460,7 @@ def run_sequence(config: ExperimentConfig, strategy: str, seed: int) -> Sequence
         transcript=transcript,
         episodes=episode,
         capped=mistakes < config.n_total,
+        removed_provenances=learner.kb.removed,
         program_dumps=dumps,
     )
 
@@ -464,25 +478,90 @@ def dump_exam_programs(learner: LearnerState, test_set, config, domain) -> list[
     return dumps
 
 
-def run_suite(config: ExperimentConfig) -> dict:
-    """All (strategy, seed) cells with shared seeds; writes result files when
-    config.out_dir is set."""
-    results: dict[str, list[SequenceResult]] = {s: [] for s in config.strategies}
-    for strategy in config.strategies:
-        for seed in config.seeds:
-            try:
-                results[strategy].append(run_sequence(config, strategy, seed))
-            except Exception as exc:
-                raise RuntimeError(f"cell ({strategy}, seed={seed}) failed: {exc}") from exc
+def _failed_cell(strategy: str, seed: int, exc: Exception) -> Cell:
+    return Cell(strategy, seed, "failed", None, f"{type(exc).__name__}: {exc}")
+
+
+def _run_cell(config: ExperimentConfig, strategy: str, seed: int) -> Cell:
+    """One cell as a job: its exception, if any, is recorded, not raised."""
+    try:
+        result = run_sequence(config, strategy, seed)
+    except Exception as exc:
+        return _failed_cell(strategy, seed, exc)
+    return Cell(strategy, seed, "capped" if result.capped else "ok", result)
+
+
+def _run_cells(config: ExperimentConfig, jobs: list[tuple[str, int]]):
+    """Yield (job index, Cell) as each job ends. With two or more usable CPUs
+    the jobs run in forked worker processes, which inherit the parent's
+    module state (monkeypatches included); otherwise in this process."""
+    # no sched_getaffinity (macOS, Windows): run serially, as fork is unsafe or absent there
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(jobs), cpus)
+    if workers > 1:
+        # imported here, not at the top: every interpreter start would pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                futures = {pool.submit(_run_cell, config, *job): i for i, job in enumerate(jobs)}
+                for future in as_completed(futures):
+                    i = futures[future]
+                    try:
+                        cell = future.result()
+                    except Exception as exc:  # the worker died or the cell did not pickle
+                        cell = _failed_cell(*jobs[i], exc)
+                    yield i, cell
+            return
+    for i, job in enumerate(jobs):
+        yield i, _run_cell(config, *job)
+
+
+def run_suite(config: ExperimentConfig) -> list[Cell]:
+    """Every (strategy, seed) cell, in config order (strategy-major). When
+    config.out_dir is set, each cell's transcript and program dump are
+    written as the cell ends and the suite files at the end, from the cells
+    that did not fail. The files are the same for any number of workers."""
+    jobs = [(strategy, seed) for strategy in config.strategies for seed in config.seeds]
+    cells: list[Cell | None] = [None] * len(jobs)
+    for i, cell in _run_cells(config, jobs):
+        cells[i] = cell
+        if config.out_dir is not None and cell.result is not None:
+            write_cell_outputs(config.out_dir, cell.result)
     if config.out_dir is not None:
-        write_outputs(config, results)
+        write_outputs(config, suite_results(config, cells))
+    return cells
+
+
+def suite_results(config: ExperimentConfig, cells: list[Cell]) -> dict:
+    """strategy -> the SequenceResults of its cells that did not fail, in seed order."""
+    results: dict[str, list[SequenceResult]] = {s: [] for s in config.strategies}
+    for cell in cells:
+        if cell.result is not None:
+            results[cell.strategy].append(cell.result)
     return results
 
 
+def write_cell_outputs(out: str, res: SequenceResult):
+    """A cell's transcript and, when dumped, its final-exam programs."""
+    os.makedirs(os.path.join(out, "transcripts"), exist_ok=True)
+    path = os.path.join(out, "transcripts", f"{res.strategy}_{res.seed}.log")
+    with open(path, "w") as fh:
+        fh.write("\n".join(res.transcript) + "\n")
+    if res.program_dumps is not None:
+        os.makedirs(os.path.join(out, "programs"), exist_ok=True)
+        ppath = os.path.join(out, "programs", f"{res.strategy}_{res.seed}.lp")
+        with open(ppath, "w") as fh:
+            fh.write("\n\n".join(res.program_dumps) + "\n")
+
+
 def write_outputs(config: ExperimentConfig, results: dict):
+    """The suite files: curves.csv, aggregate.csv and one confusion_*.json
+    per strategy with a result, from `suite_results`."""
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
-    os.makedirs(os.path.join(out, "transcripts"), exist_ok=True)
 
     with open(os.path.join(out, "curves.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -518,18 +597,11 @@ def write_outputs(config: ExperimentConfig, results: dict):
                 )
 
     for strategy in config.strategies:
+        if not results[strategy]:
+            continue  # every cell failed
         avg = average_confusion([r.confusion for r in results[strategy]], config)
         with open(os.path.join(out, f"confusion_{strategy}.json"), "w") as fh:
             json.dump(avg, fh, indent=2, sort_keys=True)
-        for res in results[strategy]:
-            path = os.path.join(out, "transcripts", f"{strategy}_{res.seed}.log")
-            with open(path, "w") as fh:
-                fh.write("\n".join(res.transcript) + "\n")
-            if res.program_dumps is not None:
-                os.makedirs(os.path.join(out, "programs"), exist_ok=True)
-                ppath = os.path.join(out, "programs", f"{strategy}_{res.seed}.lp")
-                with open(ppath, "w") as fh:
-                    fh.write("\n\n".join(res.program_dumps) + "\n")
 
 
 def average_confusion(matrices: list[dict], config: ExperimentConfig) -> dict:

@@ -28,11 +28,13 @@ class KnowledgeBase:
 
     `revision` goes up whenever the props change: an `add` that creates an
     entry, and every `remove`. An `add` that only extends an entry's
-    provenance leaves it as it is. Entries iterate in insertion order."""
+    provenance leaves it as it is. Entries iterate in insertion order.
+    `removed` holds the provenance of each entry removed, in order."""
 
     def __init__(self):
         self._entries: dict = {}  # prop_key -> KBEntry
         self.revision = 0
+        self.removed: list[frozenset[str]] = []
         self._memo = None  # ((revision, key), value)
 
     def __iter__(self):
@@ -60,6 +62,7 @@ class KnowledgeBase:
 
     def remove(self, entry: KBEntry):
         del self._entries[prop_key(entry.prop)]
+        self.removed.append(frozenset(entry.provenance))
         self.revision += 1
 
     def memo(self, key, build):

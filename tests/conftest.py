@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from groundsim.harness import ExperimentConfig, run_suite
-from groundsim.memory import KnowledgeBase
+from groundsim.harness import ExperimentConfig, run_suite, suite_results
 
 ACCEPTANCE_LINES = []
 
@@ -31,25 +30,20 @@ class SuiteRun:
 def suite20(tmp_path_factory):
     """fineEasy suite over all five strategy combos with 20 shared seeds.
 
-    KnowledgeBase.remove is instrumented for the duration so the cancellation
-    criterion can check the provenance of every entry ever removed.
+    Each cell's result lists the provenance of every KB entry its learner
+    removed, so the cancellation criterion can check them all, whichever
+    process ran the cell.
     """
-    removed = []
-    original_remove = KnowledgeBase.remove
-
-    def recording_remove(self, entry):
-        removed.append(frozenset(entry.provenance))
-        return original_remove(self, entry)
-
-    KnowledgeBase.remove = recording_remove
     config = ExperimentConfig(
         difficulty="fineEasy",
         seeds=tuple(range(20)),
         out_dir=str(tmp_path_factory.mktemp("suite20")),
     )
     start = time.perf_counter()
-    try:
-        results = run_suite(config)
-    finally:
-        KnowledgeBase.remove = original_remove
-    return SuiteRun(config, results, removed, time.perf_counter() - start)
+    cells = run_suite(config)
+    elapsed = time.perf_counter() - start
+    failed = [f"({c.strategy}, seed={c.seed}): {c.error}" for c in cells if c.status == "failed"]
+    if failed:
+        raise RuntimeError(f"suite20 cells failed: {failed}")
+    removed = [p for c in cells for p in c.result.removed_provenances]
+    return SuiteRun(config, suite_results(config, cells), removed, elapsed)

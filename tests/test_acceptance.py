@@ -338,8 +338,9 @@ def test_criterion_7_cancellation(suite20):
         and learner.kb.contains(kappa)
     )
 
-    # suite-wide: nothing with explicit provenance was ever removed
-    no_explicit_removed = all(
+    # suite-wide: cancellation removed entries, and nothing with explicit
+    # provenance was ever removed (an empty list would pass `all` vacuously)
+    no_explicit_removed = bool(suite20.removed_provenances) and all(
         prov == frozenset({SCALAR_IMPLICATURE}) for prov in suite20.removed_provenances
     )
     ok = entered and scalar_only and cancelled and no_explicit_removed

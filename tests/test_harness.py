@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from groundsim.harness import (
     run_sequence,
     run_suite,
 )
+from groundsim.cli import main
 from groundsim.agents import (
     LearnerState,
     TeacherState,
@@ -432,7 +434,8 @@ def tiny_suite(tmp_path_factory):
 
 
 def test_suite_writes_expected_files(tiny_suite):
-    config, _ = tiny_suite
+    config, cells = tiny_suite
+    assert [(c.strategy, c.seed, c.status) for c in cells] == [("minHelp", 0, "ok")]
     out = config.out_dir
     assert os.path.exists(os.path.join(out, "curves.csv"))
     assert os.path.exists(os.path.join(out, "aggregate.csv"))
@@ -508,8 +511,8 @@ def test_fineEasy_cells_outputs_match_golden_digests(tmp_path):
 
 
 def test_program_dumps_parse_back(tiny_suite):
-    config, results = tiny_suite
-    dumps = results["minHelp"][0].program_dumps
+    config, cells = tiny_suite
+    dumps = cells[0].result.program_dumps
     assert len(dumps) == SMALL_TEST_SET * len(config.classes)
     text = open(os.path.join(config.out_dir, "programs", "minHelp_0.lp")).read()
     # strip per-object comment headers ("# query ...") and the blank lines
@@ -523,3 +526,121 @@ def test_program_dumps_parse_back(tiny_suite):
 def test_episode_cap_guard():
     spec = DIFFICULTIES["fineEasy"]
     assert spec["n_exam"] <= spec["n_total"]
+
+
+# ---------------------------------------------------------------------------
+# cells as jobs: worker processes, failed and capped cells
+
+
+def _files(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _pid_logging_cells(monkeypatch, log: Path):
+    """Wrap `run_sequence` to append the pid of the process that ran each cell."""
+    real = harness.run_sequence
+
+    def logged(config, strategy, seed):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(config, strategy, seed)
+
+    monkeypatch.setattr(harness, "run_sequence", logged)
+
+
+def test_parallel_cells_match_a_serial_run(tmp_path, monkeypatch):
+    strategies = ("minHelp", "medHelp", "maxHelp_semNegScal")
+    runs = {}
+    for name, cpus in (("serial", {0}), ("parallel", {0, 1})):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        log = tmp_path / f"{name}.pids"
+        _pid_logging_cells(monkeypatch, log)
+        config = ExperimentConfig(
+            difficulty="fineEasy",
+            strategies=strategies,
+            seeds=(0, 3),
+            out_dir=str(tmp_path / name),
+            dump_programs=True,
+        )
+        cells = run_suite(config)
+        monkeypatch.undo()
+        assert multiprocessing.active_children() == []
+        pids = log.read_text().split()
+        runs[name] = cells, _files(tmp_path / name), pids
+    (serial, serial_files, serial_pids), (parallel, parallel_files, parallel_pids) = runs.values()
+    # one worker runs every cell in this process, two run them in two others
+    assert set(serial_pids) == {str(os.getpid())}
+    assert len(set(parallel_pids)) == 2 and str(os.getpid()) not in parallel_pids
+    assert [(c.strategy, c.seed) for c in parallel] == [(s, n) for s in strategies for n in (0, 3)]
+    assert all(c.status == "ok" for c in parallel)
+    assert parallel == serial
+    # curves.csv, aggregate.csv, and per strategy a confusion file, 2 transcripts and 2 dumps
+    assert len(serial_files) == 2 + len(strategies) * (1 + 2 + 2)
+    assert parallel_files == serial_files
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_a_failed_cell_is_listed_and_the_others_are_written(tmp_path, monkeypatch, capsys, cpus):
+    real = harness.run_sequence
+
+    def failing(config, strategy, seed):
+        if (strategy, seed) == ("medHelp", 1):
+            raise RuntimeError("cell broke")
+        return real(config, strategy, seed)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(harness, "run_sequence", failing)
+    out = tmp_path / "out"
+    argv = ["run", "--strategy", "minHelp", "--strategy", "medHelp", "--seeds", "2"]
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "failed cell (medHelp, seed=1): RuntimeError: cell broke\n"
+    assert "minHelp              final mAP" in captured.out
+    assert "medHelp              final mAP" in captured.out and "over 1 seeds" in captured.out
+    logs = sorted(p.name for p in (out / "transcripts").iterdir())
+    assert logs == ["medHelp_0.log", "minHelp_0.log", "minHelp_1.log"]
+    for name in ("curves.csv", "confusion_minHelp.json", "confusion_medHelp.json"):
+        assert (out / name).exists()
+    with open(out / "curves.csv") as fh:
+        cells = {(row["strategy"], row["seed"]) for row in csv.DictReader(fh)}
+    assert cells == {("minHelp", "0"), ("minHelp", "1"), ("medHelp", "0")}
+    with open(out / "aggregate.csv") as fh:
+        n_seeds = {row["strategy"]: row["n_seeds"] for row in csv.DictReader(fh)}
+    assert n_seeds == {"minHelp": "2", "medHelp": "1"}
+
+
+def test_a_strategy_whose_cells_all_failed_has_no_confusion_file(tmp_path, monkeypatch):
+    def failing(config, strategy, seed):
+        raise ValueError("no cell")
+
+    monkeypatch.setattr(harness, "run_sequence", failing)
+    config = ExperimentConfig(strategies=("minHelp",), seeds=(0,), out_dir=str(tmp_path))
+    (cell,) = run_suite(config)
+    assert (cell.status, cell.result, cell.error) == ("failed", None, "ValueError: no cell")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["aggregate.csv", "curves.csv"]
+
+
+def test_a_worker_that_dies_fails_its_cells(tmp_path, monkeypatch):
+    def dying(config, strategy, seed):
+        os._exit(3)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness, "run_sequence", dying)
+    config = ExperimentConfig(strategies=("minHelp",), seeds=(0, 1), out_dir=str(tmp_path))
+    cells = run_suite(config)
+    assert [(c.seed, c.status) for c in cells] == [(0, "failed"), (1, "failed")]
+    assert all(c.error.startswith("BrokenProcessPool") for c in cells)
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_a_cell_stopped_by_the_episode_cap_is_capped(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(harness, "EPISODE_CAP", 8)
+    config = ExperimentConfig(strategies=("minHelp",), seeds=(0, 1), out_dir=str(tmp_path))
+    cells = run_suite(config)
+    assert [c.status for c in cells] == ["capped", "capped"]
+    assert all(c.result.episodes == 8 and c.result.capped for c in cells)
+    assert sorted(p.name for p in (tmp_path / "transcripts").iterdir()) == [
+        "minHelp_0.log",
+        "minHelp_1.log",
+    ]

@@ -669,15 +669,6 @@ def test_every_query_of_a_cell_matches_the_uncached_path(difficulty, strategies,
 
 def test_plans_are_reused_until_the_kb_or_u_changes(monkeypatch):
     calls = _spy_query_path(monkeypatch)
-    removed = []
-    real_remove = KnowledgeBase.remove
-
-    def recording_remove(self, entry):  # as the suite20 fixture patches it
-        removed.append(frozenset(entry.provenance))
-        return real_remove(self, entry)
-
-    monkeypatch.setattr(KnowledgeBase, "remove", recording_remove)
-
     sg, u = make_multi_scene(), _u()
     queries = [_cls(c, "o1") for c in CLASSES]
     p1 = _part_generic("brandyGlass", "short", "stem")
@@ -712,7 +703,7 @@ def test_plans_are_reused_until_the_kb_or_u_changes(monkeypatch):
     assert kb.revision == 2
     query(u, 1)
     kb.remove(next(iter(kb)))
-    assert kb.revision == 3 and removed == [frozenset({EXPLICIT, NEG_IMPLICATURE})]
+    assert kb.revision == 3 and kb.removed == [frozenset({EXPLICIT, NEG_IMPLICATURE})]
     query(u, 1)
     kb.add(p1, EXPLICIT, 4)
     assert kb.revision == 4 and next(iter(kb)) is entry
