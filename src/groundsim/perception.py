@@ -297,8 +297,8 @@ def _bandwidth(exemplars: list[np.ndarray]) -> float:
     if len(exemplars) < 2:
         return 1.0
     x = np.stack(exemplars)
-    d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
-    dists = np.sqrt(d2[np.triu_indices(len(x), k=1)])
+    i, j = np.triu_indices(len(x), k=1)
+    dists = np.sqrt(np.sum((x[i] - x[j]) ** 2, axis=-1))
     return max(float(np.median(dists)), BANDWIDTH_FLOOR)
 
 
@@ -306,27 +306,29 @@ def score_fewshot(
     xb: ExemplarBase,
     concepts: list[str],
     features: np.ndarray,
-    gain: float = KERNEL_GAIN,
+    gain: float | np.ndarray = KERNEL_GAIN,
     bias: float = 0.0,
 ) -> dict[str, np.ndarray]:
     """Calibrated kernel-mean discriminant between chi+ and chi-: concept ->
     one score per row of an (n, d) feature matrix.
 
     Each row's margin is the mean Gaussian kernel value to the positives
-    minus that to the negatives; the score is sigmoid(gain * margin - bias).
-    A positive bias makes the detector conservative: confident denials stay
-    confident while weak detections drop toward the 0.5 prior. Concepts
-    with no exemplars score 0.5 and one-sided ones ONE_SIDED_SCORE (or its
-    complement) before the feature dimension is checked.
+    minus that to the negatives; the score is sigmoid(gain * margin - bias),
+    with one gain for all rows or one per row. A positive bias makes the
+    detector conservative: confident denials stay confident while weak
+    detections drop toward the 0.5 prior. Concepts with no exemplars score
+    0.5 and one-sided ones ONE_SIDED_SCORE (or its complement) before the
+    feature dimension is checked.
 
-    The squared distances to a pool's rows are computed once for all the
-    concepts that share it. Each concept then takes `exp` and the mean over
-    a C-contiguous copy of its own columns, in its own exemplar order: over
-    the shared matrix, or over a strided gather, the last bit can differ
-    from scoring the concept's rows alone."""
+    The kernel values to a pool's rows are computed once for all the
+    concepts that share it. Each concept then sums a C-contiguous copy of
+    its own columns, in its own exemplar order, and divides by their count,
+    as a mean over its rows alone does; a sum over the shared matrix, or over
+    a strided gather, can differ in the last bit. The sigmoid runs once over
+    the margins of all the scored concepts."""
     features = np.asarray(features, dtype=float)
-    d2_of: dict[_Pool, np.ndarray] = {}  # pool -> (n, pool rows) squared distances
-    scores = {}
+    kernels: dict[_Pool, np.ndarray] = {}  # pool -> (n, pool rows) kernel values
+    scores, scored = {}, []  # scored concepts hold their margins until the sigmoid
     for concept in concepts:
         pos, neg = xb.positive.get(concept), xb.negative.get(concept)
         if not pos or not neg:
@@ -336,16 +338,17 @@ def score_fewshot(
         if features.shape[1:] != pos[0].shape:
             raise ValueError("feature dimension mismatch")
         pool, pos_cols, neg_cols = xb._classifier(concept)
-        d2 = d2_of.get(pool)
-        if d2 is None:
-            d2 = d2_of[pool] = ((pool.matrix - features[:, None, :]) ** 2).sum(axis=-1)
-        h = pool.bandwidth
-
-        def kmean(cols):
-            return np.exp(-d2.take(cols, axis=1) / (2 * h * h)).mean(axis=1)
-
-        margin = kmean(pos_cols) - kmean(neg_cols)
-        scores[concept] = 1.0 / (1.0 + np.exp(-(gain * margin - bias)))
+        k = kernels.get(pool)
+        if k is None:
+            d2 = ((pool.matrix - features[:, None, :]) ** 2).sum(axis=-1)
+            h = pool.bandwidth
+            k = kernels[pool] = np.exp(-d2 / (2 * h * h))
+        pos_mean = np.add.reduce(k.take(pos_cols, axis=1), axis=1) / len(pos_cols)
+        scores[concept] = pos_mean - np.add.reduce(k.take(neg_cols, axis=1), axis=1) / len(neg_cols)
+        scored.append(concept)
+    if scored:
+        margins = np.stack([scores[c] for c in scored])
+        scores.update(zip(scored, 1.0 / (1.0 + np.exp(-(gain * margins - bias)))))
     return scores
 
 
@@ -386,13 +389,13 @@ class SceneScores:
     """The perception of one scene against one exemplar base, kept from one
     `graph` call to the next: a test set perceived at every exam.
 
-    Each feature role is scored over the whole scene in one `score_fewshot`
-    call: class concepts over the objects' class features and over the
-    parts' class features, attribute concepts over the parts' attribute
-    features. Within a call, concepts that share an exemplar pool share one
-    distance matrix. An entity's scores depend only on its own features and
-    the exemplar base, so each object's nodes and edges are those of its
-    own one-object scene.
+    A scene is scored in two `score_fewshot` calls: class concepts over the
+    class features of the objects and then of the parts, with KERNEL_GAIN
+    on object rows and PART_GAIN on part rows, and attribute concepts over
+    the parts' attribute features. Within a call, concepts that share an
+    exemplar pool share one kernel matrix. An entity's scores depend only on
+    its own features, its own gain and the exemplar base, so each object's
+    nodes and edges are those of its own one-object scene.
 
     Each role's scores of a concept are kept with the concept's exemplar
     stamp, (len(positive), len(negative)): exemplar sets only grow, so the
@@ -404,10 +407,10 @@ class SceneScores:
         self.scene = scene
         self.xb = xb
         parts = [part for obj in scene for part in obj.parts]
-        self._roles = {  # role -> (features, gain, bias)
-            "object": ([o.class_feature for o in scene], KERNEL_GAIN, 0.0),
-            "part": ([p.class_feature for p in parts], PART_GAIN, 0.0),
-            "attr": ([p.attr_feature for p in parts], ATTR_GAIN, ATTR_BIAS),
+        gains = np.repeat([KERNEL_GAIN, PART_GAIN], [len(scene), len(parts)])
+        self._roles = {  # role -> (stacked features, gain, bias)
+            "class": (np.array([e.class_feature for e in [*scene, *parts]]), gains, 0.0),
+            "attr": (np.array([p.attr_feature for p in parts]), ATTR_GAIN, ATTR_BIAS),
         }
         self._kept: dict[tuple[str, str], tuple[tuple[int, int], list[float]]] = {}
 
@@ -425,19 +428,19 @@ class SceneScores:
 
     def graph(self, class_concepts: list[str], attr_concepts: list[str]) -> SceneGraph:
         """The scene graph of the scene against the exemplar base as it is now."""
-        obj_scores = self._scores("object", class_concepts)
-        part_scores = self._scores("part", class_concepts)
+        class_scores = self._scores("class", class_concepts)
         attr_scores = self._scores("attr", attr_concepts)
         nodes: dict[str, SceneNode] = {}
         edges = {}
         object_parts = {}
-        k = 0  # row of the next part
+        k = 0  # row of the next part's attribute features
+        n = len(self.scene)  # class rows: the objects', then the parts'
         for i, obj in enumerate(self.scene):
-            nodes[obj.eid] = SceneNode(class_scores={c: obj_scores[c][i] for c in class_concepts})
+            nodes[obj.eid] = SceneNode(class_scores={c: class_scores[c][i] for c in class_concepts})
             object_parts[obj.eid] = []
             for part in obj.parts:
                 nodes[part.eid] = SceneNode(
-                    class_scores={c: part_scores[c][k] for c in class_concepts},
+                    class_scores={c: class_scores[c][n + k] for c in class_concepts},
                     attr_scores={a: attr_scores[a][k] for a in attr_concepts},
                 )
                 edges[(obj.eid, part.eid)] = {"have": relation_score(obj.bbox, part.bbox)}
@@ -446,11 +449,11 @@ class SceneScores:
         return SceneGraph(nodes=nodes, edges=edges, object_parts=object_parts)
 
 
-def _score_rows(xb, concepts, rows, gain, bias=0.0) -> dict[str, list[float]]:
-    """concept -> `score_fewshot` of each feature in rows, as floats."""
-    if not rows:
+def _score_rows(xb, concepts, features, gain, bias=0.0) -> dict[str, list[float]]:
+    """concept -> `score_fewshot` of each feature row, as floats."""
+    if not len(features):
         return {c: [] for c in concepts}
-    scores = score_fewshot(xb, concepts, np.stack(rows), gain, bias)
+    scores = score_fewshot(xb, concepts, features, gain, bias)
     return {c: s.tolist() for c, s in scores.items()}
 
 

@@ -385,11 +385,11 @@ def test_exams_score_again_only_the_concepts_whose_exemplars_changed(monkeypatch
             assert node.class_scores == fresh.nodes[eid].class_scores, eid
             assert node.attr_scores == fresh.nodes[eid].attr_scores, eid
         assert sg.edges == fresh.edges and sg.object_parts == fresh.object_parts
-        return scored[: len(scored) - 3]  # the exam's calls, not the fresh scene's
+        return scored[: len(scored) - 2]  # the exam's calls, not the fresh scene's
 
     # the first exam scores every concept: class concepts over the objects
-    # and the parts, attribute concepts over the parts
-    assert exam_scene() == [class_concepts, class_concepts, attr_concepts]
+    # and the parts in one call, attribute concepts over the parts
+    assert exam_scene() == [class_concepts, attr_concepts]
     rng = np.random.default_rng(9)
     for cls, part_kind, attr in (("brandyGlass", "bowl", "round"), ("burgundyGlass", "bowl", "wide")):
         obj = model.sample_object(cls, "x", rng)
@@ -397,7 +397,7 @@ def test_exams_score_again_only_the_concepts_whose_exemplars_changed(monkeypatch
         learner.xb.add(cls, obj.class_feature, positive=True)
         learner.xb.add(part_kind, bowl.class_feature, positive=True)
         learner.xb.add(attr, bowl.attr_feature, positive=attr in bowl.attrs)
-        assert exam_scene() == [[cls, part_kind], [cls, part_kind], [attr]]
+        assert exam_scene() == [[cls, part_kind], [attr]]
         # no add since the last exam: nothing is scored again
         assert exam_scene() == []
 

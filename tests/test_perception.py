@@ -272,16 +272,20 @@ def test_classifier_cache_invalidated_on_add():
 
 
 def _random_object(rng, eid, scale):
-    """A one-part scene object with random features in every role."""
-    part = PartInstance(
-        eid=f"{eid}_bowl",
-        kind="bowl",
-        bbox=BBox(0.2, 0.2, 0.2, 0.2),
-        attrs=(),
-        class_feature=rng.normal(size=16) * scale,
-        attr_feature=rng.normal(size=16) * scale,
-    )
-    return SceneObject(eid, "x", BBox(0.1, 0.1, 0.5, 0.5), rng.normal(size=16) * scale, [part])
+    """A scene object of 1-3 parts with random features in every role, so a
+    scene's objects and parts differ in number."""
+    parts = [
+        PartInstance(
+            eid=f"{eid}_p{i}",
+            kind="bowl",
+            bbox=BBox(0.2, 0.2, 0.2, 0.2),
+            attrs=(),
+            class_feature=rng.normal(size=16) * scale,
+            attr_feature=rng.normal(size=16) * scale,
+        )
+        for i in range(int(rng.integers(1, 4)))
+    ]
+    return SceneObject(eid, "x", BBox(0.1, 0.1, 0.5, 0.5), rng.normal(size=16) * scale, parts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -312,18 +316,46 @@ def test_shared_pool_scores_equal_the_reference_in_every_role(n_shared, n_rows, 
     scale = rng.uniform(0.1, 3.0)
     scene = [_random_object(rng, f"o{i}", scale) for i in range(n_objects)]
     sg = build_scene_graph(scene, xb, concepts, concepts)
+    # one class call scores the objects' rows and then the parts': each row
+    # must land on its own entity and take its own role's gain
     for obj in scene:
-        part = obj.parts[0]
         for c in concepts:
             obj_score = sg.nodes[obj.eid].class_scores[c]
             assert obj_score == _reference_score(xb, c, obj.class_feature, KERNEL_GAIN, 0.0)
+        for part in obj.parts:
             part_node = sg.nodes[part.eid]
-            assert part_node.class_scores[c] == _reference_score(
-                xb, c, part.class_feature, PART_GAIN, 0.0
-            )
-            assert part_node.attr_scores[c] == _reference_score(
-                xb, c, part.attr_feature, ATTR_GAIN, ATTR_BIAS
-            )
+            for c in concepts:
+                assert part_node.class_scores[c] == _reference_score(
+                    xb, c, part.class_feature, PART_GAIN, 0.0
+                )
+                assert part_node.attr_scores[c] == _reference_score(
+                    xb, c, part.attr_feature, ATTR_GAIN, ATTR_BIAS
+                )
+
+
+def _full_matrix_bandwidth(exemplars):
+    """`_bandwidth` over the full (m, m) distance matrix, of which it keeps
+    the pairs above the diagonal."""
+    if len(exemplars) < 2:
+        return 1.0
+    x = np.stack(exemplars)
+    d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+    dists = np.sqrt(d2[np.triu_indices(len(x), k=1)])
+    return max(float(np.median(dists)), perception.BANDWIDTH_FLOOR)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_rows=st.integers(0, 130),
+    n_repeated=st.integers(0, 4),
+    scale=st.sampled_from([1e-5, 0.1, 1.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bandwidth_equals_the_full_matrix_median(n_rows, n_repeated, scale, seed):
+    rng = np.random.default_rng(seed)
+    rows = [rng.normal(size=16) * scale for _ in range(n_rows)]
+    rows += rows[:n_repeated]  # a repeated row gives a zero distance
+    assert _bandwidth(rows) == _full_matrix_bandwidth(rows)
 
 
 @pytest.mark.parametrize("seed", range(8))
