@@ -21,12 +21,13 @@ from .harness import (
     ExperimentConfig,
     LearnerEpisode,
     class_queue,
+    domain_model,
     mean_ci95,
     new_learner,
     run_suite,
     suite_results,
 )
-from .perception import DomainSpec, FeatureModel, generate_scene
+from .perception import DomainSpec, generate_target
 
 CONFIG_KEYS = ("difficulty", "strategies", "seeds")
 
@@ -125,8 +126,7 @@ def run_batch(config: ExperimentConfig) -> int:
 # interactive mode
 
 
-def _print_scene(scene, domain: DomainSpec):
-    obj = scene[0]
+def _print_scene(obj, domain: DomainSpec):
     attrs = {p.kind: ", ".join(p.attrs) if p.attrs else "(plain)" for p in obj.parts}
     print(f"[scene] the demonstratum is a {domain.surfaces[obj.cls]}; "
           + "; ".join(f"{k} is {v}" for k, v in attrs.items()))
@@ -152,8 +152,7 @@ def interactive_loop(config: ExperimentConfig, strategy: str, seed: int) -> int:
     each sentence as it takes the simulated teacher's under `strategy`.
     """
     teacher_strategy, learner_strategy = STRATEGY_COMBOS[strategy]
-    domain = DomainSpec.builtin_glasses()
-    model = FeatureModel(domain, seed=config.feature_seed)
+    domain, model = domain_model(config.feature_seed)
     learner = new_learner(domain, model, learner_strategy, seed)
     rng = np.random.default_rng([seed, 1])
     targets = class_queue(config.classes, rng)
@@ -164,10 +163,10 @@ def interactive_loop(config: ExperimentConfig, strategy: str, seed: int) -> int:
     episode = 0
     while True:
         episode += 1
-        scene = generate_scene(model, next(targets), rng, config.n_distractors)
-        step = LearnerEpisode(learner, teacher_strategy, scene, config, domain, episode)
+        obj = generate_target(model, next(targets), rng, config.n_distractors)
+        step = LearnerEpisode(learner, teacher_strategy, [obj], config, domain, episode)
         print(f"\n# episode {episode}")
-        _print_scene(scene, domain)
+        _print_scene(obj, domain)
 
         while True:
             line = _read_teacher_line("teacher> ")

@@ -4,10 +4,12 @@ AP/mAP metrics, confusion matrices, multi-seed aggregation, file emission."""
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cache, lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -36,7 +38,7 @@ from .perception import (
     ExemplarBase,
     FeatureModel,
     SceneScores,
-    generate_scene,
+    generate_target,
     init_priors,
 )
 from .program import program_to_text
@@ -85,7 +87,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = tuple(range(40))
     out_dir: str | None = None
     dump_programs: bool = False
-    # the learner perceives only the target; the distractors keep the rng stream
+    # the learner perceives only the target; the distractors' draws keep the rng stream
     n_distractors: ClassVar[int] = 2
     test_set_size: ClassVar[int] = 20  # held-out objects per class
     feature_seed: ClassVar[int] = 0
@@ -219,6 +221,14 @@ def _perceive(learner, scene, config, domain):
     return learner_perceive(learner, scene, *_concepts(config, domain))
 
 
+@cache
+def domain_model(feature_seed: int) -> tuple[DomainSpec, FeatureModel]:
+    """The glass domain and its feature model, built once per process and
+    shared by every cell; neither is ever written to."""
+    domain = DomainSpec.builtin_glasses()
+    return domain, FeatureModel(domain, seed=feature_seed)
+
+
 def new_learner(domain: DomainSpec, model: FeatureModel, strategy: str, seed: int) -> LearnerState:
     """A learner that knows the part nouns and attribute adjectives and has
     seen prior part and attribute exemplars, but knows no target class."""
@@ -257,7 +267,7 @@ class LearnerEpisode:
         self.number = number
         self.obj = scene[0]
         self.eid = self.obj.eid
-        # only the demonstratum is ever queried; the distractors keep the rng stream
+        # only the demonstratum is ever queried, so only it is perceived
         self.sg = _perceive(learner, scene[:1], config, domain)
         self.answer: str | None = None
         self.denial: str | None = None
@@ -335,8 +345,8 @@ def run_episode(
     rng,
 ) -> tuple[bool, list[str]]:
     """One probe-answer-feedback episode. Returns (mistake, transcript)."""
-    scene = generate_scene(model, target, rng, config.n_distractors)
-    step = LearnerEpisode(learner, teacher.strategy, scene, config, teacher.domain, episode)
+    obj = generate_target(model, target, rng, config.n_distractors)
+    step = LearnerEpisode(learner, teacher.strategy, [obj], config, teacher.domain, episode)
     step.hear(teacher_probe(teacher, step.eid))
     for utt in teacher_respond(teacher, step.eid, target, step.answer):
         if step.hear(utt):  # the learner asked how the target and its answer differ
@@ -360,6 +370,12 @@ def make_test_set(model: FeatureModel, config: ExperimentConfig, seed: int):
     return out
 
 
+@lru_cache(maxsize=4)
+def _class_queries(eids: tuple[str, ...], classes: tuple[str, ...]) -> tuple[tuple[Atom, ...], ...]:
+    """Each object's class atoms: an exam's query lists, built once per test set."""
+    return tuple(tuple(Atom(cls_pred(c), (Const(eid),)) for c in classes) for eid in eids)
+
+
 def run_exam(
     learner: LearnerState, test_scene: SceneScores, config, domain, mistakes: int
 ) -> ExamResult:
@@ -373,9 +389,7 @@ def run_exam(
     query grounds only its own object, so every table equals that of the
     object's own one-object scene."""
     sg = test_scene.graph(*_concepts(config, domain))
-    query_lists = [
-        [Atom(cls_pred(c), (Const(obj.eid),)) for c in config.classes] for obj in test_scene.scene
-    ]
+    query_lists = _class_queries(tuple(obj.eid for obj in test_scene.scene), config.classes)
     tables = marginals_each(sg, learner.kb, learner.u, query_lists)
     ranked = {c: [] for c in config.classes}
     for obj, atoms, table in zip(test_scene.scene, query_lists, tables):
@@ -417,9 +431,8 @@ def _confusion_rates(test_set, preds: list[str | None], config) -> dict:
 
 
 def run_sequence(config: ExperimentConfig, strategy: str, seed: int) -> SequenceResult:
-    domain = DomainSpec.builtin_glasses()
+    domain, model = domain_model(config.feature_seed)
     teacher_strategy, learner_strategy = STRATEGY_COMBOS[strategy]
-    model = FeatureModel(domain, seed=config.feature_seed)
 
     teacher = TeacherState(domain=domain, strategy=teacher_strategy, lexicon=domain_lexicon(domain))
     learner = new_learner(domain, model, learner_strategy, seed)
@@ -494,7 +507,9 @@ def _run_cell(config: ExperimentConfig, strategy: str, seed: int) -> Cell:
 def _run_cells(config: ExperimentConfig, jobs: list[tuple[str, int]]):
     """Yield (job index, Cell) as each job ends. With two or more usable CPUs
     the jobs run in forked worker processes, which inherit the parent's
-    module state (monkeypatches included); otherwise in this process."""
+    module state (monkeypatches included), the domain model built here and a
+    frozen heap that their garbage collector never walks; otherwise in this
+    process."""
     # no sched_getaffinity (macOS, Windows): run serially, as fork is unsafe or absent there
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(jobs), cpus)
@@ -505,8 +520,15 @@ def _run_cells(config: ExperimentConfig, jobs: list[tuple[str, int]]):
 
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
+            domain_model(config.feature_seed)  # imports numpy.random, once
+            was_frozen = gc.get_freeze_count()
             with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                futures = {pool.submit(_run_cell, config, *job): i for i, job in enumerate(jobs)}
+                gc.freeze()  # a fork pool starts every worker at the first submit
+                try:
+                    futures = {pool.submit(_run_cell, config, *j): i for i, j in enumerate(jobs)}
+                finally:
+                    if not was_frozen:  # a caller's own freeze stays
+                        gc.unfreeze()
                 for future in as_completed(futures):
                     i = futures[future]
                     try:

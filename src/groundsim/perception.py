@@ -223,6 +223,18 @@ def generate_scene(model: FeatureModel, target: str, rng, n_distractors: int) ->
     return objs
 
 
+def generate_target(model: FeatureModel, target: str, rng, n_distractors: int) -> SceneObject:
+    """`generate_scene`'s target alone. Each distractor's variates are drawn
+    as its class and `sample_object` draw them, but no distractor is built,
+    so the rng ends in the state `generate_scene` leaves it in."""
+    obj = generate_scene(model, target, rng, 0)[0]
+    for _ in range(n_distractors):
+        rng.integers(len(model.domain.classes) - 1)
+        rng.uniform(size=4)  # the box
+        rng.normal(size=FEATURE_DIM * (1 + 2 * len(model.domain.parts)))
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # exemplar base and few-shot classification
 
@@ -299,7 +311,10 @@ def _bandwidth(exemplars: list[np.ndarray]) -> float:
     x = np.stack(exemplars)
     i, j = np.triu_indices(len(x), k=1)
     dists = np.sqrt(np.sum((x[i] - x[j]) ** 2, axis=-1))
-    return max(float(np.median(dists)), BANDWIDTH_FLOOR)
+    # np.median's own arithmetic, without its import of numpy.ma
+    lo, hi = (len(dists) - 1) // 2, len(dists) // 2
+    p = np.partition(dists, [lo, hi])
+    return max(float((p[lo] + p[hi]) / 2), BANDWIDTH_FLOOR)
 
 
 def score_fewshot(
@@ -364,9 +379,13 @@ class SceneNode:
 
 @dataclass
 class SceneGraph:
+    """Once queried, only a graph's score values may change."""
+
     nodes: dict  # eid -> SceneNode
     edges: dict  # (whole eid, part eid) -> {"have": score}
     object_parts: dict  # object eid -> [part eids]
+    # tuple of query atoms -> its `reasoner._plan_key`, which reads no score value
+    plan_keys: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def whole_of(self) -> dict:
@@ -397,56 +416,50 @@ class SceneScores:
     its own features, its own gain and the exemplar base, so each object's
     nodes and edges are those of its own one-object scene.
 
-    Each role's scores of a concept are kept with the concept's exemplar
-    stamp, (len(positive), len(negative)): exemplar sets only grow, so the
-    stamp names the set, and `graph` scores again only the concepts whose
-    stamp moved. `score_fewshot` scores each concept on its own, so a kept
-    score equals a fresh one."""
+    The graph is kept from one call to the next with the same concepts.
+    Each role's scores of a concept are written into its nodes with the
+    concept's exemplar stamp, (len(positive), len(negative)): exemplar sets
+    only grow, so the stamp names the set, and `graph` scores again and
+    writes only the concepts whose stamp moved. `score_fewshot` scores each
+    concept on its own, so a kept score equals a fresh one."""
 
     def __init__(self, scene: list[SceneObject], xb: ExemplarBase):
         self.scene = scene
         self.xb = xb
         parts = [part for obj in scene for part in obj.parts]
+        entities = [*scene, *parts]
         gains = np.repeat([KERNEL_GAIN, PART_GAIN], [len(scene), len(parts)])
-        self._roles = {  # role -> (stacked features, gain, bias)
-            "class": (np.array([e.class_feature for e in [*scene, *parts]]), gains, 0.0),
-            "attr": (np.array([p.attr_feature for p in parts]), ATTR_GAIN, ATTR_BIAS),
+        self._roles = {  # role -> (entities, stacked features, gain, bias)
+            "class": (entities, np.array([e.class_feature for e in entities]), gains, 0.0),
+            "attr": (parts, np.array([p.attr_feature for p in parts]), ATTR_GAIN, ATTR_BIAS),
         }
-        self._kept: dict[tuple[str, str], tuple[tuple[int, int], list[float]]] = {}
-
-    def _scores(self, role: str, concepts: list[str]) -> dict[str, list[float]]:
-        """concept -> its score of each row of `role`, scored again only when
-        the concept's exemplars changed since it was last scored."""
-        xb = self.xb
-        stamps = {c: (len(xb.positive.get(c, ())), len(xb.negative.get(c, ()))) for c in concepts}
-        moved = [c for c in concepts if self._kept.get((role, c), (None,))[0] != stamps[c]]
-        if moved:
-            fresh = _score_rows(xb, moved, *self._roles[role])
-            for c in moved:
-                self._kept[(role, c)] = (stamps[c], fresh[c])
-        return {c: self._kept[(role, c)][1] for c in concepts}
+        self._concepts: tuple[list[str], list[str]] | None = None  # those of the kept graph
+        self._stamps: dict[tuple[str, str], tuple[int, int]] = {}  # (role, concept) -> stamp
 
     def graph(self, class_concepts: list[str], attr_concepts: list[str]) -> SceneGraph:
         """The scene graph of the scene against the exemplar base as it is now."""
-        class_scores = self._scores("class", class_concepts)
-        attr_scores = self._scores("attr", attr_concepts)
-        nodes: dict[str, SceneNode] = {}
-        edges = {}
-        object_parts = {}
-        k = 0  # row of the next part's attribute features
-        n = len(self.scene)  # class rows: the objects', then the parts'
-        for i, obj in enumerate(self.scene):
-            nodes[obj.eid] = SceneNode(class_scores={c: class_scores[c][i] for c in class_concepts})
-            object_parts[obj.eid] = []
-            for part in obj.parts:
-                nodes[part.eid] = SceneNode(
-                    class_scores={c: class_scores[c][n + k] for c in class_concepts},
-                    attr_scores={a: attr_scores[a][k] for a in attr_concepts},
-                )
-                edges[(obj.eid, part.eid)] = {"have": relation_score(obj.bbox, part.bbox)}
-                object_parts[obj.eid].append(part.eid)
-                k += 1
-        return SceneGraph(nodes=nodes, edges=edges, object_parts=object_parts)
+        concepts = (list(class_concepts), list(attr_concepts))
+        if concepts != self._concepts:
+            nodes, edges, object_parts = {}, {}, {}
+            for obj in self.scene:
+                nodes[obj.eid] = SceneNode()
+                object_parts[obj.eid] = [part.eid for part in obj.parts]
+                for part in obj.parts:
+                    nodes[part.eid] = SceneNode()
+                    edges[(obj.eid, part.eid)] = {"have": relation_score(obj.bbox, part.bbox)}
+            self._graph = SceneGraph(nodes, edges, object_parts)
+            self._concepts, self._stamps = concepts, {}
+        xb, nodes = self.xb, self._graph.nodes
+        for (role, (entities, *scoring)), names in zip(self._roles.items(), concepts):
+            stamps = {c: (len(xb.positive.get(c, ())), len(xb.negative.get(c, ()))) for c in names}
+            moved = [c for c in names if self._stamps.get((role, c)) != stamps[c]]
+            self._stamps.update(((role, c), stamps[c]) for c in moved)
+            if moved:  # a role's scores go to its entities' class_scores or attr_scores
+                rows = [getattr(nodes[e.eid], f"{role}_scores") for e in entities]
+                for c, scores in _score_rows(xb, moved, *scoring).items():
+                    for row, score in zip(rows, scores):
+                        row[c] = score
+        return self._graph
 
 
 def _score_rows(xb, concepts, features, gain, bias=0.0) -> dict[str, list[float]]:

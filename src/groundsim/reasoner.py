@@ -190,10 +190,10 @@ def marginals_each(
     one weight row per list, and each row is solved as it would be alone.
 
     The program of a list is built on the scene cut down to the objects the
-    list mentions (`_plan_key`). Each lifted rule has one free variable and
-    `have` edges link an object only to its own parts, so no component spans
-    two objects, and the components solved are those of the whole scene's
-    program that hold a query atom, rule for rule and in the same order.
+    list mentions (`_plan_key`, kept in `sg`). Each lifted rule has one free
+    variable and `have` edges link an object only to its own parts, so no
+    component spans two objects, and the components solved are those of the
+    whole scene's program that hold a query atom, rule for rule and in order.
 
     The program is compiled once per plan key and kept in the KB's memo
     until its revision or `u` changes. Compiling splits it into components
@@ -210,7 +210,10 @@ def marginals_each(
     plans = kb.memo(u, dict)
     groups: dict = {}  # plan key -> [(position, queries, codes, entities)]
     for i, queries in enumerate(query_lists):
-        key, codes, entities, role, scene = _plan_key(sg, queries)
+        atoms = tuple(queries)
+        if atoms not in sg.plan_keys:
+            sg.plan_keys[atoms] = _plan_key(sg, queries)
+        key, codes, entities, role, scene = sg.plan_keys[atoms]
         if key not in plans:
             plans[key] = _compile(scene, kb, u, queries, codes, role)
         groups.setdefault(key, []).append((i, queries, codes, entities))

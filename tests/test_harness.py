@@ -2,17 +2,21 @@
 emission."""
 
 import csv
+import gc
 import hashlib
 import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from groundsim import harness
+from groundsim import harness, reasoner
 from groundsim.harness import (
     DIFFICULTIES,
     STRATEGY_COMBOS,
@@ -42,6 +46,7 @@ from groundsim.perception import (
     SceneScores,
     build_scene_graph,
     generate_scene,
+    generate_target,
     init_priors,
 )
 from groundsim.program import program_to_text
@@ -210,6 +215,23 @@ def test_transcript_structure(minhelp_result):
     assert len(probes) == res.episodes
 
 
+@pytest.mark.parametrize("difficulty", sorted(DIFFICULTIES))
+def test_an_episode_draws_the_rng_state_of_a_whole_scene(difficulty):
+    domain, model = harness.domain_model(ExperimentConfig.feature_seed)
+    classes = DIFFICULTIES[difficulty]["classes"]
+    for seed in range(200):
+        target = classes[seed % len(classes)]
+        built, drawn = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        scene = generate_scene(model, target, built, ExperimentConfig.n_distractors)
+        obj = generate_target(model, target, drawn, ExperimentConfig.n_distractors)
+        assert drawn.bit_generator.state == built.bit_generator.state, seed
+        assert (obj.eid, obj.cls, obj.bbox) == (scene[0].eid, scene[0].cls, scene[0].bbox)
+        assert np.array_equal(obj.class_feature, scene[0].class_feature)
+        for part, built_part in zip(obj.parts, scene[0].parts, strict=True):
+            assert np.array_equal(part.class_feature, built_part.class_feature)
+            assert np.array_equal(part.attr_feature, built_part.attr_feature)
+
+
 def test_label_equal_to_the_answer_confirms_it():
     # the simulated teacher says "Correct." here; a human may name the class
     domain = DomainSpec.builtin_glasses()
@@ -301,6 +323,22 @@ def test_mistake_budget_off_the_exam_interval_takes_one_more_exam(monkeypatch):
     assert res.confusion == _classified_confusion(learner, test_scene.scene, config, domain)
 
 
+def test_exams_plan_each_test_object_once_per_cell(monkeypatch):
+    config = _small_config(monkeypatch)
+    planned = Counter()  # test object -> plan keys made for its queries
+    real_plan_key = reasoner._plan_key
+
+    def spy_plan_key(sg, queries):
+        planned[queries[0].args[0].ident] += 1
+        return real_plan_key(sg, queries)
+
+    monkeypatch.setattr(reasoner, "_plan_key", spy_plan_key)
+    res, exams = _run_spied(monkeypatch, config)
+    assert len(exams) == len(res.exams) > 1
+    test_eids = [obj.eid for obj in exams[0][1].scene]
+    assert {eid: planned[eid] for eid in test_eids} == dict.fromkeys(test_eids, 1)
+
+
 def test_exemplar_base_keeps_no_unused_pool_after_a_cell(monkeypatch):
     monkeypatch.setattr(ExperimentConfig, "test_set_size", SMALL_TEST_SET)
     config = ExperimentConfig(difficulty="fineEasy", strategies=("maxHelp_semNegScal",), seeds=(0,))
@@ -378,13 +416,16 @@ def test_exams_score_again_only_the_concepts_whose_exemplars_changed(monkeypatch
     def exam_scene():
         scored.clear()
         harness.run_exam(learner, test_scene, config, domain, 0)
+        sg = scenes[-1]  # the exam's graph
         fresh = build_scene_graph(test_set, learner.xb, class_concepts, attr_concepts)
-        sg = scenes[-1]
+        assert sg is scenes[0]  # one graph, kept from exam to exam
         assert list(sg.nodes) == list(fresh.nodes)
         for eid, node in sg.nodes.items():
             assert node.class_scores == fresh.nodes[eid].class_scores, eid
             assert node.attr_scores == fresh.nodes[eid].attr_scores, eid
+            assert list(node.class_scores) == list(fresh.nodes[eid].class_scores), eid
         assert sg.edges == fresh.edges and sg.object_parts == fresh.object_parts
+        assert sg == fresh
         return scored[: len(scored) - 2]  # the exam's calls, not the fresh scene's
 
     # the first exam scores every concept: class concepts over the objects
@@ -577,6 +618,47 @@ def test_parallel_cells_match_a_serial_run(tmp_path, monkeypatch):
     # curves.csv, aggregate.csv, and per strategy a confusion file, 2 transcripts and 2 dumps
     assert len(serial_files) == 2 + len(strategies) * (1 + 2 + 2)
     assert parallel_files == serial_files
+
+
+def test_a_cell_does_not_import_numpy_ma():
+    # np.median imports numpy.ma (~20 ms), which every fresh worker would pay for
+    code = (
+        "import sys\n"
+        "from groundsim import harness\n"
+        "harness.ExperimentConfig.test_set_size = 2\n"
+        "config = harness.ExperimentConfig(strategies=('minHelp',), seeds=(0,))\n"
+        "assert harness.run_sequence(config, 'minHelp', 0).exams\n"
+        "assert 'numpy.ma' not in sys.modules, 'a cell imported numpy.ma'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_workers_fork_from_a_parent_that_built_the_feature_model(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(ExperimentConfig, "test_set_size", SMALL_TEST_SET)
+    harness.domain_model.cache_clear()
+    log = tmp_path / "models"
+    real = harness.run_sequence
+
+    def logged(config, strategy, seed):  # the models a worker holds as its cell starts
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {harness.domain_model.cache_info().currsize}\n")
+        return real(config, strategy, seed)
+
+    monkeypatch.setattr(harness, "run_sequence", logged)
+    frozen = gc.get_freeze_count()
+    cells = run_suite(ExperimentConfig(strategies=("minHelp", "medHelp"), seeds=(0, 1)))
+    assert [c.status for c in cells] == ["ok"] * 4
+    assert "numpy.random" in sys.modules
+    assert harness.domain_model.cache_info().currsize == 1  # built here, not sent back
+    lines = [line.split() for line in log.read_text().splitlines()]
+    assert str(os.getpid()) not in dict(lines)
+    assert [n for _, n in lines] == ["1"] * 4  # inherited by every worker
+    assert gc.get_freeze_count() == frozen
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}])

@@ -358,6 +358,31 @@ def test_bandwidth_equals_the_full_matrix_median(n_rows, n_repeated, scale, seed
     assert _bandwidth(rows) == _full_matrix_bandwidth(rows)
 
 
+def _np_median_bandwidth(exemplars):
+    """`_bandwidth` with the median of the i<j distances taken by `np.median`."""
+    x = np.stack(exemplars)
+    i, j = np.triu_indices(len(x), k=1)
+    dists = np.sqrt(np.sum((x[i] - x[j]) ** 2, axis=-1))
+    return max(float(np.median(dists)), perception.BANDWIDTH_FLOOR)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_rows=st.integers(2, 200),
+    n_distinct=st.integers(1, 200),
+    on_grid=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bandwidth_takes_np_medians_median(n_rows, n_distinct, on_grid, seed):
+    rng = np.random.default_rng(seed)
+    # rows drawn from fewer distinct ones repeat, and rows on a small integer
+    # grid share distances: ties at and around the middle of the distances
+    shape = (n_distinct, 16)
+    distinct = rng.integers(0, 3, size=shape) if on_grid else rng.normal(size=shape)
+    rows = list(distinct[rng.integers(n_distinct, size=n_rows)].astype(float))
+    assert _bandwidth(rows) == _np_median_bandwidth(rows)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_pool_bandwidth_equals_each_concepts_own(domain, seed):
     xb = ExemplarBase()
