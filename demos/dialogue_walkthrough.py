@@ -13,7 +13,13 @@ import numpy as np
 
 from groundsim.agents import TeacherState, domain_lexicon
 from groundsim.dialogue import SEP
-from groundsim.harness import ExperimentConfig, class_queue, new_learner, run_episode
+from groundsim.harness import (
+    ExperimentConfig,
+    Lookahead,
+    draw_episodes,
+    new_learner,
+    run_episode,
+)
 from groundsim.logic import prop_to_text
 from groundsim.perception import DomainSpec, FeatureModel
 
@@ -29,16 +35,15 @@ def main():
     )
     learner = new_learner(domain, model, "semNeg", seed)
 
-    rng = np.random.default_rng([seed, 1])
-    targets = class_queue(config.classes, rng)
+    objects = draw_episodes(model, config, np.random.default_rng([seed, 1]))
+    ahead = Lookahead(learner, config, domain, objects)
     print("=== transcript ===")
     seen_diff = False
     episode = 0
     # stop at the end of the round of classes that held the first question
     while not (seen_diff and episode % len(config.classes) == 0) and episode < 30:
-        target = next(targets)
         episode += 1
-        _, lines = run_episode(teacher, learner, model, config, target, episode, rng)
+        target, _, lines = run_episode(teacher, ahead, episode)
         print(f"# episode {episode} target={target}")
         for line in lines:
             speaker, surface, _ = line.split(SEP)

@@ -162,8 +162,14 @@ def learner_answer_probe(
     """Classify the demonstratum over the run's target classes and realize
     the answer sentence."""
     answer = classify(sg, l.kb, l.u, candidates, eid)
+    return learner_answer(l, answer, eid), answer
+
+
+def learner_answer(l: LearnerState, answer: str | None, eid: str) -> Utterance:
+    """The answer sentence: the demonstratum eid is of class `answer`, or
+    "I am not sure." for None."""
     form = NOT_SURE if answer is None else _instance_prop(answer, eid)
-    return Utterance("learner", realize(form, l.lexicon), form, eid), answer
+    return Utterance("learner", realize(form, l.lexicon), form, eid)
 
 
 def learner_ask_diff(l: LearnerState, pair: tuple[str, str]) -> Utterance | None:

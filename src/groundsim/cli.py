@@ -20,14 +20,15 @@ from .harness import (
     STRATEGY_COMBOS,
     ExperimentConfig,
     LearnerEpisode,
-    class_queue,
+    Lookahead,
     domain_model,
+    draw_episodes,
     mean_ci95,
     new_learner,
     run_suite,
     suite_results,
 )
-from .perception import DomainSpec, generate_target
+from .perception import DomainSpec
 
 CONFIG_KEYS = ("difficulty", "strategies", "seeds")
 
@@ -154,8 +155,8 @@ def interactive_loop(config: ExperimentConfig, strategy: str, seed: int) -> int:
     teacher_strategy, learner_strategy = STRATEGY_COMBOS[strategy]
     domain, model = domain_model(config.feature_seed)
     learner = new_learner(domain, model, learner_strategy, seed)
-    rng = np.random.default_rng([seed, 1])
-    targets = class_queue(config.classes, rng)
+    objects = draw_episodes(model, config, np.random.default_rng([seed, 1]))
+    ahead = Lookahead(learner, config, domain, objects)
 
     print(f"interactive mode: learner strategy {learner_strategy}, seed {seed}")
     print("type teacher sentences; blank line = next episode; Ctrl-D = quit")
@@ -163,10 +164,9 @@ def interactive_loop(config: ExperimentConfig, strategy: str, seed: int) -> int:
     episode = 0
     while True:
         episode += 1
-        obj = generate_target(model, next(targets), rng, config.n_distractors)
-        step = LearnerEpisode(learner, teacher_strategy, [obj], config, domain, episode)
+        step = LearnerEpisode(ahead, teacher_strategy, episode)
         print(f"\n# episode {episode}")
-        _print_scene(obj, domain)
+        _print_scene(step.obj, domain)
 
         while True:
             line = _read_teacher_line("teacher> ")

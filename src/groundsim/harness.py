@@ -8,6 +8,7 @@ import gc
 import json
 import math
 import os
+from collections import deque
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import ClassVar
@@ -20,7 +21,7 @@ from .agents import (
     TeacherState,
     cancel_scalar_implicatures,
     domain_lexicon,
-    learner_answer_probe,
+    learner_answer,
     learner_ask_diff,
     learner_hear,
     learner_integrate_generics,
@@ -37,12 +38,13 @@ from .perception import (
     DomainSpec,
     ExemplarBase,
     FeatureModel,
+    SceneGraph,
     SceneScores,
     generate_target,
     init_priors,
 )
 from .program import program_to_text
-from .reasoner import best_class, build_program, marginals_each
+from .reasoner import best_class, build_program, classify_each, marginals_each
 
 DIFFICULTIES = {
     "fineEasy": {
@@ -72,6 +74,8 @@ STRATEGY_COMBOS = {
 }
 
 EPISODE_CAP = 2000  # safety bound on runaway sequences
+LOOKAHEAD_CAP = 64  # most upcoming episodes perceived and classified in one batch
+DEMONSTRATUM = "o1"  # the episode object's id in the dialogue, as in `generate_scene`
 NOT_SURE_LABEL = "not-sure"
 
 
@@ -237,12 +241,71 @@ def new_learner(domain: DomainSpec, model: FeatureModel, strategy: str, seed: in
     return LearnerState(xb, KnowledgeBase(), EpisodicMemory(), part_lexicon(domain), strategy)
 
 
-def class_queue(classes, rng):
-    """Episode targets: rounds of every class, each round a permutation drawn
-    from rng when its first target is taken."""
+def draw_episodes(model: FeatureModel, config, rng):
+    """Each episode's object, drawn from rng as episodes draw them one at a
+    time: the targets come in rounds of every class, each round a
+    permutation drawn when its first target is taken, and each target's
+    object from `generate_target`. The k-th object is named e<k>, its id in
+    the scenes a `Lookahead` perceives."""
+    k = 0
     while True:
-        for i in rng.permutation(len(classes)):
-            yield classes[i]
+        for i in rng.permutation(len(config.classes)):
+            k += 1
+            yield generate_target(model, config.classes[i], rng, config.n_distractors, f"e{k}")
+
+
+class Lookahead:
+    """A learner's upcoming episode objects, perceived and classified in
+    batches while its state holds: the one episode engine of `run_sequence`
+    and `cli.interactive_loop`.
+
+    A learner's answer depends only on its exemplar base, its KB and the
+    object. The next `size` objects are therefore perceived as one
+    `SceneScores` scene and classified in one `classify_each` call, and each
+    answer is used while the KB's and the exemplar base's revisions are
+    those the batch was scored at. On a change the rest of the batch is
+    dropped, its drawn objects kept, and the next batch starts at the
+    episode under way with `size` 1; each batch used up unchanged doubles
+    `size`, up to LOOKAHEAD_CAP. Every answer and graph equals that of the
+    object's own one-object scene: an entity's scores depend only on its
+    own features (`SceneScores`), each object's query list is solved on its
+    own weight row (`marginals_each`), and the stream of objects never reads
+    an answer, so drawing ahead leaves every episode's object as it was."""
+
+    def __init__(self, learner: LearnerState, config, domain: DomainSpec, objects):
+        self.learner = learner
+        self.classes = list(config.classes)
+        self.domain = domain
+        self.concepts = _concepts(config, domain)
+        self.objects = objects  # iterator over the episode objects, as `draw_episodes`
+        self.upcoming: deque = deque()  # objects drawn for batches, not yet taken
+        self.current = None  # the object of the episode under way
+        self.size = 1
+        self.stamp = None  # (KB revision, exemplar revision) the batch was scored at
+        self.sg = None  # the batch's scene graph
+        self.answers: dict = {}  # object id -> the learner's answer, for the batch
+
+    def take(self):
+        """The next episode's object."""
+        self.current = self.upcoming.popleft() if self.upcoming else next(self.objects)
+        return self.current
+
+    def answer(self) -> tuple[SceneGraph, str | None]:
+        """The graph that holds the current object, and the learner's answer
+        to "What is this?" about it as its state is now."""
+        learner, eid = self.learner, self.current.eid
+        stamp = (learner.kb.revision, learner.xb.revision)
+        if stamp != self.stamp or eid not in self.answers:
+            self.size = 1 if stamp != self.stamp else min(2 * self.size, LOOKAHEAD_CAP)
+            while len(self.upcoming) < self.size - 1:
+                self.upcoming.append(next(self.objects))
+            batch = [self.current, *self.upcoming][: self.size]
+            self.sg = SceneScores(batch, learner.xb).graph(*self.concepts)
+            ids = [obj.eid for obj in batch]
+            answers = classify_each(self.sg, learner.kb, learner.u, self.classes, ids)
+            self.answers = dict(zip(ids, answers))
+            self.stamp = stamp
+        return self.sg, self.answers[eid]
 
 
 class LearnerEpisode:
@@ -250,25 +313,25 @@ class LearnerEpisode:
     teacher utterance at a time by the simulated teacher (`run_episode`) or
     by a human (`cli.interactive_loop`).
 
-    The learner answers "What is this?". A denial ("This is not an X.") and
-    a label ("This is a Y.") are kept until `close`, which derives the
-    mistake and the exemplar update from them; a label equal to the answer
-    confirms it. On a label that differs from its answer the learner asks
-    how the two classes differ, but only when a maxHelp teacher is there to
-    answer; the generics that follow are integrated at `close` with their
-    implicatures. A generic heard with no question pending is stored as
-    stated."""
+    The episode takes the next object of the `Lookahead`, the graph that
+    holds it under its own id, and, when asked "What is this?", the
+    learner's answer as its state is then; the dialogue names the object
+    DEMONSTRATUM. A denial ("This is not an X.") and a label ("This is a
+    Y.") are kept until `close`, which derives the mistake and the exemplar
+    update from them; a label equal to the answer confirms it. On a label
+    that differs from its answer the learner asks how the two classes
+    differ, but only when a maxHelp teacher is there to answer; the generics
+    that follow are integrated at `close` with their implicatures. A generic
+    heard with no question pending is stored as stated."""
 
-    def __init__(self, learner, teacher_strategy, scene, config, domain, number):
-        self.learner = learner
+    def __init__(self, ahead: Lookahead, teacher_strategy: str, number: int):
+        self.ahead = ahead
+        self.learner = ahead.learner
         self.asks_diff = teacher_strategy == MAX_HELP
-        self.classes = list(config.classes)
-        self.domain = domain
         self.number = number
-        self.obj = scene[0]
-        self.eid = self.obj.eid
-        # only the demonstratum is ever queried, so only it is perceived
-        self.sg = _perceive(learner, scene[:1], config, domain)
+        self.obj = ahead.take()
+        self.sg, _ = ahead.answer()  # the exemplar base holds until `close`
+        self.eid = DEMONSTRATUM
         self.answer: str | None = None
         self.denial: str | None = None
         self.label: str | None = None
@@ -282,10 +345,8 @@ class LearnerEpisode:
         form = learner_hear(self.learner, utt)
         replies = []
         if isinstance(form, Ques) and form.kind == "wh":
-            answer_utt, self.answer = learner_answer_probe(
-                self.learner, self.sg, self.classes, self.eid
-            )
-            replies.append(answer_utt)
+            _, self.answer = self.ahead.answer()
+            replies.append(learner_answer(self.learner, self.answer, self.eid))
         elif isinstance(form, Prop) and form.generic:
             if self.diff_pair is None:
                 # no contrastive question: no implicatures are licensed
@@ -313,21 +374,21 @@ class LearnerEpisode:
         """Update exemplars, integrate the answer to a difference question,
         record the episode and cancel refuted scalar implicatures. Returns
         whether the learner made a mistake."""
-        learner = self.learner
+        learner, obj = self.learner, self.obj
         label = None if self.label == self.answer else self.label
         mistake = label is not None or self.denial is not None
         if label is not None:
-            learner.xb.add(label, self.obj.class_feature, positive=True)
+            learner.xb.add(label, obj.class_feature, positive=True)
         if self.denial is not None:
-            learner.xb.add(self.denial, self.obj.class_feature, positive=False)
+            learner.xb.add(self.denial, obj.class_feature, positive=False)
         if self.statements:
             pair = tuple(cls_pred(c) for c in self.diff_pair)
             learner_integrate_generics(learner, self.statements, pair, self.number)
         learner.episodic.append(
             EpisodicRecord(
                 episode=self.number,
-                true_class=self.obj.cls,
-                property_scores=_property_scores(self.sg, self.eid, self.domain),
+                true_class=obj.cls,
+                property_scores=_property_scores(self.sg, obj.eid, self.ahead.domain),
             )
         )
         if mistake:
@@ -336,23 +397,18 @@ class LearnerEpisode:
 
 
 def run_episode(
-    teacher: TeacherState,
-    learner: LearnerState,
-    model: FeatureModel,
-    config: ExperimentConfig,
-    target: str,
-    episode: int,
-    rng,
-) -> tuple[bool, list[str]]:
-    """One probe-answer-feedback episode. Returns (mistake, transcript)."""
-    obj = generate_target(model, target, rng, config.n_distractors)
-    step = LearnerEpisode(learner, teacher.strategy, [obj], config, teacher.domain, episode)
+    teacher: TeacherState, ahead: Lookahead, episode: int
+) -> tuple[str, bool, list[str]]:
+    """One probe-answer-feedback episode on the lookahead's next object.
+    Returns (target, mistake, transcript)."""
+    step = LearnerEpisode(ahead, teacher.strategy, episode)
+    target = step.obj.cls
     step.hear(teacher_probe(teacher, step.eid))
     for utt in teacher_respond(teacher, step.eid, target, step.answer):
         if step.hear(utt):  # the learner asked how the target and its answer differ
             for generic in teacher_answer_diff(teacher, step.diff_pair):
                 step.hear(generic)
-    return step.close(), step.transcript
+    return target, step.close(), step.transcript
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +445,8 @@ def run_exam(
     query grounds only its own object, so every table equals that of the
     object's own one-object scene."""
     sg = test_scene.graph(*_concepts(config, domain))
+    if sg.plan_keys is None:  # kept from exam to exam, and so are its plan keys
+        sg.plan_keys = {}
     query_lists = _class_queries(tuple(obj.eid for obj in test_scene.scene), config.classes)
     tables = marginals_each(sg, learner.kb, learner.u, query_lists)
     ranked = {c: [] for c in config.classes}
@@ -431,13 +489,20 @@ def _confusion_rates(test_set, preds: list[str | None], config) -> dict:
 
 
 def run_sequence(config: ExperimentConfig, strategy: str, seed: int) -> SequenceResult:
+    """One (strategy, seed) cell: episodes until the learner has made
+    `n_total` mistakes or EPISODE_CAP episodes have run, an exam after every
+    `n_exam`-th mistake, and the confusion of the last exam. The episodes
+    take their objects, graphs and answers from a `Lookahead`, which
+    perceives and classifies upcoming objects in batches and uses an answer
+    only while the learner's state is the one it was computed in; so the
+    result is that of episodes perceived and answered one at a time."""
     domain, model = domain_model(config.feature_seed)
     teacher_strategy, learner_strategy = STRATEGY_COMBOS[strategy]
 
     teacher = TeacherState(domain=domain, strategy=teacher_strategy, lexicon=domain_lexicon(domain))
     learner = new_learner(domain, model, learner_strategy, seed)
-    rng = np.random.default_rng([seed, 1])
-    targets = class_queue(config.classes, rng)
+    objects = draw_episodes(model, config, np.random.default_rng([seed, 1]))
+    ahead = Lookahead(learner, config, domain, objects)
     test_set = make_test_set(model, config, seed)
     test_scene = SceneScores(test_set, learner.xb)
 
@@ -447,9 +512,8 @@ def run_sequence(config: ExperimentConfig, strategy: str, seed: int) -> Sequence
     episode = 0
     exam_episode = None  # episode after which the last exam ran
     while mistakes < config.n_total and episode < EPISODE_CAP:
-        target = next(targets)
         episode += 1
-        made_mistake, lines = run_episode(teacher, learner, model, config, target, episode, rng)
+        target, made_mistake, lines = run_episode(teacher, ahead, episode)
         transcript.append(f"# episode {episode} target={target}")
         transcript.extend(lines)
         if made_mistake:

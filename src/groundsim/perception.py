@@ -223,11 +223,14 @@ def generate_scene(model: FeatureModel, target: str, rng, n_distractors: int) ->
     return objs
 
 
-def generate_target(model: FeatureModel, target: str, rng, n_distractors: int) -> SceneObject:
-    """`generate_scene`'s target alone. Each distractor's variates are drawn
-    as its class and `sample_object` draw them, but no distractor is built,
-    so the rng ends in the state `generate_scene` leaves it in."""
-    obj = generate_scene(model, target, rng, 0)[0]
+def generate_target(
+    model: FeatureModel, target: str, rng, n_distractors: int, eid: str = "o1"
+) -> SceneObject:
+    """`generate_scene`'s target alone, named `eid`. Each distractor's
+    variates are drawn as its class and `sample_object` draw them, but no
+    distractor is built, so the rng ends in the state `generate_scene`
+    leaves it in."""
+    obj = model.sample_object(target, eid, rng)
     for _ in range(n_distractors):
         rng.integers(len(model.domain.classes) - 1)
         rng.uniform(size=4)  # the box
@@ -249,6 +252,7 @@ class _Pool:
 
 class ExemplarBase:
     """chi+/chi- feature sets per concept; mutated only between episodes.
+    `revision` goes up on every `add`.
 
     `add` stores a read-only copy of each distinct feature row once, so a
     caller that later writes to its array changes no exemplar. Concepts
@@ -259,6 +263,7 @@ class ExemplarBase:
     def __init__(self):
         self.positive: dict[str, list[np.ndarray]] = {}
         self.negative: dict[str, list[np.ndarray]] = {}
+        self.revision = 0
         self._row_ids: dict[tuple, int] = {}  # (shape, bytes) of a row -> its id
         self._rows: list[np.ndarray] = []  # row id -> read-only row
         self._ids: dict[str, tuple[list[int], list[int]]] = {}  # concept -> pos, neg row ids
@@ -279,6 +284,7 @@ class ExemplarBase:
         store.setdefault(concept, []).append(self._rows[rid])
         self._ids.setdefault(concept, ([], []))[0 if positive else 1].append(rid)
         self._cache.pop(concept, None)
+        self.revision += 1
 
     def _classifier(self, concept: str) -> tuple[_Pool, np.ndarray, np.ndarray]:
         """(pool, pos columns, neg columns) of a concept with positives and
@@ -384,8 +390,10 @@ class SceneGraph:
     nodes: dict  # eid -> SceneNode
     edges: dict  # (whole eid, part eid) -> {"have": score}
     object_parts: dict  # object eid -> [part eids]
-    # tuple of query atoms -> its `reasoner._plan_key`, which reads no score value
-    plan_keys: dict = field(default_factory=dict, repr=False, compare=False)
+    # tuple of query atoms -> its `reasoner._plan_key`, which reads no score
+    # value; None for a graph queried once, as most are: only an exam's kept
+    # test-set graph is queried again, and `run_exam` makes it a dict
+    plan_keys: dict | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def whole_of(self) -> dict:

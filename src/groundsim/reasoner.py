@@ -48,27 +48,20 @@ class ReliabilityParams:
 
 
 def scene_to_program(sg: SceneGraph) -> WeightedProgram:
-    """One soft fact logit(s): gamma(o...) per scored observation,
+    """One soft fact logit(s): gamma(o...) per scored observation s,
     deterministically ordered."""
-    atoms = []
+    observed = []  # (predicate maker, arguments, scores)
     for eid in sorted(sg.nodes):
         node = sg.nodes[eid]
-        atoms += [Atom(cls_pred(name), (Const(eid),)) for name in sorted(node.class_scores)]
-        atoms += [Atom(attr_pred(name), (Const(eid),)) for name in sorted(node.attr_scores)]
-    for (i, j) in sorted(sg.edges):
-        atoms += [Atom(rel_pred(name), (Const(i), Const(j))) for name in sorted(sg.edges[(i, j)])]
+        observed += [(cls_pred, (eid,), node.class_scores), (attr_pred, (eid,), node.attr_scores)]
+    observed += [(rel_pred, pair, sg.edges[pair]) for pair in sorted(sg.edges)]
     return WeightedProgram(
-        [WeightedRule(logit(_score(sg, a.pred, tuple(t.ident for t in a.args))), a) for a in atoms]
+        [
+            WeightedRule(logit(scores[name]), Atom(pred(name), tuple(map(Const, args))))
+            for pred, args, scores in observed
+            for name in sorted(scores)
+        ]
     )
-
-
-def _score(sg: SceneGraph, pred: PredicateSym, entities: tuple[str, ...]) -> float:
-    """The scene score s of the observation pred(entities), whose soft fact
-    is logit(s): pred(entities)."""
-    if pred.kind == RELATION:
-        return sg.edges[entities][pred.name]
-    node = sg.nodes[entities[0]]
-    return (node.class_scores if pred.kind == CLASS else node.attr_scores)[pred.name]
 
 
 def _cons_unit(prop: Prop):
@@ -190,40 +183,44 @@ def marginals_each(
     one weight row per list, and each row is solved as it would be alone.
 
     The program of a list is built on the scene cut down to the objects the
-    list mentions (`_plan_key`, kept in `sg`). Each lifted rule has one free
-    variable and `have` edges link an object only to its own parts, so no
-    component spans two objects, and the components solved are those of the
-    whole scene's program that hold a query atom, rule for rule and in order.
+    list mentions (`_plan_key`, kept in `sg.plan_keys` unless that is None).
+    Each lifted rule has one free variable and `have` edges link an object
+    only to its own parts, so no component spans two objects, and the
+    components solved are those of the whole scene's program that hold a
+    query atom, rule for rule and in order.
 
     The program is compiled once per plan key and kept in the KB's memo
     until its revision or `u` changes. Compiling splits it into components
     (see `exact`); the plans kept are those whose outputs hold a query
     atom, each cut down to its query atoms. Each soft fact is stored as a
-    slot (predicate, entity indices) and each query code names the compiled
-    atom it reads, so a list fills the slots with its entities' scores and
-    only the solver's numeric half runs on a hit. Raises
-    UnknownPredicateError for a query atom that is not ground or is on an
+    slot (which score dict of which entity, score name) and each query code
+    names the compiled atom it reads, so a list fills the slots with the
+    logits of its entities' scores and only the solver's numeric half runs
+    on a hit. Raises UnknownPredicateError for a query atom that is not ground or is on an
     entity outside the scene, and for one that no kept plan outputs: an
     atom the program lacks, or one the solver sums out (a stage-1 atom,
     such as a part's attribute in the body of a skolemized generic's rules).
     """
     plans = kb.memo(u, dict)
+    kept = sg.plan_keys
     groups: dict = {}  # plan key -> [(position, queries, codes, entities)]
     for i, queries in enumerate(query_lists):
         atoms = tuple(queries)
-        if atoms not in sg.plan_keys:
-            sg.plan_keys[atoms] = _plan_key(sg, queries)
-        key, codes, entities, role, scene = sg.plan_keys[atoms]
+        if kept is None:
+            planned = _plan_key(sg, queries)
+        elif (planned := kept.get(atoms)) is None:
+            planned = kept[atoms] = _plan_key(sg, queries)
+        key, codes, entities, role, scene = planned
         if key not in plans:
             plans[key] = _compile(scene, kb, u, queries, codes, role)
         groups.setdefault(key, []).append((i, queries, codes, entities))
     tables: list = [None] * len(query_lists)
     for key, members in groups.items():
         compiled, slots, atom_of = plans[key]
-        weights = [
-            [logit(_score(sg, pred, tuple(entities[j] for j in idx))) for pred, idx in slots]
-            for _, _, _, entities in members
-        ]
+        weights = []
+        for _, _, _, entities in members:
+            dicts = _score_dicts(sg, entities)
+            weights.append([logit(dicts[d][name]) for d, name in slots])
         solved = solve_exact(CompiledProgram(compiled, weights))
         for (i, queries, codes, _), table in zip(members, solved):
             tables[i] = MarginalTable(
@@ -231,6 +228,26 @@ def marginals_each(
                 log_z=table.log_z,
             )
     return tables
+
+
+def _score_dicts(sg: SceneGraph, entities: list[str]) -> list:
+    """Three score dicts per entity, the ones a fact slot indexes: its class
+    scores, its attribute scores and the scores of the `have` edge from its
+    whole (None for an object). An edge links an object only to its own
+    parts, so a part's one edge is the one from its whole."""
+    nodes, edges, whole_of = sg.nodes, sg.edges, sg.whole_of
+    dicts = []
+    for e in entities:
+        node = nodes[e]
+        dicts += (node.class_scores, node.attr_scores, edges.get((whole_of.get(e), e)))
+    return dicts
+
+
+def _slot(pred: PredicateSym, args: tuple, role: dict) -> tuple[int, str]:
+    """(index into `_score_dicts`, score name) of the soft fact pred(args)."""
+    if pred.kind == RELATION:  # have(whole, part): the part's edge
+        return 3 * role[args[1].ident] + 2, pred.name
+    return 3 * role[args[0].ident] + (0 if pred.kind == CLASS else 1), pred.name
 
 
 def _compile(scene: SceneGraph, kb, u: ReliabilityParams, queries, codes, role):
@@ -246,9 +263,7 @@ def _compile(scene: SceneGraph, kb, u: ReliabilityParams, queries, codes, role):
     unsolved = ", ".join(str(q) for q in queries if q not in solved)
     if unsolved:
         raise UnknownPredicateError(f"atoms the program does not solve: {unsolved}")
-    slots = [
-        (r.head.pred, tuple(role[c.ident] for c in r.head.args)) for p in compiled for r in p.facts
-    ]
+    slots = [_slot(r.head.pred, r.head.args, role) for p in compiled for r in p.facts]
     return compiled, slots, dict(zip(codes, queries))
 
 
@@ -269,11 +284,22 @@ def classify(
 ) -> str | None:
     """Argmax class marginal over candidates, or None (not sure) when no
     candidate clears THETA_SURE. Ties break lexicographically."""
+    return classify_each(sg, kb, u, candidates, [obj])[0]
+
+
+def classify_each(
+    sg: SceneGraph, kb, u: ReliabilityParams, candidates: list[str], objs: list[str]
+) -> list[str | None]:
+    """`classify` of each object, all objects in one `marginals_each` call."""
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    atoms = {c: Atom(cls_pred(c), (Const(obj),)) for c in sorted(candidates)}
-    table = marginals_for(sg, kb, u, list(atoms.values()))
-    return best_class({c: table[a] for c, a in atoms.items()})
+    names = sorted(candidates)
+    query_lists = [[Atom(cls_pred(c), (Const(o),)) for c in names] for o in objs]
+    tables = marginals_each(sg, kb, u, query_lists)
+    return [
+        best_class({c: table[a] for c, a in zip(names, atoms)})
+        for atoms, table in zip(query_lists, tables)
+    ]
 
 
 def best_class(scores: dict[str, float]) -> str | None:

@@ -33,9 +33,11 @@ from groundsim.agents import (
     LearnerState,
     TeacherState,
     domain_lexicon,
+    teacher_answer_diff,
     teacher_probe,
     teacher_respond,
 )
+from groundsim.dialogue import SEP, Utterance, parse, pluralize
 from groundsim.logic import Atom, Const, cls_pred
 from groundsim.memory import EXPLICIT, NEG_IMPLICATURE, EpisodicMemory, KnowledgeBase, Lexicon
 from groundsim import perception
@@ -241,7 +243,8 @@ def test_label_equal_to_the_answer_confirms_it():
     learner.xb.add("brandyGlass", scene[0].class_feature, positive=True)
     learner.lexicon.add("brandy glass", "noun", cls_pred("brandyGlass"))
     teacher = TeacherState(domain=domain, strategy="maxHelp", lexicon=domain_lexicon(domain))
-    step = harness.LearnerEpisode(learner, "maxHelp", scene, ExperimentConfig(), domain, 1)
+    ahead = harness.Lookahead(learner, ExperimentConfig(), domain, iter(scene))
+    step = harness.LearnerEpisode(ahead, "maxHelp", 1)
     step.hear(teacher_probe(teacher, step.eid))
     assert step.answer == "brandyGlass"
     [label] = teacher_respond(teacher, step.eid, "brandyGlass", None)
@@ -249,6 +252,87 @@ def test_label_equal_to_the_answer_confirms_it():
     assert not step.close()
     assert len(learner.xb.positive["brandyGlass"]) == 1
     assert not learner.xb.negative.get("brandyGlass")
+
+
+def _finish(step, teacher) -> bool:
+    """The rest of a probed episode as `run_episode` plays it."""
+    for utt in teacher_respond(teacher, step.eid, step.obj.cls, step.answer):
+        if step.hear(utt):
+            for generic in teacher_answer_diff(teacher, step.diff_pair):
+                step.hear(generic)
+    return step.close()
+
+
+@pytest.mark.parametrize("change", ["generic", "exemplar"])
+def test_a_change_without_a_mistake_drops_the_rest_of_the_batch(change):
+    # an interactive teacher states a generic on an episode the learner
+    # answered correctly, or an exemplar is added between episodes: the
+    # learner changes although it made no mistake
+    config = ExperimentConfig(difficulty="fineEasy")
+    domain, model = harness.domain_model(config.feature_seed)
+    teacher = TeacherState(domain=domain, strategy="maxHelp", lexicon=domain_lexicon(domain))
+    learner = harness.new_learner(domain, model, "semOnly", 0)
+    objects = harness.draw_episodes(model, config, np.random.default_rng([0, 1]))
+    ahead = harness.Lookahead(learner, config, domain, objects)
+    for episode in range(1, harness.EPISODE_CAP):
+        step = harness.LearnerEpisode(ahead, "maxHelp", episode)
+        step.hear(teacher_probe(teacher, step.eid))
+        batched = [obj for obj in ahead.upcoming if obj.eid in ahead.answers]
+        if episode > 30 and step.answer == step.obj.cls and len(batched) >= 3:
+            break
+        _finish(step, teacher)
+    upcoming = batched[0]
+    stale = ahead.answers[upcoming.eid]  # scored with the batch, before the change
+    if change == "generic":
+        generic = f"{pluralize(domain.surfaces[stale]).capitalize()} have tapered bowls."
+        assert step.hear(Utterance("teacher", generic, parse(generic, learner.lexicon))) == []
+        assert learner.kb.contains(parse(generic, learner.lexicon))
+    [correct] = teacher_respond(teacher, step.eid, step.obj.cls, step.answer)
+    step.hear(correct)
+    assert not step.close()
+    if change == "exemplar":
+        for _ in range(3):
+            learner.xb.add(stale, upcoming.class_feature, positive=False)
+
+    sg = build_scene_graph([upcoming], learner.xb, *harness._concepts(config, domain))
+    fresh = classify(sg, learner.kb, learner.u, list(config.classes), upcoming.eid)
+    assert fresh != stale  # the change matters for this object
+    step = harness.LearnerEpisode(ahead, "maxHelp", episode + 1)
+    assert step.obj is upcoming
+    step.hear(teacher_probe(teacher, step.eid))
+    assert step.answer == fresh
+    assert ahead.size == 1 and list(ahead.answers) == [upcoming.eid]
+
+
+def test_a_mistake_in_a_batch_rescores_from_the_next_episode(monkeypatch):
+    """Each batch starts at the episode after the first mistake in the one
+    before it, with one object; a batch used up without a mistake is
+    followed by one twice as large, up to LOOKAHEAD_CAP."""
+    calls = []  # the objects of each `classify_each` call of the episodes
+    real_classify_each = harness.classify_each
+
+    def spy(sg, kb, u, candidates, objs):
+        calls.append([int(eid[1:]) for eid in objs])  # e<k>: episode k's object
+        return real_classify_each(sg, kb, u, candidates, objs)
+
+    monkeypatch.setattr(harness, "classify_each", spy)
+    config = ExperimentConfig(difficulty="fineEasy")
+    for strategy in ("maxHelp_semOnly", "medHelp"):
+        calls.clear()
+        res = run_sequence(config, strategy, 0)
+        episodes = "\n".join(res.transcript).split("# episode ")[1:]
+        mistakes = {k for k, text in enumerate(episodes, 1) if f"{SEP}Correct.{SEP}" not in text}
+        assert len(mistakes) == config.n_total
+        start, size = 1, 1
+        for batch in calls:
+            assert batch == list(range(start, start + size)), (strategy, batch)
+            missed = [k for k in batch if k in mistakes]
+            if missed:
+                start, size = missed[0] + 1, 1
+            else:
+                start, size = start + size, min(2 * size, harness.LOOKAHEAD_CAP)
+        assert start > res.episodes
+        assert max(len(batch) for batch in calls) > 2
 
 
 def _run_spied(monkeypatch, config):
@@ -549,6 +633,13 @@ def test_fineEasy_cells_outputs_match_golden_digests(tmp_path):
     # `groundsim run --difficulty fineEasy --seeds 1 --dump-program`: all
     # five strategies, 17 files
     _assert_cell_matches(tmp_path, "fineEasy", tuple(STRATEGY_COMBOS), 0, "fineEasy_seed0.sha256")
+
+
+def test_fineEasy_seed1_cells_outputs_match_golden_digests(tmp_path):
+    # `--config` holding {"seeds": [1]}, all five strategies with
+    # `--dump-program`: maxHelp_semOnly runs 1640 episodes for 30 mistakes,
+    # the longest correct streaks of the fineEasy cells
+    _assert_cell_matches(tmp_path, "fineEasy", tuple(STRATEGY_COMBOS), 1, "fineEasy_seed1.sha256")
 
 
 def test_program_dumps_parse_back(tiny_suite):

@@ -30,6 +30,7 @@ from groundsim.reasoner import (
     answer_polar,
     build_program,
     classify,
+    classify_each,
     kb_to_program,
     marginals_each,
     marginals_for,
@@ -543,6 +544,30 @@ def test_one_batch_solves_each_plan_key_once_and_keeps_the_input_order(monkeypat
         assert table == _uncached_table(sg, kb, u, queries)
 
 
+def test_classify_each_answers_each_object_as_classify_does(monkeypatch):
+    calls = _spy_query_path(monkeypatch)
+    sg, kb, u = make_multi_scene(4), mixed_kb(), _u()
+    objs = ["o3", "o1", "o4", "o2"]
+    answers = classify_each(sg, kb, u, list(CLASSES), objs)
+    assert len(calls["solve"]) == 1  # every object in one solve
+    assert answers == [classify(sg, kb, u, list(CLASSES), o) for o in objs]
+    assert len(set(answers)) > 1
+
+
+def test_only_a_graph_made_to_keep_them_keeps_plan_keys():
+    # a graph queried once (an episode batch, a probe) keeps none; an exam
+    # makes its kept test-set graph's `plan_keys` a dict
+    sg, kb, u = make_multi_scene(), mixed_kb(), _u()
+    lists = [[_cls(c, o) for c in CLASSES] for o in ("o1", "o2")]
+    marginals_each(sg, kb, u, lists)
+    classify(sg, kb, u, list(CLASSES), "o3")
+    assert sg.plan_keys is None
+    sg.plan_keys = {}
+    first = marginals_each(sg, kb, u, lists)
+    assert set(sg.plan_keys) == {tuple(queries) for queries in lists}
+    assert marginals_each(sg, kb, u, lists) == first
+
+
 def _renamed(sg: SceneGraph, renames: dict) -> SceneGraph:
     """`sg` with the entities `renames` names given their new ids."""
 
@@ -621,9 +646,9 @@ def test_unknown_atoms_raise_with_a_warm_cache():
     ],
 )
 def test_every_query_of_a_cell_matches_the_uncached_path(difficulty, strategies, monkeypatch):
-    """Each query list of a seed-0 cell, asked alone (`marginals_for`) or
-    with the rest of an exam's (`marginals_each`), is `==` to building,
-    restricting and solving its objects' program afresh."""
+    """Each query list of a seed-0 cell, asked with the rest of its
+    episode batch's or of its exam's (`marginals_each`), is `==` to
+    building, restricting and solving its objects' program afresh."""
     real_each = reasoner.marginals_each
     compiled = _spy_compile(monkeypatch)
     queried, compiles, batches = [], [], []
@@ -647,8 +672,8 @@ def test_every_query_of_a_cell_matches_the_uncached_path(difficulty, strategies,
             queried.append(kb.revision)
         return tables
 
-    # `marginals_for` asks through `reasoner.marginals_each`, exams through
-    # `harness.marginals_each`
+    # episodes ask through `reasoner.marginals_each` (`classify_each`), exams
+    # through `harness.marginals_each`
     monkeypatch.setattr(reasoner, "marginals_each", checked_each)
     monkeypatch.setattr(harness, "marginals_each", checked_each)
     config = ExperimentConfig(difficulty=difficulty, strategies=strategies, seeds=(0,))
@@ -657,8 +682,12 @@ def test_every_query_of_a_cell_matches_the_uncached_path(difficulty, strategies,
         run_sequence(config, strategy, 0)
         # one plan per KB revision and set of query atoms, whatever their order
         assert len(set(compiles)) == len(compiles)
-    # the episodes' queries one by one, and each exam's test objects at once
-    assert set(batches) == {1, config.test_set_size * len(config.classes)}
+    # the episodes' queries in lookahead batches of 1, 2, 4, ... objects
+    # (`harness.Lookahead`), and each exam's test objects at once
+    n_test = config.test_set_size * len(config.classes)
+    episode_batches = set(batches) - {n_test}
+    assert n_test in batches and 1 in episode_batches and max(episode_batches) > 2
+    assert episode_batches <= {2**k for k in range(harness.LOOKAHEAD_CAP.bit_length())}
     # plans are compiled per key and revision, not per query
     assert len(compiled) * 10 < len(queried)
 
