@@ -94,6 +94,12 @@ class LearnerState:
         if self.strategy not in LEARNER_STRATEGIES:
             raise ValueError(f"unknown learner strategy: {self.strategy}")
 
+    @property
+    def cancels(self) -> bool:
+        """Whether the learner can cancel a KB entry: only semNegScal adds
+        scalar implicatures, the entries `cancel_scalar_implicatures` drops."""
+        return self.strategy == "semNegScal"
+
 
 # ---------------------------------------------------------------------------
 # teacher

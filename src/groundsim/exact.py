@@ -49,6 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -268,12 +269,12 @@ def _connected(atom_lists: list[list[Atom]]) -> list[list[int]]:
 @dataclass
 class _Block:
     """One stage-1 block: its atoms, the bit configuration each of its 2^n
-    assignments switches on, and the (truth over those assignments, weight
-    column) pairs of its atoms with a soft fact."""
+    assignments switches on, and the weight column of each atom in atom
+    order (None for an atom with no soft fact)."""
 
     atoms: list[Atom]
     config: np.ndarray
-    weighted: list[tuple[np.ndarray, int]]
+    columns: list[int | None]
 
 
 @dataclass
@@ -285,14 +286,18 @@ class Plan:
     Each atom with a soft fact gets one weight column, the sum of its facts'
     weights: `first` is the fact column each sum starts from, and `more`
     the (weight column, fact column) pairs that add further facts, in order.
-    Stage 2 enumerates `q_atoms` with the k bits, one per derived atom;
-    `aconf` is each stage-2 row's bit configuration, `weighted` the (truth,
-    weight column) pairs of the q_atoms with a soft fact, `mask` the rows
-    the hard facts and hard constraints admit (None when they admit every
-    row), `soft` one log-weight term per soft constraint, and `outputs` the
+    Stage 2 enumerates `q_atoms` with the k bits, one per derived atom: row
+    i of its table holds q_atom j at bit j and the bit configuration at
+    i >> len(q_atoms). `columns` is the weight column of each q_atom (None
+    for one with no soft fact), `mask` the rows the hard facts and hard
+    constraints admit (None when they admit every row), and `outputs` the
     (indices of the stage-2 rows where it holds, atom) pairs of the q_atoms
-    and derived atoms. `run` takes `slice_rows` weight rows at a time, which
-    keeps the widest table within `_TABLE_CELLS` cells."""
+    and derived atoms. `soft` holds one log-weight term per soft constraint,
+    a row each, below a first row that `run` overwrites with each table in
+    turn: one sum down its rows then adds the terms to the table in order
+    (None without soft constraints), so a plan runs in one thread at a
+    time. `run` takes `slice_rows` weight rows at a time, which keeps the
+    widest table within `_TABLE_CELLS` cells."""
 
     rules: list[WeightedRule]
     facts: list[WeightedRule]
@@ -301,10 +306,9 @@ class Plan:
     blocks: list[_Block]
     q_atoms: list[Atom]
     k: int
-    aconf: np.ndarray
-    weighted: list[tuple[np.ndarray, int]]
+    columns: list[int | None]
     mask: np.ndarray | None
-    soft: list[np.ndarray]
+    soft: np.ndarray | None
     outputs: list[tuple[np.ndarray, Atom]]
     slice_rows: int
 
@@ -351,8 +355,7 @@ def plan(rules: list[WeightedRule]) -> Plan:
         for part, j in block:
             body = np.logical_and.reduce([sval[b] for b in part])
             config |= body.astype(np.int64) << j
-        weighted = [(sval[a], column[a]) for a in atoms if a in column]
-        blocks.append(_Block(atoms, config, weighted))
+        blocks.append(_Block(atoms, config, [column.get(a) for a in atoms]))
 
     nq = len(q_atoms)
     idx2 = np.arange(1 << (nq + k), dtype=np.int64)
@@ -361,20 +364,26 @@ def plan(rules: list[WeightedRule]) -> Plan:
     for j, a in enumerate(c.derived):
         val2[a] = _bit(aconf, j)
 
-    mask = np.ones(len(idx2), dtype=bool)
-    for r in c.hard_facts:
-        mask &= val2[r.head]
-    soft = []
-    for r in c.constraints:
+    def holds(r):  # the stage-2 rows where the body of r holds
         body = np.ones(len(idx2), dtype=bool)
         for b in r.pos_body:
             body &= val2[b]
         for b in r.neg_body:
             body &= ~val2[b]
+        return body
+
+    mask = np.ones(len(idx2), dtype=bool)
+    for r in c.hard_facts:
+        mask &= val2[r.head]
+    soft_rules = []
+    for r in c.constraints:
         if r.weight is HARD:
-            mask &= ~body
+            mask &= ~holds(r)
         else:
-            soft.append(np.where(body, 0.0, r.weight))
+            soft_rules.append(r)
+    soft = np.zeros((1 + len(soft_rules), len(idx2))) if soft_rules else None
+    for i, r in enumerate(soft_rules, 1):
+        soft[i] = np.where(holds(r), 0.0, r.weight)
     return Plan(
         rules=rules,
         facts=c.facts,
@@ -383,8 +392,7 @@ def plan(rules: list[WeightedRule]) -> Plan:
         blocks=blocks,
         q_atoms=q_atoms,
         k=k,
-        aconf=aconf,
-        weighted=[(val2[a], column[a]) for a in q_atoms if a in column],
+        columns=[column.get(a) for a in q_atoms],
         mask=None if mask.all() else mask,
         soft=soft,
         outputs=[(np.flatnonzero(val2[a]), a) for a in q_atoms + c.derived],
@@ -443,6 +451,11 @@ def run(plan: Plan, fact_weights) -> tuple[np.ndarray, np.ndarray]:
     With no stage-1 atoms, k = 0 and stage 2 is a plain enumeration of the
     component's base atoms.
 
+    Each log-weight table is built by doubling (`_doubled`): one atom at a
+    time, in bit order, the table is followed by a copy that adds the
+    atom's weight column, so each entry adds the weights of its true atoms
+    in atom order, as a sum over the atoms with a soft fact would.
+
     Each row is summed in the order a solve of that row alone would sum it,
     so a row's results do not depend on the other rows. Rows go through in
     slices of `plan.slice_rows`.
@@ -460,39 +473,49 @@ def run(plan: Plan, fact_weights) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _doubled(table: np.ndarray, columns: list[int | None], weights: np.ndarray) -> np.ndarray:
+    """`table` with one more bit of its last axis per entry of `columns`, in
+    order: the new half adds weight column `weights[col]`, or repeats the
+    table for None."""
+    for col in columns:
+        table = np.concatenate([table, table if col is None else table + weights[col]], axis=-1)
+    return table
+
+
 def _run_rows(plan: Plan, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(weights)
     fw = weights.take(plan.first, axis=1)  # (n, atoms with a soft fact)
     for col, i in plan.more:
         fw[:, col] += weights[:, i]
+    columns = fw.T[:, :, None]  # weight column c as an (n, 1) array
 
-    logw2 = np.zeros((n, len(plan.aconf)))
     log_z = 0.0
     if plan.blocks:
         # stage 1: each block's fact mass by bit configuration, OR-folded
         size = 1 << plan.k
-        mass = np.zeros((n, size))
-        mass[:, 0] = 1.0
-        # row r counts into bins r * size + config, so each bin adds in row order
-        offsets = np.arange(0, n * size, size)[:, None]
+        mass = None
         for block in plan.blocks:
-            logw = np.zeros((n, len(block.config)))
-            for s, col in block.weighted:
-                logw += np.where(s, fw[:, col : col + 1], 0.0)
+            logw = _doubled(np.zeros((n, 1)), block.columns, columns)
             shift = np.maximum.reduce(logw, axis=1)
             log_z += shift
             ew = np.exp(logw - shift[:, None])
-            bins = (block.config + offsets).ravel()
-            counts = np.bincount(bins, weights=ew.ravel(), minlength=n * size)
-            mass = _or_fold(mass, counts.reshape(n, size))
+            # row r counts into bins r * size + config, so each bin adds in row order
+            bins = block.config
+            if n > 1:
+                bins = (bins + np.arange(0, n * size, size)[:, None]).ravel()
+            counts = np.bincount(bins, weights=ew.ravel(), minlength=n * size).reshape(n, size)
+            mass = counts if mass is None else _or_fold(mass, counts)
         with np.errstate(divide="ignore"):
-            logw2 += np.log(mass).take(plan.aconf, axis=1)  # -inf where unreachable
+            table = np.log(mass)[:, :, None]  # -inf where unreachable
+    else:
+        table = np.zeros((n, 1, 1))
 
     # stage 2: the other base atoms x bit configurations
-    for v, col in plan.weighted:
-        logw2 += np.where(v, fw[:, col : col + 1], 0.0)
-    for term in plan.soft:
-        logw2 += term
+    logw2 = _doubled(table, plan.columns, columns[:, :, :, None]).reshape(n, -1)
+    if plan.soft is not None:
+        for row in logw2:
+            plan.soft[0] = row
+            np.add.reduce(plan.soft, axis=0, out=row)
     if plan.mask is not None:
         logw2 = np.where(plan.mask, logw2, -np.inf)
     m2 = np.maximum.reduce(logw2, axis=1)
@@ -524,20 +547,30 @@ def _or_fold(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ((a != 0) == (a[0] != 0)).all() and ((b != 0) == (b[0] != 0)).all()
     ):
         return np.concatenate([_or_fold(a[r : r + 1], b[r : r + 1]) for r in range(n)])
-    u = np.flatnonzero(a[0])
-    v = np.flatnonzero(b[0])
+    chunks = _pair_bins(np.flatnonzero(a[0]).tobytes(), np.flatnonzero(b[0]).tobytes())
     out = np.zeros((n, size))
-    step = max(1, _FOLD_CHUNK // max(1, len(v)))
     # rows per bincount, so one holds at most about _FOLD_CHUNK products
-    per = max(1, _FOLD_CHUNK // max(1, min(step, len(u)) * len(v)))
+    per = max(1, _FOLD_CHUNK // max([1, *(len(pairs) for _, _, pairs in chunks)]))
     for r in range(0, n, per):
         aa, bb = a[r : r + per], b[r : r + per]
         m = len(aa)
         offsets = np.arange(0, m * size, size)[:, None]
-        for lo in range(0, len(u), step):
-            uu = u[lo : lo + step]
-            bins = ((uu[:, None] | v).ravel() + offsets).ravel()
-            products = (aa[:, uu, None] * bb[:, None, v]).ravel()
+        for uu, v, pairs in chunks:
+            bins = pairs if m == 1 else (pairs + offsets).ravel()
+            # `take` keeps the products C-contiguous, so `ravel` copies nothing
+            products = (aa.take(uu, axis=1)[:, :, None] * bb.take(v, axis=1)[:, None, :]).ravel()
             counts = np.bincount(bins, weights=products, minlength=m * size)
             out[r : r + m] += counts.reshape(m, size)
     return out
+
+
+@lru_cache(maxsize=8)
+def _pair_bins(u_key: bytes, v_key: bytes) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The pairs `_or_fold` adds for the nonzero entries u of one operand
+    and v of the other (their indices' bytes): (a chunk of u, v, u | v of
+    the chunk's pairs in order) per chunk of at most about _FOLD_CHUNK
+    pairs. Kept per pattern, since the patterns of a plan's tables recur."""
+    u, v = np.frombuffer(u_key, dtype=np.intp), np.frombuffer(v_key, dtype=np.intp)
+    step = max(1, _FOLD_CHUNK // max(1, len(v)))
+    chunks = [u[lo : lo + step] for lo in range(0, len(u), step)]
+    return [(uu, v, (uu[:, None] | v).ravel()) for uu in chunks]

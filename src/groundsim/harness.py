@@ -10,7 +10,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from typing import ClassVar
 
 import numpy as np
@@ -32,7 +32,7 @@ from .agents import (
     teacher_respond,
 )
 from .dialogue import CORRECT, Utterance, transcript_line
-from .logic import CLASS, Atom, Const, Prop, Ques, cls_pred, instance_atom
+from .logic import CLASS, Prop, Ques, cls_pred, instance_atom
 from .memory import EXPLICIT, EpisodicMemory, EpisodicRecord, KnowledgeBase
 from .perception import (
     DomainSpec,
@@ -44,7 +44,7 @@ from .perception import (
     init_priors,
 )
 from .program import program_to_text
-from .reasoner import best_class, build_program, classify_each, marginals_each
+from .reasoner import best_class, build_program, class_atoms, classify_each, marginals_each
 
 DIFFICULTIES = {
     "fineEasy": {
@@ -384,14 +384,10 @@ class LearnerEpisode:
         if self.statements:
             pair = tuple(cls_pred(c) for c in self.diff_pair)
             learner_integrate_generics(learner, self.statements, pair, self.number)
-        learner.episodic.append(
-            EpisodicRecord(
-                episode=self.number,
-                true_class=obj.cls,
-                property_scores=_property_scores(self.sg, obj.eid, self.ahead.domain),
-            )
-        )
-        if mistake:
+        # only a learner that can cancel reads the perceived properties back
+        scores = _property_scores(self.sg, obj.eid, self.ahead.domain) if learner.cancels else {}
+        learner.episodic.append(EpisodicRecord(self.number, obj.cls, scores))
+        if mistake and learner.cancels:
             cancel_scalar_implicatures(learner)
         return mistake
 
@@ -426,12 +422,6 @@ def make_test_set(model: FeatureModel, config: ExperimentConfig, seed: int):
     return out
 
 
-@lru_cache(maxsize=4)
-def _class_queries(eids: tuple[str, ...], classes: tuple[str, ...]) -> tuple[tuple[Atom, ...], ...]:
-    """Each object's class atoms: an exam's query lists, built once per test set."""
-    return tuple(tuple(Atom(cls_pred(c), (Const(eid),)) for c in classes) for eid in eids)
-
-
 def run_exam(
     learner: LearnerState, test_scene: SceneScores, config, domain, mistakes: int
 ) -> ExamResult:
@@ -447,7 +437,7 @@ def run_exam(
     sg = test_scene.graph(*_concepts(config, domain))
     if sg.plan_keys is None:  # kept from exam to exam, and so are its plan keys
         sg.plan_keys = {}
-    query_lists = _class_queries(tuple(obj.eid for obj in test_scene.scene), config.classes)
+    query_lists = [class_atoms(config.classes, obj.eid) for obj in test_scene.scene]
     tables = marginals_each(sg, learner.kb, learner.u, query_lists)
     ranked = {c: [] for c in config.classes}
     for obj, atoms, table in zip(test_scene.scene, query_lists, tables):

@@ -78,7 +78,9 @@ class KnowledgeBase:
 class EpisodicRecord:
     episode: int
     true_class: str  # teacher-asserted, hence confirmed
-    property_scores: dict  # (attr, part) -> perceived confidence at answer time
+    # (attr, part) -> perceived confidence at answer time; empty for a
+    # learner that cannot cancel (`LearnerState.cancels`), which never reads it
+    property_scores: dict
 
 
 class EpisodicMemory:

@@ -257,8 +257,9 @@ class ExemplarBase:
     `add` stores a read-only copy of each distinct feature row once, so a
     caller that later writes to its array changes no exemplar. Concepts
     whose exemplars are the same multiset of rows share one pool: one
-    stacked matrix and one bandwidth, which the scorer turns into one
-    distance matrix per feature matrix."""
+    stacked matrix and one bandwidth. `score_fewshot` scores a list of
+    concepts by a `_ScoringPlan`, kept per list until a concept's exemplar
+    stamp moves."""
 
     def __init__(self):
         self.positive: dict[str, list[np.ndarray]] = {}
@@ -271,6 +272,8 @@ class ExemplarBase:
         self._cache: dict[str, tuple[_Pool, np.ndarray, np.ndarray]] = {}
         # sorted row ids -> pool; a pool goes when no cached concept holds it
         self._pools: WeakValueDictionary[tuple[int, ...], _Pool] = WeakValueDictionary()
+        # tuple of concepts -> (their stamps, their scoring plan)
+        self._plans: dict[tuple[str, ...], tuple[tuple, _ScoringPlan]] = {}
 
     def add(self, concept: str, feature: np.ndarray, positive: bool):
         row = np.array(feature, dtype=float)
@@ -285,6 +288,11 @@ class ExemplarBase:
         self._ids.setdefault(concept, ([], []))[0 if positive else 1].append(rid)
         self._cache.pop(concept, None)
         self.revision += 1
+
+    def stamp(self, concept: str) -> tuple[int, int]:
+        """(len(positive), len(negative)) of a concept: exemplar sets only
+        grow, so the stamp names the set."""
+        return len(self.positive.get(concept, ())), len(self.negative.get(concept, ()))
 
     def _classifier(self, concept: str) -> tuple[_Pool, np.ndarray, np.ndarray]:
         """(pool, pos columns, neg columns) of a concept with positives and
@@ -303,6 +311,14 @@ class ExemplarBase:
                 np.searchsorted(key, neg_ids),
             )
         return cached
+
+    def _scoring_plan(self, concepts: tuple[str, ...], stamps: tuple) -> _ScoringPlan:
+        """The scoring plan of `concepts`, whose stamps are `stamps`, built
+        again only when one of them moved."""
+        kept = self._plans.get(concepts)
+        if kept is None or kept[0] != stamps:
+            kept = self._plans[concepts] = (stamps, _ScoringPlan.build(self, concepts))
+        return kept[1]
 
     def process_correction(self, wrong: str, true: str, feature: np.ndarray):
         """Teacher's corrective response: grow chi+ of the true concept and
@@ -323,12 +339,111 @@ def _bandwidth(exemplars: list[np.ndarray]) -> float:
     return max(float((p[lo] + p[hi]) / 2), BANDWIDTH_FLOOR)
 
 
+@dataclass(frozen=True, eq=False)
+class _ScoringPlan:
+    """How `score_fewshot` scores a list of concepts at fixed exemplar sets.
+
+    `exemplars` holds the rows of the distinct pools of the scored concepts
+    (those with positives and negatives) as its columns, pool after pool,
+    and `den` the 2h² of each column's pool. `pos` groups the scored
+    concepts by positive count m: (m, the (g, m)
+    exemplar columns of the g concepts with m positives, each row in its
+    concept's exemplar order); `pos_order` is each scored concept's place
+    in the groups' concatenated means. `neg` and `neg_order` do the same
+    for the negatives. `scored` and `fixed` are the places of the scored
+    and the fixed-score concepts in the list, and `fixed_scores` the
+    fixed scores."""
+
+    exemplars: np.ndarray
+    den: np.ndarray
+    pos: list[tuple[int, np.ndarray]]
+    pos_order: np.ndarray
+    neg: list[tuple[int, np.ndarray]]
+    neg_order: np.ndarray
+    scored: list[int]
+    fixed: list[int]
+    fixed_scores: np.ndarray
+
+    @staticmethod
+    def build(xb: ExemplarBase, concepts: tuple[str, ...]) -> "_ScoringPlan":
+        offsets: dict[_Pool, int] = {}  # pool -> its first column in `exemplars`
+        width = 0
+        scored, fixed, fixed_scores, pos_cols, neg_cols = [], [], [], [], []
+        for i, concept in enumerate(concepts):
+            pos, neg = xb.positive.get(concept), xb.negative.get(concept)
+            if not pos or not neg:
+                fixed.append(i)
+                fixed_scores.append(
+                    0.5 if not pos and not neg else ONE_SIDED_SCORE if pos else 1.0 - ONE_SIDED_SCORE
+                )
+                continue
+            pool, pos_c, neg_c = xb._classifier(concept)
+            if pool not in offsets:
+                offsets[pool] = width
+                width += len(pool.matrix)
+            scored.append(i)
+            pos_cols.append(offsets[pool] + pos_c)
+            neg_cols.append(offsets[pool] + neg_c)
+        pools = list(offsets)
+        rows = [p.matrix for p in pools]
+        pos, pos_order = _count_groups(pos_cols)
+        neg, neg_order = _count_groups(neg_cols)
+        return _ScoringPlan(
+            exemplars=np.concatenate(rows).T.copy() if rows else np.empty((0, 0)),
+            den=np.repeat([2 * p.bandwidth * p.bandwidth for p in pools], list(map(len, rows))),
+            pos=pos,
+            pos_order=pos_order,
+            neg=neg,
+            neg_order=neg_order,
+            scored=scored,
+            fixed=fixed,
+            fixed_scores=np.array(fixed_scores),
+        )
+
+
+def _count_groups(cols: list[np.ndarray]) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
+    """The column lists grouped by length, as (length, stacked columns), and
+    each list's place in the groups' concatenation."""
+    groups: dict[int, list[int]] = {}
+    for j, c in enumerate(cols):
+        groups.setdefault(len(c), []).append(j)
+    order = [j for members in groups.values() for j in members]
+    return [(m, np.array([cols[j] for j in js])) for m, js in groups.items()], np.argsort(order)
+
+
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """The sum over the leading axis of an array of non-negative values, in
+    numpy's own pairwise order for a contiguous axis: eight running sums over
+    blocks of eight, a tree over the eight, then the rest in order; an axis
+    of more than 128 is split and its halves summed apart. So summing whole
+    slices at a time gives, to the bit, what `sum(axis=-1)` gives for the
+    same values laid out last, at a cost per slice instead of per element."""
+    n = len(x)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+    end = n - n % 8
+    if end:
+        r = x[:8]
+        for i in range(8, end, 8):
+            r = r + x[i : i + 8]
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        out = r[0] + r[1]
+    else:
+        out = np.zeros(x.shape[1:])
+    for row in x[end:]:
+        out = out + row
+    return out
+
+
 def score_fewshot(
     xb: ExemplarBase,
     concepts: list[str],
     features: np.ndarray,
     gain: float | np.ndarray = KERNEL_GAIN,
     bias: float = 0.0,
+    stamps: tuple | None = None,
 ) -> dict[str, np.ndarray]:
     """Calibrated kernel-mean discriminant between chi+ and chi-: concept ->
     one score per row of an (n, d) feature matrix.
@@ -341,36 +456,36 @@ def score_fewshot(
     0.5 and one-sided ones ONE_SIDED_SCORE (or its complement) before the
     feature dimension is checked.
 
-    The kernel values to a pool's rows are computed once for all the
-    concepts that share it. Each concept then sums a C-contiguous copy of
-    its own columns, in its own exemplar order, and divides by their count,
-    as a mean over its rows alone does; a sum over the shared matrix, or over
-    a strided gather, can differ in the last bit. The sigmoid runs once over
-    the margins of all the scored concepts."""
+    The concepts are scored by their `_ScoringPlan`, looked up with
+    `stamps`, their `ExemplarBase.stamp`s, which a caller that has them
+    passes. The kernel values to the rows of every pool come from one
+    distance matrix and one `exp`. Each count group then sums, for each of
+    its concepts, a C-contiguous copy of that concept's own m columns in its
+    exemplar order, and divides by m, as a mean over the concept's rows
+    alone does; a sum over the shared matrix, or over a strided gather, can
+    differ in the last bit. The sigmoid runs once over the margins of all
+    the scored concepts."""
     features = np.asarray(features, dtype=float)
-    kernels: dict[_Pool, np.ndarray] = {}  # pool -> (n, pool rows) kernel values
-    scores, scored = {}, []  # scored concepts hold their margins until the sigmoid
-    for concept in concepts:
-        pos, neg = xb.positive.get(concept), xb.negative.get(concept)
-        if not pos or not neg:
-            fixed = 0.5 if not pos and not neg else ONE_SIDED_SCORE if pos else 1.0 - ONE_SIDED_SCORE
-            scores[concept] = np.full(len(features), fixed)
-            continue
-        if features.shape[1:] != pos[0].shape:
+    concepts = tuple(concepts)
+    if stamps is None:
+        stamps = tuple(map(xb.stamp, concepts))
+    plan = xb._scoring_plan(concepts, stamps)
+    out = np.empty((len(concepts), len(features)))
+    out[plan.fixed] = plan.fixed_scores[:, None]
+    if plan.scored:
+        if features.shape[1:] != plan.exemplars.shape[:1]:
             raise ValueError("feature dimension mismatch")
-        pool, pos_cols, neg_cols = xb._classifier(concept)
-        k = kernels.get(pool)
-        if k is None:
-            d2 = ((pool.matrix - features[:, None, :]) ** 2).sum(axis=-1)
-            h = pool.bandwidth
-            k = kernels[pool] = np.exp(-d2 / (2 * h * h))
-        pos_mean = np.add.reduce(k.take(pos_cols, axis=1), axis=1) / len(pos_cols)
-        scores[concept] = pos_mean - np.add.reduce(k.take(neg_cols, axis=1), axis=1) / len(neg_cols)
-        scored.append(concept)
-    if scored:
-        margins = np.stack([scores[c] for c in scored])
-        scores.update(zip(scored, 1.0 / (1.0 + np.exp(-(gain * margins - bias)))))
-    return scores
+        d2 = _pairwise_sum((plan.exemplars[:, None, :] - features.T[:, :, None]) ** 2)
+        k = np.exp(-d2 / plan.den)
+        pos, neg = (
+            np.concatenate(
+                [np.add.reduce(k.take(cols, axis=1), axis=2) / m for m, cols in groups], axis=1
+            )
+            for groups in (plan.pos, plan.neg)
+        )
+        margins = pos.take(plan.pos_order, axis=1) - neg.take(plan.neg_order, axis=1)
+        out[plan.scored] = 1.0 / (1.0 + np.exp(-(gain * margins.T - bias)))
+    return dict(zip(concepts, out))
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +534,18 @@ class SceneScores:
     A scene is scored in two `score_fewshot` calls: class concepts over the
     class features of the objects and then of the parts, with KERNEL_GAIN
     on object rows and PART_GAIN on part rows, and attribute concepts over
-    the parts' attribute features. Within a call, concepts that share an
-    exemplar pool share one kernel matrix. An entity's scores depend only on
-    its own features, its own gain and the exemplar base, so each object's
-    nodes and edges are those of its own one-object scene.
+    the parts' attribute features. Within a call, the pools of all the
+    concepts share one kernel matrix (see `_ScoringPlan`). An entity's
+    scores depend only on its own features, its own gain and the exemplar
+    base, so each object's nodes and edges are those of its own one-object
+    scene.
 
     The graph is kept from one call to the next with the same concepts.
     Each role's scores of a concept are written into its nodes with the
-    concept's exemplar stamp, (len(positive), len(negative)): exemplar sets
-    only grow, so the stamp names the set, and `graph` scores again and
-    writes only the concepts whose stamp moved. `score_fewshot` scores each
-    concept on its own, so a kept score equals a fresh one."""
+    concept's `ExemplarBase.stamp`, and `graph` scores again and writes
+    only the concepts whose stamp moved; it looks up their scoring plan with
+    the stamps it has. `score_fewshot` scores each concept on its own, so a
+    kept score equals a fresh one."""
 
     def __init__(self, scene: list[SceneObject], xb: ExemplarBase):
         self.scene = scene
@@ -459,23 +575,14 @@ class SceneScores:
             self._concepts, self._stamps = concepts, {}
         xb, nodes = self.xb, self._graph.nodes
         for (role, (entities, *scoring)), names in zip(self._roles.items(), concepts):
-            stamps = {c: (len(xb.positive.get(c, ())), len(xb.negative.get(c, ()))) for c in names}
+            stamps = {c: xb.stamp(c) for c in names}
             moved = [c for c in names if self._stamps.get((role, c)) != stamps[c]]
             self._stamps.update(((role, c), stamps[c]) for c in moved)
-            if moved:  # a role's scores go to its entities' class_scores or attr_scores
-                rows = [getattr(nodes[e.eid], f"{role}_scores") for e in entities]
-                for c, scores in _score_rows(xb, moved, *scoring).items():
-                    for row, score in zip(rows, scores):
-                        row[c] = score
+            if moved and entities:  # to each entity's class_scores or attr_scores
+                scores = score_fewshot(xb, moved, *scoring, tuple(stamps[c] for c in moved))
+                for e, row in zip(entities, zip(*(scores[c].tolist() for c in moved))):
+                    getattr(nodes[e.eid], f"{role}_scores").update(zip(moved, row))
         return self._graph
-
-
-def _score_rows(xb, concepts, features, gain, bias=0.0) -> dict[str, list[float]]:
-    """concept -> `score_fewshot` of each feature row, as floats."""
-    if not len(features):
-        return {c: [] for c in concepts}
-    scores = score_fewshot(xb, concepts, features, gain, bias)
-    return {c: s.tolist() for c, s in scores.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -499,25 +606,28 @@ def init_priors(xb: ExemplarBase, model: FeatureModel, rng) -> ExemplarBase:
 
 
 def heldout_accuracy(xb: ExemplarBase, model: FeatureModel, rng) -> tuple[float, float]:
-    """Balanced binary accuracy of part-kind and attribute classifiers on
-    HELDOUT_SAMPLES freshly generated instances."""
+    """Plain binary accuracy (not balanced) of the part-kind and attribute
+    classifiers on the parts of HELDOUT_SAMPLES freshly generated objects:
+    the share of (part, concept) pairs whose score falls on the right side
+    of 0.5. Both are scored with KERNEL_GAIN at bias 0, not with the gains
+    and bias a scene is perceived with (PART_GAIN; ATTR_GAIN, ATTR_BIAS)."""
     domain = model.domain
     classes = sorted(domain.classes)
     objs = [
         model.sample_object(classes[i % len(classes)], "test", rng) for i in range(HELDOUT_SAMPLES)
     ]
     parts = [part for obj in objs for part in obj.parts]
-    part_scores = _score_rows(xb, domain.parts, [p.class_feature for p in parts], KERNEL_GAIN)
-    attr_scores = _score_rows(xb, domain.attributes, [p.attr_feature for p in parts], KERNEL_GAIN)
+    part_scores = score_fewshot(xb, domain.parts, [p.class_feature for p in parts])
+    attr_scores = score_fewshot(xb, domain.attributes, [p.attr_feature for p in parts])
     part_hits = sum(
         (score > 0.5) == (kind == part.kind)
         for kind in domain.parts
-        for score, part in zip(part_scores[kind], parts)
+        for score, part in zip(part_scores[kind].tolist(), parts)
     )
     attr_hits = sum(
         (score > 0.5) == (attr in part.attrs)
         for attr in domain.attributes
-        for score, part in zip(attr_scores[attr], parts)
+        for score, part in zip(attr_scores[attr].tolist(), parts)
     )
     return (
         part_hits / (len(parts) * len(domain.parts)),

@@ -4,6 +4,7 @@ programs, polar/multiple-choice query answering, concept differences."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .logic import (
     CLASS,
@@ -293,13 +294,23 @@ def classify_each(
     """`classify` of each object, all objects in one `marginals_each` call."""
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    names = sorted(candidates)
-    query_lists = [[Atom(cls_pred(c), (Const(o),)) for c in names] for o in objs]
+    names = tuple(sorted(candidates))
+    query_lists = [class_atoms(names, o) for o in objs]
     tables = marginals_each(sg, kb, u, query_lists)
     return [
         best_class({c: table[a] for c, a in zip(names, atoms)})
         for atoms, table in zip(query_lists, tables)
     ]
+
+
+@lru_cache(maxsize=256)
+def class_atoms(classes: tuple[str, ...], obj: str) -> tuple[Atom, ...]:
+    """The atom c(obj) of each class c, in order: an object's class queries,
+    built once per (classes, object) while they recur, as a test set's
+    objects do from exam to exam and a probed scene's `o1` from probe to
+    probe; the cache holds more entries than a fineHard test set has
+    objects."""
+    return tuple(Atom(cls_pred(c), (Const(obj),)) for c in classes)
 
 
 def best_class(scores: dict[str, float]) -> str | None:

@@ -5,6 +5,7 @@ marginalization, component splitting, fragment validation."""
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -618,3 +619,124 @@ def test_row_solves_cover_shared_and_per_row_folds(monkeypatch):
     for noise in (rng.normal(size=(40, n_facts)), _weight_rows(rng, n_facts, 40)):
         _assert_rows_solve_alone(compiled, np.asarray(compiled.weights) + noise)
     assert folds["shared"] and folds["per row"]
+
+
+# ---------------------------------------------------------------------------
+# tables built by doubling, against the masked fill they replace
+
+
+def _masked_fill_rows(p, weights: np.ndarray):
+    """`exact._run_rows` with each log-weight table filled as a full table
+    from the start: every atom with a soft fact adds its weight column
+    through its truth mask, stage 2 starts from the mass of each row's bit
+    configuration, the first block's mass is OR-folded into a unit row
+    (`_fold_pairs`), and each soft constraint's term is added to the whole
+    table in turn."""
+    n = len(weights)
+    fw = weights.take(p.first, axis=1)
+    for col, i in p.more:
+        fw[:, col] += weights[:, i]
+    nq = len(p.q_atoms)
+    idx2 = np.arange(1 << (nq + p.k), dtype=np.int64)
+    aconf = idx2 >> nq
+    logw2 = np.zeros((n, len(idx2)))
+    log_z = 0.0
+    if p.blocks:
+        size = 1 << p.k
+        mass = np.zeros((n, size))
+        mass[:, 0] = 1.0
+        offsets = np.arange(0, n * size, size)[:, None]
+        for block in p.blocks:
+            idx = np.arange(1 << len(block.atoms), dtype=np.int64)
+            logw = np.zeros((n, len(idx)))
+            for i, col in enumerate(block.columns):
+                if col is not None:
+                    logw += np.where((idx >> i) & 1, fw[:, col : col + 1], 0.0)
+            shift = np.maximum.reduce(logw, axis=1)
+            log_z += shift
+            ew = np.exp(logw - shift[:, None])
+            bins = (block.config + offsets).ravel()
+            counts = np.bincount(bins, weights=ew.ravel(), minlength=n * size)
+            mass = _fold_pairs(mass, counts.reshape(n, size))
+        with np.errstate(divide="ignore"):
+            logw2 += np.log(mass).take(aconf, axis=1)
+    for i, col in enumerate(p.columns):
+        if col is not None:
+            logw2 += np.where((idx2 >> i) & 1, fw[:, col : col + 1], 0.0)
+    for term in [] if p.soft is None else p.soft[1:]:
+        logw2 += term
+    if p.mask is not None:
+        logw2 = np.where(p.mask, logw2, -np.inf)
+    m2 = np.maximum.reduce(logw2, axis=1)
+    if -np.inf in m2.tolist():
+        raise NoAdmissibleWorldError("hard core admits no world")
+    q = np.exp(logw2 - m2[:, None])
+    z = np.add.reduce(q, axis=1)
+    marginals = np.empty((n, len(p.outputs)))
+    for j, (where, _) in enumerate(p.outputs):
+        marginals[:, j] = np.add.reduce(q.take(where, axis=1), axis=1)
+    return m2 + np.log(z) + log_z, marginals / z[:, None]
+
+
+def _fold_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`exact._or_fold` with each chunk's pair bins computed afresh and its
+    products gathered by fancy indexing."""
+    n, size = a.shape
+    if n > 1 and not (((a != 0) == (a[0] != 0)).all() and ((b != 0) == (b[0] != 0)).all()):
+        return np.concatenate([_fold_pairs(a[r : r + 1], b[r : r + 1]) for r in range(n)])
+    u, v = np.flatnonzero(a[0]), np.flatnonzero(b[0])
+    out = np.zeros((n, size))
+    step = max(1, exact._FOLD_CHUNK // max(1, len(v)))
+    per = max(1, exact._FOLD_CHUNK // max(1, min(step, len(u)) * len(v)))
+    for r in range(0, n, per):
+        aa, bb = a[r : r + per], b[r : r + per]
+        m = len(aa)
+        offsets = np.arange(0, m * size, size)[:, None]
+        for lo in range(0, len(u), step):
+            uu = u[lo : lo + step]
+            bins = ((uu[:, None] | v).ravel() + offsets).ravel()
+            products = (aa[:, uu, None] * bb[:, None, v]).ravel()
+            counts = np.bincount(bins, weights=products, minlength=m * size)
+            out[r : r + m] += counts.reshape(m, size)
+    return out
+
+
+def _golden_plans():
+    """Every plan compiled from the golden corpora and the golden component,
+    and each plan with soft constraints once more with a weight of its own
+    for each of them: compiled programs give all their soft constraints one
+    weight, which would hide a change in the order their terms are added."""
+    progs = [*_corpus().values(), _golden_component()[0]]
+    plans = [p for prog in progs for p in CompiledProgram.compile(prog).plans]
+    rng = np.random.default_rng(1)
+    reweighted = []
+    for p in plans:
+        if p.soft is not None:
+            weights = rng.normal(scale=3.0, size=(len(p.soft) - 1, 1))
+            soft = np.concatenate([p.soft[:1], np.where(p.soft[1:] != 0.0, weights, 0.0)])
+            reweighted.append(replace(p, soft=soft))
+    return plans + reweighted
+
+
+def test_doubled_tables_equal_the_masked_fill_on_every_golden_plan():
+    plans = _golden_plans()
+    assert sum(bool(p.blocks) for p in plans) >= 3 and max(len(p.blocks) for p in plans) >= 2
+    assert sum(p.soft is not None and len(p.soft) > 2 for p in plans) >= 2
+    rng = np.random.default_rng(0)
+    for p in plans:
+        for n_rows in (1, 3, p.slice_rows + 5):
+            rows = np.asarray(_weight_rows(rng, len(p.facts), n_rows))
+            if p.facts:
+                rows += [[r.weight for r in p.facts]]
+            try:
+                log_z, marginals = exact.run(p, rows)
+            except NoAdmissibleWorldError:
+                with pytest.raises(NoAdmissibleWorldError):
+                    _masked_fill_rows(p, rows)
+                continue
+            slices = [
+                _masked_fill_rows(p, rows[lo : lo + p.slice_rows])
+                for lo in range(0, n_rows, p.slice_rows)
+            ]
+            assert np.array_equal(log_z, np.concatenate([z for z, _ in slices]))
+            assert np.array_equal(marginals, np.concatenate([m for _, m in slices]))

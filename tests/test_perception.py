@@ -414,6 +414,83 @@ def test_adding_to_one_pool_member_rescores_only_that_member(model, domain, monk
     assert len(pools) == 1 and id(xb._classifier("wide")[0]) not in pools
 
 
+def test_a_class_exemplar_rebuilds_only_the_class_roles_scoring_plan(model, domain, monkeypatch):
+    monkeypatch.setattr(perception, "PRIORS_PER_CLASS", 2)
+    rng = np.random.default_rng(6)
+    xb = ExemplarBase()
+    init_priors(xb, model, rng)
+    classes = ["brandyGlass", "burgundyGlass"]
+    feature = model.sample_object(classes[0], "x", rng).class_feature
+    xb.process_correction(classes[1], classes[0], feature)
+    class_concepts, attrs = classes + list(domain.parts), list(domain.attributes)
+    builds = []
+    real_build = perception._ScoringPlan.build
+
+    def spy_build(xb, concepts):
+        builds.append(concepts)
+        return real_build(xb, concepts)
+
+    monkeypatch.setattr(perception._ScoringPlan, "build", staticmethod(spy_build))
+
+    def perceive():
+        scene = generate_scene(model, "brandyGlass", rng, 1)
+        sg = build_scene_graph(scene, xb, class_concepts, attrs)
+        plans = xb._plans[tuple(class_concepts)][1], xb._plans[tuple(attrs)][1]
+        return scene, sg, plans
+
+    _, _, (class_plan, attr_plan) = perceive()
+    assert builds == [tuple(class_concepts), tuple(attrs)]
+    _, _, again = perceive()  # nothing moved: both plans are reused
+    assert again == (class_plan, attr_plan) and len(builds) == 2
+    xb.add("burgundyGlass", model.sample_object("burgundyGlass", "x", rng).class_feature, True)
+    scene, sg, (new_class_plan, new_attr_plan) = perceive()
+    assert builds[2:] == [tuple(class_concepts)]
+    assert new_class_plan is not class_plan and new_attr_plan is attr_plan
+    # the rebuilt plan scores as each concept's own exemplar sets do
+    for obj in scene:
+        for c in classes:
+            expected = _reference_score(xb, c, obj.class_feature, KERNEL_GAIN, 0.0)
+            assert sg.nodes[obj.eid].class_scores[c] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_rows=st.integers(2, 40),
+    n_members=st.integers(2, 6),
+    n_rows_scored=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_count_group_scores_each_concept_in_concept_order(
+    n_rows, n_members, n_rows_scored, seed
+):
+    rng = np.random.default_rng(seed)
+    xb = ExemplarBase()
+    shared = [rng.normal(size=16) for _ in range(n_rows)]
+    n_pos = int(rng.integers(1, n_rows))
+    members = [f"member{i}" for i in range(n_members)]
+    for concept in members:
+        # the same rows with the same number of positives, each member in
+        # its own order and with its own split: one pool, one count group
+        for rank, j in enumerate(rng.permutation(n_rows)):
+            xb.add(concept, shared[j], positive=rank < n_pos)
+    concepts = [members[0]]
+    for i, member in enumerate(members[1:]):
+        # a fixed-score concept between each two members: no exemplars, or
+        # positives only, or negatives only
+        if i % 3:
+            xb.add(f"fixed{i}", shared[i % n_rows], positive=i % 3 == 1)
+        concepts += [f"fixed{i}", member]
+    concepts.append("unknown")
+    plan = xb._scoring_plan(tuple(concepts), tuple(map(xb.stamp, concepts)))
+    assert len(plan.pos) == len(plan.neg) == 1 and plan.exemplars.shape[1] == n_rows
+    features = rng.normal(size=(n_rows_scored, 16)) * rng.uniform(0.1, 3.0)
+    scores = score_fewshot(xb, concepts, features, ATTR_GAIN, ATTR_BIAS)
+    assert list(scores) == concepts
+    for c in concepts:
+        expected = [_reference_score(xb, c, row, ATTR_GAIN, ATTR_BIAS) for row in features]
+        assert scores[c].tolist() == expected, c
+
+
 def test_writing_to_an_added_array_changes_no_score():
     pos, neg, extra = np.zeros(4), np.full(4, 2.0), np.full(4, 0.5)
     xb, fresh = ExemplarBase(), ExemplarBase()  # fresh gets copies nobody writes to
