@@ -257,9 +257,9 @@ class ExemplarBase:
     `add` stores a read-only copy of each distinct feature row once, so a
     caller that later writes to its array changes no exemplar. Concepts
     whose exemplars are the same multiset of rows share one pool: one
-    stacked matrix and one bandwidth. `score_fewshot` scores a list of
-    concepts by a `_ScoringPlan`, kept per list until a concept's exemplar
-    stamp moves."""
+    stacked matrix and one bandwidth, kept while a scoring plan holds it.
+    `score_fewshot` scores a list of concepts by a `_ScoringPlan`, kept per
+    list until a concept's exemplar stamp moves."""
 
     def __init__(self):
         self.positive: dict[str, list[np.ndarray]] = {}
@@ -268,9 +268,7 @@ class ExemplarBase:
         self._row_ids: dict[tuple, int] = {}  # (shape, bytes) of a row -> its id
         self._rows: list[np.ndarray] = []  # row id -> read-only row
         self._ids: dict[str, tuple[list[int], list[int]]] = {}  # concept -> pos, neg row ids
-        # concept -> (pool, pos columns, neg columns), until its exemplars change
-        self._cache: dict[str, tuple[_Pool, np.ndarray, np.ndarray]] = {}
-        # sorted row ids -> pool; a pool goes when no cached concept holds it
+        # sorted row ids -> pool; a pool goes when no kept plan holds it
         self._pools: WeakValueDictionary[tuple[int, ...], _Pool] = WeakValueDictionary()
         # tuple of concepts -> (their stamps, their scoring plan)
         self._plans: dict[tuple[str, ...], tuple[tuple, _ScoringPlan]] = {}
@@ -286,7 +284,6 @@ class ExemplarBase:
         store = self.positive if positive else self.negative
         store.setdefault(concept, []).append(self._rows[rid])
         self._ids.setdefault(concept, ([], []))[0 if positive else 1].append(rid)
-        self._cache.pop(concept, None)
         self.revision += 1
 
     def stamp(self, concept: str) -> tuple[int, int]:
@@ -294,27 +291,10 @@ class ExemplarBase:
         grow, so the stamp names the set."""
         return len(self.positive.get(concept, ())), len(self.negative.get(concept, ()))
 
-    def _classifier(self, concept: str) -> tuple[_Pool, np.ndarray, np.ndarray]:
-        """(pool, pos columns, neg columns) of a concept with positives and
-        negatives, cached until its exemplars change."""
-        cached = self._cache.get(concept)
-        if cached is None:
-            pos_ids, neg_ids = self._ids[concept]
-            key = tuple(sorted(pos_ids + neg_ids))
-            pool = self._pools.get(key)
-            if pool is None:
-                rows = [self._rows[i] for i in key]
-                pool = self._pools[key] = _Pool(_bandwidth(rows), np.stack(rows))
-            cached = self._cache[concept] = (
-                pool,
-                np.searchsorted(key, pos_ids),
-                np.searchsorted(key, neg_ids),
-            )
-        return cached
-
-    def _scoring_plan(self, concepts: tuple[str, ...], stamps: tuple) -> _ScoringPlan:
-        """The scoring plan of `concepts`, whose stamps are `stamps`, built
-        again only when one of them moved."""
+    def _scoring_plan(self, concepts: tuple[str, ...]) -> _ScoringPlan:
+        """The scoring plan of `concepts`, built again when one of their stamps
+        moved, before it replaces the old one: the pools the two share stay."""
+        stamps = tuple(map(self.stamp, concepts))
         kept = self._plans.get(concepts)
         if kept is None or kept[0] != stamps:
             kept = self._plans[concepts] = (stamps, _ScoringPlan.build(self, concepts))
@@ -343,17 +323,17 @@ def _bandwidth(exemplars: list[np.ndarray]) -> float:
 class _ScoringPlan:
     """How `score_fewshot` scores a list of concepts at fixed exemplar sets.
 
-    `exemplars` holds the rows of the distinct pools of the scored concepts
-    (those with positives and negatives) as its columns, pool after pool,
-    and `den` the 2h² of each column's pool. `pos` groups the scored
-    concepts by positive count m: (m, the (g, m)
-    exemplar columns of the g concepts with m positives, each row in its
-    concept's exemplar order); `pos_order` is each scored concept's place
-    in the groups' concatenated means. `neg` and `neg_order` do the same
-    for the negatives. `scored` and `fixed` are the places of the scored
-    and the fixed-score concepts in the list, and `fixed_scores` the
-    fixed scores."""
+    `pools` are the distinct pools of the scored concepts (those with
+    positives and negatives), `exemplars` their rows, pool after pool, and
+    `den` the 2h² of each row's pool. `pos` groups the scored concepts by
+    positive count m: (m, the (g, m) indices into `exemplars` of the g
+    concepts with m positives, each concept's in its exemplar order);
+    `pos_order` is each scored concept's place in the groups' concatenated
+    means. `neg` and `neg_order` do the same for the negatives. `scored`
+    and `fixed` are the places of the scored and the fixed-score concepts
+    in the list, and `fixed_scores` the fixed scores."""
 
+    pools: list[_Pool]
     exemplars: np.ndarray
     den: np.ndarray
     pos: list[tuple[int, np.ndarray]]
@@ -366,30 +346,37 @@ class _ScoringPlan:
 
     @staticmethod
     def build(xb: ExemplarBase, concepts: tuple[str, ...]) -> "_ScoringPlan":
-        offsets: dict[_Pool, int] = {}  # pool -> its first column in `exemplars`
+        """Each scored concept's pool is looked up in `xb._pools` by its
+        sorted row ids, and built on a miss."""
+        offsets: dict[_Pool, int] = {}  # pool -> its first row in `exemplars`
         width = 0
         scored, fixed, fixed_scores, pos_cols, neg_cols = [], [], [], [], []
         for i, concept in enumerate(concepts):
-            pos, neg = xb.positive.get(concept), xb.negative.get(concept)
-            if not pos or not neg:
+            pos_ids, neg_ids = xb._ids.get(concept, ((), ()))
+            if not pos_ids or not neg_ids:
                 fixed.append(i)
                 fixed_scores.append(
-                    0.5 if not pos and not neg else ONE_SIDED_SCORE if pos else 1.0 - ONE_SIDED_SCORE
+                    ONE_SIDED_SCORE if pos_ids else 1.0 - ONE_SIDED_SCORE if neg_ids else 0.5
                 )
                 continue
-            pool, pos_c, neg_c = xb._classifier(concept)
+            key = tuple(sorted(pos_ids + neg_ids))
+            pool = xb._pools.get(key)
+            if pool is None:
+                rows = [xb._rows[r] for r in key]
+                pool = xb._pools[key] = _Pool(_bandwidth(rows), np.stack(rows))
             if pool not in offsets:
                 offsets[pool] = width
                 width += len(pool.matrix)
             scored.append(i)
-            pos_cols.append(offsets[pool] + pos_c)
-            neg_cols.append(offsets[pool] + neg_c)
+            pos_cols.append(offsets[pool] + np.searchsorted(key, pos_ids))
+            neg_cols.append(offsets[pool] + np.searchsorted(key, neg_ids))
         pools = list(offsets)
         rows = [p.matrix for p in pools]
         pos, pos_order = _count_groups(pos_cols)
         neg, neg_order = _count_groups(neg_cols)
         return _ScoringPlan(
-            exemplars=np.concatenate(rows).T.copy() if rows else np.empty((0, 0)),
+            pools=pools,
+            exemplars=np.concatenate(rows) if rows else np.empty((0, 0)),
             den=np.repeat([2 * p.bandwidth * p.bandwidth for p in pools], list(map(len, rows))),
             pos=pos,
             pos_order=pos_order,
@@ -411,39 +398,12 @@ def _count_groups(cols: list[np.ndarray]) -> tuple[list[tuple[int, np.ndarray]],
     return [(m, np.array([cols[j] for j in js])) for m, js in groups.items()], np.argsort(order)
 
 
-def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """The sum over the leading axis of an array of non-negative values, in
-    numpy's own pairwise order for a contiguous axis: eight running sums over
-    blocks of eight, a tree over the eight, then the rest in order; an axis
-    of more than 128 is split and its halves summed apart. So summing whole
-    slices at a time gives, to the bit, what `sum(axis=-1)` gives for the
-    same values laid out last, at a cost per slice instead of per element."""
-    n = len(x)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
-    end = n - n % 8
-    if end:
-        r = x[:8]
-        for i in range(8, end, 8):
-            r = r + x[i : i + 8]
-        r = r[0::2] + r[1::2]
-        r = r[0::2] + r[1::2]
-        out = r[0] + r[1]
-    else:
-        out = np.zeros(x.shape[1:])
-    for row in x[end:]:
-        out = out + row
-    return out
-
-
 def score_fewshot(
     xb: ExemplarBase,
     concepts: list[str],
     features: np.ndarray,
     gain: float | np.ndarray = KERNEL_GAIN,
     bias: float = 0.0,
-    stamps: tuple | None = None,
 ) -> dict[str, np.ndarray]:
     """Calibrated kernel-mean discriminant between chi+ and chi-: concept ->
     one score per row of an (n, d) feature matrix.
@@ -456,26 +416,24 @@ def score_fewshot(
     0.5 and one-sided ones ONE_SIDED_SCORE (or its complement) before the
     feature dimension is checked.
 
-    The concepts are scored by their `_ScoringPlan`, looked up with
-    `stamps`, their `ExemplarBase.stamp`s, which a caller that has them
-    passes. The kernel values to the rows of every pool come from one
-    distance matrix and one `exp`. Each count group then sums, for each of
-    its concepts, a C-contiguous copy of that concept's own m columns in its
+    The concepts are scored by their `_ScoringPlan`. The kernel values to
+    the rows of every pool come from one distance matrix, each distance
+    summed over the contiguous last axis as a sum over one exemplar's row
+    is, and one `exp`. Each count group then sums, for each of its
+    concepts, a C-contiguous copy of that concept's own m columns in its
     exemplar order, and divides by m, as a mean over the concept's rows
     alone does; a sum over the shared matrix, or over a strided gather, can
     differ in the last bit. The sigmoid runs once over the margins of all
     the scored concepts."""
     features = np.asarray(features, dtype=float)
     concepts = tuple(concepts)
-    if stamps is None:
-        stamps = tuple(map(xb.stamp, concepts))
-    plan = xb._scoring_plan(concepts, stamps)
+    plan = xb._scoring_plan(concepts)
     out = np.empty((len(concepts), len(features)))
     out[plan.fixed] = plan.fixed_scores[:, None]
     if plan.scored:
-        if features.shape[1:] != plan.exemplars.shape[:1]:
+        if features.shape[1:] != plan.exemplars.shape[1:]:
             raise ValueError("feature dimension mismatch")
-        d2 = _pairwise_sum((plan.exemplars[:, None, :] - features.T[:, :, None]) ** 2)
+        d2 = np.add.reduce((features[:, None, :] - plan.exemplars) ** 2, axis=2)
         k = np.exp(-d2 / plan.den)
         pos, neg = (
             np.concatenate(
@@ -543,9 +501,8 @@ class SceneScores:
     The graph is kept from one call to the next with the same concepts.
     Each role's scores of a concept are written into its nodes with the
     concept's `ExemplarBase.stamp`, and `graph` scores again and writes
-    only the concepts whose stamp moved; it looks up their scoring plan with
-    the stamps it has. `score_fewshot` scores each concept on its own, so a
-    kept score equals a fresh one."""
+    only the concepts whose stamp moved. `score_fewshot` scores each concept
+    on its own, so a kept score equals a fresh one."""
 
     def __init__(self, scene: list[SceneObject], xb: ExemplarBase):
         self.scene = scene
@@ -579,7 +536,7 @@ class SceneScores:
             moved = [c for c in names if self._stamps.get((role, c)) != stamps[c]]
             self._stamps.update(((role, c), stamps[c]) for c in moved)
             if moved and entities:  # to each entity's class_scores or attr_scores
-                scores = score_fewshot(xb, moved, *scoring, tuple(stamps[c] for c in moved))
+                scores = score_fewshot(xb, moved, *scoring)
                 for e, row in zip(entities, zip(*(scores[c].tolist() for c in moved))):
                     getattr(nodes[e.eid], f"{role}_scores").update(zip(moved, row))
         return self._graph

@@ -124,12 +124,10 @@ def build_program(sg: SceneGraph, kb, u: ReliabilityParams = ReliabilityParams()
 
 
 def _plan_key(sg: SceneGraph, queries: list[Atom]):
-    """(key, codes, entities, role, scene) for queries on the scene objects
-    their atoms mention (an atom on a part belongs to the part's whole).
-    `scene` is `sg` cut down to those objects, their parts and the edges
-    out of them. `entities` is each object in id order, each followed by its
-    parts, and `role` maps each entity to its index there; `codes` holds
-    each query atom as (predicate, the entity index of each argument). The
+    """(key, codes, entities) for queries on the scene objects their atoms
+    mention (an atom on a part belongs to the part's whole). `entities` is
+    each object in id order, each followed by its parts; `codes` holds each
+    query atom as (predicate, the index in `entities` of each argument). The
     key holds the set of codes, the sort permutation of the entity ids
     (which fixes the order of the program's atoms and rules), the score
     names of the entities' nodes and each object's edge score names. So two
@@ -143,28 +141,31 @@ def _plan_key(sg: SceneGraph, queries: list[Atom]):
             if not isinstance(t, Const):
                 raise UnknownPredicateError(f"query atom is not ground: {q}")
             objects.add(sg.whole_of.get(t.ident, t.ident))
-    nodes, edges, object_parts, edge_names = {}, {}, {}, []
+    entities, edge_names = [], []
     for o in sorted(objects):
-        parts = object_parts[o] = sg.object_parts.get(o)
+        parts = sg.object_parts.get(o)
         if parts is None:
             raise UnknownPredicateError(f"query atoms on an entity outside the scene: {o}")
-        nodes[o] = sg.nodes[o]
-        for p in parts:
-            nodes[p] = sg.nodes[p]
-            edges[(o, p)] = sg.edges[(o, p)]
-        edge_names.append(tuple(tuple(sorted(edges[(o, p)])) for p in parts))
-    entities = list(nodes)
+        entities += [o, *parts]
+        edge_names.append(tuple(tuple(sorted(sg.edges[(o, p)])) for p in parts))
     role = {e: i for i, e in enumerate(entities)}
     codes = [(q.pred, tuple(role[t.ident] for t in q.args)) for q in queries]
+    nodes = [sg.nodes[e] for e in entities]
     key = (
         frozenset(codes),
         tuple(sorted(range(len(entities)), key=entities.__getitem__)),
-        tuple(
-            (tuple(sorted(n.class_scores)), tuple(sorted(n.attr_scores))) for n in nodes.values()
-        ),
+        tuple((tuple(sorted(n.class_scores)), tuple(sorted(n.attr_scores))) for n in nodes),
         tuple(edge_names),
     )
-    return key, codes, entities, role, SceneGraph(nodes, edges, object_parts)
+    return key, codes, entities
+
+
+def _cut_scene(sg: SceneGraph, entities: list[str]) -> SceneGraph:
+    """`sg` cut down to `entities` (objects, each followed by its parts, as
+    `_plan_key` lists them) and the edges out of their objects."""
+    object_parts = {e: sg.object_parts[e] for e in entities if e in sg.object_parts}
+    edges = {(o, p): sg.edges[(o, p)] for o, parts in object_parts.items() for p in parts}
+    return SceneGraph({e: sg.nodes[e] for e in entities}, edges, object_parts)
 
 
 def marginals_for(
@@ -184,7 +185,8 @@ def marginals_each(
     one weight row per list, and each row is solved as it would be alone.
 
     The program of a list is built on the scene cut down to the objects the
-    list mentions (`_plan_key`, kept in `sg.plan_keys` unless that is None).
+    list mentions (`_plan_key`, kept in `sg.plan_keys` unless that is None;
+    `_cut_scene`, on a plan miss only).
     Each lifted rule has one free variable and `have` edges link an object
     only to its own parts, so no component spans two objects, and the
     components solved are those of the whole scene's program that hold a
@@ -211,9 +213,9 @@ def marginals_each(
             planned = _plan_key(sg, queries)
         elif (planned := kept.get(atoms)) is None:
             planned = kept[atoms] = _plan_key(sg, queries)
-        key, codes, entities, role, scene = planned
+        key, codes, entities = planned
         if key not in plans:
-            plans[key] = _compile(scene, kb, u, queries, codes, role)
+            plans[key] = _compile(sg, entities, kb, u, queries, codes)
         groups.setdefault(key, []).append((i, queries, codes, entities))
     tables: list = [None] * len(query_lists)
     for key, members in groups.items():
@@ -251,12 +253,12 @@ def _slot(pred: PredicateSym, args: tuple, role: dict) -> tuple[int, str]:
     return 3 * role[args[0].ident] + (0 if pred.kind == CLASS else 1), pred.name
 
 
-def _compile(scene: SceneGraph, kb, u: ReliabilityParams, queries, codes, role):
+def _compile(sg: SceneGraph, entities: list[str], kb, u: ReliabilityParams, queries, codes):
     """(kept plans, fact slots, compiled atom of each query code) of the
-    program on `scene`, for `marginals_each`."""
+    program on `sg` cut down to `entities`, for `marginals_each`."""
     wanted = set(queries)
     compiled = []
-    for p in CompiledProgram.compile(build_program(scene, kb, u)).plans:
+    for p in CompiledProgram.compile(build_program(_cut_scene(sg, entities), kb, u)).plans:
         outputs = [(v, a) for v, a in p.outputs if a in wanted]
         if outputs:
             compiled.append(replace(p, outputs=outputs))
@@ -264,6 +266,7 @@ def _compile(scene: SceneGraph, kb, u: ReliabilityParams, queries, codes, role):
     unsolved = ", ".join(str(q) for q in queries if q not in solved)
     if unsolved:
         raise UnknownPredicateError(f"atoms the program does not solve: {unsolved}")
+    role = {e: i for i, e in enumerate(entities)}
     slots = [_slot(r.head.pred, r.head.args, role) for p in compiled for r in p.facts]
     return compiled, slots, dict(zip(codes, queries))
 

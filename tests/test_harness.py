@@ -413,8 +413,9 @@ def test_exams_plan_each_test_object_once_per_cell(monkeypatch):
     real_plan_key = reasoner._plan_key
 
     def spy_plan_key(sg, queries):
-        planned[queries[0].args[0].ident] += 1
-        return real_plan_key(sg, queries)
+        key, codes, entities = real_plan_key(sg, queries)
+        planned[entities[0]] += 1
+        return key, codes, entities
 
     monkeypatch.setattr(reasoner, "_plan_key", spy_plan_key)
     res, exams = _run_spied(monkeypatch, config)
@@ -438,9 +439,30 @@ def test_exemplar_base_keeps_no_unused_pool_after_a_cell(monkeypatch):
     xb = learners[0].xb
     class_adds = sum(len(xb.positive.get(c, [])) + len(xb.negative.get(c, [])) for c in config.classes)
     assert class_adds > 2 * len(config.classes)
-    used = {id(pool) for pool, _, _ in xb._cache.values()}
+    gc.collect()
+    used = {id(pool) for _, plan in xb._plans.values() for pool in plan.pools}
     assert {id(pool) for pool in xb._pools.values()} == used
-    assert len(used) <= len(config.classes) + 2  # the classes, parts and attributes
+    # at most one pool per class in each class-role plan (the attribute
+    # role's plan holds no class), plus the parts' pool and the attributes'
+    assert len(used) <= len(config.classes) * (len(xb._plans) - 1) + 2
+
+
+def test_a_cell_builds_each_exemplar_pool_once(monkeypatch):
+    """A pool is built again only when no kept plan holds it: the prior part
+    and attribute pools outlive each class add, since a plan is built
+    before it replaces the one it shares them with."""
+    config = ExperimentConfig(difficulty="fineHard", strategies=("maxHelp_semNegScal",), seeds=(0,))
+    built = []  # the rows of each pool built, by identity: the pool's key
+    real_bandwidth = perception._bandwidth
+
+    def spy_bandwidth(rows):
+        built.append(tuple(map(id, rows)))
+        return real_bandwidth(rows)
+
+    monkeypatch.setattr(perception, "_bandwidth", spy_bandwidth)
+    run_sequence(config, "maxHelp_semNegScal", 0)
+    assert len(built) > 2 * len(config.classes)
+    assert len(set(built)) == len(built)
 
 
 def test_exam_scene_marginals_equal_each_objects_own_scene():

@@ -312,7 +312,7 @@ def test_shared_pool_scores_equal_the_reference_in_every_role(n_shared, n_rows, 
     xb.add("posOnly", shared[0], positive=True)
     xb.add("negOnly", rng.normal(size=16), positive=False)
     concepts = [*members, "own", "posOnly", "negOnly", "unknown"]
-    assert len({id(xb._classifier(c)[0]) for c in members}) == 1
+    assert len(xb._scoring_plan(tuple(members)).pools) == 1
     scale = rng.uniform(0.1, 3.0)
     scene = [_random_object(rng, f"o{i}", scale) for i in range(n_objects)]
     sg = build_scene_graph(scene, xb, concepts, concepts)
@@ -389,10 +389,10 @@ def test_pool_bandwidth_equals_each_concepts_own(domain, seed):
     init_priors(xb, FeatureModel(domain, seed=0), np.random.default_rng([seed, 3]))
     for group in (domain.parts, domain.attributes):
         # every concept of a group holds the same prior rows: one pool
-        assert len({id(xb._classifier(c)[0]) for c in group}) == 1
+        (pool,) = xb._scoring_plan(tuple(group)).pools
         for c in group:
             pos, neg = xb.positive[c], xb.negative[c]
-            assert xb._classifier(c)[0].bandwidth == _bandwidth(pos + neg)
+            assert pool.bandwidth == _bandwidth(pos + neg)
 
 
 def test_adding_to_one_pool_member_rescores_only_that_member(model, domain, monkeypatch):
@@ -410,8 +410,9 @@ def test_adding_to_one_pool_member_rescores_only_that_member(model, domain, monk
     others = [a for a in attrs if a != "wide"]
     for a in others:
         assert np.array_equal(after[a], before[a])
-    pools = {id(xb._classifier(a)[0]) for a in others}
-    assert len(pools) == 1 and id(xb._classifier("wide")[0]) not in pools
+    # `wide` left the pool its prior rows shared with the other attributes
+    (shared,), (wide,) = (xb._scoring_plan(c).pools for c in (tuple(others), ("wide",)))
+    assert wide is not shared and set(xb._scoring_plan(tuple(attrs)).pools) == {shared, wide}
 
 
 def test_a_class_exemplar_rebuilds_only_the_class_roles_scoring_plan(model, domain, monkeypatch):
@@ -481,8 +482,8 @@ def test_one_count_group_scores_each_concept_in_concept_order(
             xb.add(f"fixed{i}", shared[i % n_rows], positive=i % 3 == 1)
         concepts += [f"fixed{i}", member]
     concepts.append("unknown")
-    plan = xb._scoring_plan(tuple(concepts), tuple(map(xb.stamp, concepts)))
-    assert len(plan.pos) == len(plan.neg) == 1 and plan.exemplars.shape[1] == n_rows
+    plan = xb._scoring_plan(tuple(concepts))
+    assert len(plan.pos) == len(plan.neg) == 1 and plan.exemplars.shape[0] == n_rows
     features = rng.normal(size=(n_rows_scored, 16)) * rng.uniform(0.1, 3.0)
     scores = score_fewshot(xb, concepts, features, ATTR_GAIN, ATTR_BIAS)
     assert list(scores) == concepts

@@ -649,23 +649,28 @@ def test_every_query_of_a_cell_matches_the_uncached_path(difficulty, strategies,
     """Each query list of a seed-0 cell, asked with the rest of its
     episode batch's or of its exam's (`marginals_each`), is `==` to
     building, restricting and solving its objects' program afresh."""
-    real_each = reasoner.marginals_each
+    real_each, real_cut = reasoner.marginals_each, reasoner._cut_scene
     compiled = _spy_compile(monkeypatch)
-    queried, compiles, batches = [], [], []
+    queried, compiles, batches, cuts = [], [], [], []
+
+    def spy_cut(sg, entities):
+        cuts.append(entities)
+        return real_cut(sg, entities)
 
     def checked_each(sg, kb, u, query_lists):
         batches.append(len(query_lists))
         before, known = len(compiled), set(kb.memo(u, dict))
         new = {}  # plan key -> its codes, for the keys this call must compile
         for queries in query_lists:
-            key, codes, _, _, _ = reasoner._plan_key(sg, queries)
+            key, codes, _ = reasoner._plan_key(sg, queries)
             if key not in known:
                 new.setdefault(key, frozenset(codes))
         tables = real_each(sg, kb, u, query_lists)
         assert len(compiled) - before == len(new)
+        assert len(cuts) == len(compiled)  # a plan hit cuts no scene
         compiles.extend((kb.revision, codes) for codes in new.values())
         for queries, table in zip(query_lists, tables):
-            scene = reasoner._plan_key(sg, queries)[4]
+            scene = real_cut(sg, reasoner._plan_key(sg, queries)[2])
             (expected,) = solve_exact(restrict(build_program(scene, kb, u), queries))
             assert table.probs == {q: expected.probs[q] for q in queries}
             assert table.log_z == expected.log_z
@@ -676,6 +681,7 @@ def test_every_query_of_a_cell_matches_the_uncached_path(difficulty, strategies,
     # through `harness.marginals_each`
     monkeypatch.setattr(reasoner, "marginals_each", checked_each)
     monkeypatch.setattr(harness, "marginals_each", checked_each)
+    monkeypatch.setattr(reasoner, "_cut_scene", spy_cut)
     config = ExperimentConfig(difficulty=difficulty, strategies=strategies, seeds=(0,))
     for strategy in strategies:
         compiles.clear()
